@@ -82,24 +82,13 @@ func run(args []string, out io.Writer) error {
 		workers  = fs.Int("workers", 1, "parallel scan workers (0 = all CPUs)")
 		warm     = fs.Bool("warmstart", false, "seed the exact scan's skip budget from the fast heuristic pass")
 		format   = fs.String("format", "text", "output format: text | json")
-		layout   = fs.String("layout", "checkpointed", "count index layout: checkpointed | interleaved | prefix (identical results; memory/speed tradeoff)")
 		snapOut  = fs.String("snapshot-out", "", "write the built corpus (codec, model, symbols, count index) to this snapshot file — the offline index build mssd -data-dir serves directly")
 		snapIn   = fs.String("snapshot-in", "", "scan a corpus from a snapshot file (mmap-served) instead of -text/-file; the model and codec come from the snapshot")
 		segments = fs.Int("segments", 0, "with -snapshot-out: cut the corpus into this many suffix segments and write one snapshot plus .segment.json sidecar per shard (for mssd -shard-of serving) instead of a single file")
-		kernel   = fs.String("kernel", "", "reconstruct kernel tier: scalar | swar | avx2 (default: best supported; results are bit-identical across tiers)")
 		version  = fs.Bool("version", false, "print the version, active scan kernel, and detected CPU features")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *kernel != "" {
-		kt, err := sigsub.ParseKernelTier(*kernel)
-		if err != nil {
-			return err
-		}
-		if err := sigsub.SetActiveKernel(kt); err != nil {
-			return err
-		}
 	}
 	if *version {
 		fmt.Fprintf(out, "mss %s\n", buildVersion())
@@ -120,9 +109,6 @@ func run(args []string, out io.Writer) error {
 		}
 		if *mle || *probsCS != "" {
 			return fmt.Errorf("a snapshot's model is fixed at write time; drop -mle/-probs")
-		}
-		if *layout != "checkpointed" {
-			return fmt.Errorf("a snapshot always serves the checkpointed layout; drop -layout")
 		}
 		sn, err := sigsub.OpenSnapshot(*snapIn)
 		if err != nil {
@@ -177,11 +163,7 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 
-		lay, err := sigsub.ParseCountsLayout(*layout)
-		if err != nil {
-			return err
-		}
-		sc, err = sigsub.NewScanner(symbols, model, sigsub.WithCountsLayout(lay))
+		sc, err = sigsub.NewScanner(symbols, model)
 		if err != nil {
 			return err
 		}

@@ -159,7 +159,6 @@ func TestSnapshotOutIn(t *testing.T) {
 	// Flag conflicts and bad inputs are errors, not silent fallbacks.
 	runErr(t, "-snapshot-in", snap, "-text", "01")
 	runErr(t, "-snapshot-in", snap, "-mle")
-	runErr(t, "-snapshot-in", snap, "-layout", "interleaved")
 	runErr(t, "-text", "01", "-mode", "none")
 	runErr(t, "-snapshot-in", filepath.Join(t.TempDir(), "absent.snap"))
 

@@ -123,18 +123,8 @@ func main() {
 		peers       = fs.String("peers", "", "comma-separated base URLs of segment-serving peers (e.g. http://a:8765,http://b:8765): corpus-named queries scatter across their shard catalogs and merge deterministically, falling back to local corpora the peers don't advertise")
 		advertise   = fs.String("advertise", "", "externally reachable base URL of this node, reported in healthz so operators can point followers (and failover tooling) at it")
 		retryJitter = fs.Duration("retry-jitter", 2*time.Second, "random extra delay added to every Retry-After the daemon emits (429/503/degraded), spreading a shed herd's retries over the window; 0 disables")
-		kernel      = fs.String("kernel", "", "reconstruct kernel tier: scalar | swar | avx2 (default: best supported; results are bit-identical across tiers)")
 	)
 	fs.Parse(os.Args[1:])
-	if *kernel != "" {
-		kt, err := sigsub.ParseKernelTier(*kernel)
-		if err != nil {
-			log.Fatalf("mssd: %v", err)
-		}
-		if err := sigsub.SetActiveKernel(kt); err != nil {
-			log.Fatalf("mssd: %v", err)
-		}
-	}
 
 	cfg := serverConfig{
 		cacheBytes:    *cacheBytes,

@@ -32,12 +32,6 @@ import (
 // the appender never writes a word a published View can read. An appended
 // symbol is visible to Views taken after the Append that carried it
 // returns.
-//
-// Appending is supported only on the checkpointed count layout (the only
-// layout whose committed blocks are structurally append-only); NewCorpus
-// rejects WithCountsLayout(CountsInterleaved) and
-// WithCountsLayout(CountsPrefix) with ErrAppendableLayout rather than
-// silently rebuilding a dense index per epoch.
 type Corpus struct {
 	model *Model
 	k     int
@@ -61,26 +55,12 @@ type corpusView struct {
 	epoch   uint64
 }
 
-// ErrAppendableLayout reports a Corpus constructed over a count layout that
-// cannot be appended to.
-var ErrAppendableLayout = fmt.Errorf("sigsub: corpora support only the checkpointed counts layout (CountsCheckpointed); dense layouts rebuild O(n·k) state per append — freeze the corpus with NewScanner instead")
-
-// NewCorpus starts an empty appendable corpus under the model. Options are
-// the Scanner options; any layout other than CountsCheckpointed (the
-// default) is rejected with ErrAppendableLayout, and WithCheckpointInterval
-// applies as it does for NewScanner.
-func NewCorpus(m *Model, opts ...ScannerOption) (*Corpus, error) {
+// NewCorpus starts an empty appendable corpus under the model.
+func NewCorpus(m *Model) (*Corpus, error) {
 	if m == nil {
 		return nil, errNilModel
 	}
-	var o scannerOptions
-	for _, fn := range opts {
-		fn(&o)
-	}
-	if o.layout != CountsCheckpointed {
-		return nil, fmt.Errorf("%w (got %v)", ErrAppendableLayout, o.layout)
-	}
-	app, err := counts.NewAppender(m.K(), o.interval)
+	app, err := counts.NewAppender(m.K(), 0)
 	if err != nil {
 		return nil, err
 	}
@@ -88,19 +68,14 @@ func NewCorpus(m *Model, opts ...ScannerOption) (*Corpus, error) {
 }
 
 // NewCorpusFromScanner adopts a frozen Scanner's corpus as the starting
-// state of an appendable one. The scanner must use the checkpointed layout
-// (ErrAppendableLayout otherwise); its committed blocks and symbols are
-// copied once into appendable storage, after which appends are amortized
-// O(k) per symbol. The scanner itself is untouched.
+// state of an appendable one. Its committed blocks and symbols are copied
+// once into appendable storage, after which appends are amortized O(k) per
+// symbol. The scanner itself is untouched.
 func NewCorpusFromScanner(s *Scanner) (*Corpus, error) {
 	if s == nil {
 		return nil, fmt.Errorf("sigsub: nil scanner")
 	}
-	cp, ok := s.sc.Index().(*counts.Checkpointed)
-	if !ok {
-		return nil, ErrAppendableLayout
-	}
-	app, err := counts.AppendableFrom(cp, s.sc.Symbols())
+	app, err := counts.AppendableFrom(s.sc.Index(), s.sc.Symbols())
 	if err != nil {
 		return nil, err
 	}
@@ -118,9 +93,6 @@ func NewCorpusFromSnapshot(sn *Snapshot) (*Corpus, error) {
 		return nil, fmt.Errorf("sigsub: nil snapshot")
 	}
 	sc := sn.Scanner()
-	if _, ok := sc.sc.Index().(*counts.Checkpointed); !ok {
-		return nil, ErrAppendableLayout
-	}
 	return &Corpus{model: sn.Model(), k: sc.k, seed: sc}, nil
 }
 
@@ -162,8 +134,7 @@ func (c *Corpus) Append(syms []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.app == nil {
-		app, err := counts.AppendableFrom(
-			c.seed.sc.Index().(*counts.Checkpointed), c.seed.sc.Symbols())
+		app, err := counts.AppendableFrom(c.seed.sc.Index(), c.seed.sc.Symbols())
 		if err != nil {
 			return err
 		}

@@ -66,8 +66,8 @@ func corpusModels(t *testing.T) []namedModel {
 
 // TestCorpusGoldenEquivalence is the tentpole contract: a corpus built by N
 // random Append batches yields Views whose Problems 1–4 and RunBatch
-// results are bit-identical to NewScanner over the concatenated string, for
-// every count layout of the reference scanner and workers 1 and 8.
+// results are bit-identical to NewScanner over the concatenated string, at
+// workers 1 and 8.
 func TestCorpusGoldenEquivalence(t *testing.T) {
 	for mi, nm := range corpusModels(t) {
 		name, model := nm.name, nm.model
@@ -98,89 +98,87 @@ func TestCorpusGoldenEquivalence(t *testing.T) {
 			MSSQuery().WithMinLength(6),
 			MSSQuery().WithRange(len(s)/4, 3*len(s)/4),
 		}
-		for _, layout := range []CountsLayout{CountsCheckpointed, CountsInterleaved, CountsPrefix} {
-			ref, err := NewScanner(s, model, WithCountsLayout(layout))
+		ref, err := NewScanner(s, model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 8} {
+			opts := []Option{WithWorkers(workers)}
+
+			wantMSS, err := ref.MSS(opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, workers := range []int{1, 8} {
-				opts := []Option{WithWorkers(workers)}
+			gotMSS, err := view.MSS(opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotMSS != wantMSS {
+				t.Fatalf("%s w=%d: MSS %+v, want %+v", name, workers, gotMSS, wantMSS)
+			}
 
-				wantMSS, err := ref.MSS(opts...)
-				if err != nil {
-					t.Fatal(err)
+			wantTop, err := ref.TopT(7, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotTop, err := view.TopT(7, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(gotTop) != len(wantTop) {
+				t.Fatalf("%s w=%d: top-t sizes %d vs %d", name, workers, len(gotTop), len(wantTop))
+			}
+			for i := range wantTop {
+				if gotTop[i].X2 != wantTop[i].X2 {
+					t.Fatalf("%s w=%d: top-t %d X² %v, want %v", name, workers, i, gotTop[i].X2, wantTop[i].X2)
 				}
-				gotMSS, err := view.MSS(opts...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if gotMSS != wantMSS {
-					t.Fatalf("%s %v w=%d: MSS %+v, want %+v", name, layout, workers, gotMSS, wantMSS)
-				}
+			}
 
-				wantTop, err := ref.TopT(7, opts...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				gotTop, err := view.TopT(7, opts...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(gotTop) != len(wantTop) {
-					t.Fatalf("%s %v w=%d: top-t sizes %d vs %d", name, layout, workers, len(gotTop), len(wantTop))
-				}
-				for i := range wantTop {
-					if gotTop[i].X2 != wantTop[i].X2 {
-						t.Fatalf("%s %v w=%d: top-t %d X² %v, want %v", name, layout, workers, i, gotTop[i].X2, wantTop[i].X2)
-					}
-				}
+			wantTh, err := ref.Threshold(9.5, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotTh, err := view.Threshold(9.5, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(gotTh, wantTh) {
+				t.Fatalf("%s w=%d: threshold sets differ (%d vs %d results)", name, workers, len(gotTh), len(wantTh))
+			}
 
-				wantTh, err := ref.Threshold(9.5, opts...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				gotTh, err := view.Threshold(9.5, opts...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(gotTh, wantTh) {
-					t.Fatalf("%s %v w=%d: threshold sets differ (%d vs %d results)", name, layout, workers, len(gotTh), len(wantTh))
-				}
+			wantMin, err := ref.MSSMinLength(5, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotMin, err := view.MSSMinLength(5, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotMin != wantMin {
+				t.Fatalf("%s w=%d: min-length MSS %+v, want %+v", name, workers, gotMin, wantMin)
+			}
 
-				wantMin, err := ref.MSSMinLength(5, opts...)
-				if err != nil {
-					t.Fatal(err)
+			wantB, err := ref.RunBatch(batch, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotB, err := view.RunBatch(batch, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for qi := range batch {
+				g, w := gotB[qi], wantB[qi]
+				if len(g.Results) != len(w.Results) {
+					t.Fatalf("%s w=%d: batch query %d sizes %d vs %d", name, workers, qi, len(g.Results), len(w.Results))
 				}
-				gotMin, err := view.MSSMinLength(5, opts...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if gotMin != wantMin {
-					t.Fatalf("%s %v w=%d: min-length MSS %+v, want %+v", name, layout, workers, gotMin, wantMin)
-				}
-
-				wantB, err := ref.RunBatch(batch, opts...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				gotB, err := view.RunBatch(batch, opts...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for qi := range batch {
-					g, w := gotB[qi], wantB[qi]
-					if len(g.Results) != len(w.Results) {
-						t.Fatalf("%s %v w=%d: batch query %d sizes %d vs %d", name, layout, workers, qi, len(g.Results), len(w.Results))
-					}
-					for i := range w.Results {
-						if batch[qi].Kind == QueryTopT {
-							if g.Results[i].X2 != w.Results[i].X2 {
-								t.Fatalf("%s %v w=%d: batch query %d result %d X² differs", name, layout, workers, qi, i)
-							}
-						} else if g.Results[i] != w.Results[i] {
-							t.Fatalf("%s %v w=%d: batch query %d result %d %+v, want %+v",
-								name, layout, workers, qi, i, g.Results[i], w.Results[i])
+				for i := range w.Results {
+					if batch[qi].Kind == QueryTopT {
+						if g.Results[i].X2 != w.Results[i].X2 {
+							t.Fatalf("%s w=%d: batch query %d result %d X² differs", name, workers, qi, i)
 						}
+					} else if g.Results[i] != w.Results[i] {
+						t.Fatalf("%s w=%d: batch query %d result %d %+v, want %+v",
+							name, workers, qi, i, g.Results[i], w.Results[i])
 					}
 				}
 			}
@@ -343,31 +341,6 @@ func TestCorpusConcurrentReadersWriter(t *testing.T) {
 	}
 	if got != want {
 		t.Fatalf("final MSS %+v, want %+v", got, want)
-	}
-}
-
-// TestCorpusRejectsDenseLayouts: the documented ErrAppendableLayout error,
-// rather than a silent rebuild or a panic.
-func TestCorpusRejectsDenseLayouts(t *testing.T) {
-	model, err := UniformModel(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, layout := range []CountsLayout{CountsInterleaved, CountsPrefix} {
-		if _, err := NewCorpus(model, WithCountsLayout(layout)); err == nil {
-			t.Fatalf("layout %v accepted", layout)
-		}
-		sc, err := NewScanner([]byte{0, 1, 0, 1, 1}, model, WithCountsLayout(layout))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := NewCorpusFromScanner(sc); err == nil {
-			t.Fatalf("adoption of %v scanner accepted", layout)
-		}
-	}
-	// The default (checkpointed) layout is accepted.
-	if _, err := NewCorpus(model); err != nil {
-		t.Fatal(err)
 	}
 }
 

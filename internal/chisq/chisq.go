@@ -5,11 +5,7 @@
 // derived from the quadratic constraint (Eq. 21).
 package chisq
 
-import (
-	"math"
-
-	"repro/internal/counts"
-)
+import "math"
 
 // Value computes X² = Σ_i Y_i²/(l·p_i) − l for the count vector yv of a
 // window of length l = Σ yv under probability model probs (paper Eq. 5).
@@ -30,13 +26,6 @@ func Value(yv []int, probs []float64) float64 {
 	}
 	fl := float64(l)
 	return sum/fl - fl
-}
-
-// WindowValue computes X² of the half-open window s[i:j) using the prefix
-// count arrays: O(k) time, no allocation (scratch must have length k).
-func WindowValue(p *counts.Prefix, i, j int, probs []float64, scratch []int) float64 {
-	p.Vector(i, j, scratch)
-	return Value(scratch, probs)
 }
 
 // Window maintains the X² of a growing window incrementally. Appending one

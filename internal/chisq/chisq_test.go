@@ -101,8 +101,9 @@ func TestValueNonNegative(t *testing.T) {
 }
 
 // X² depends only on counts, not order: permuting a string never changes the
-// statistic (observed directly since Value takes counts, but WindowValue
-// must agree across any two strings with equal counts).
+// statistic (observed directly since Value takes counts, but whole-string
+// windows read from the prefix arrays must agree across any two strings
+// with equal counts).
 func TestOrderIndependence(t *testing.T) {
 	probs := []float64{0.3, 0.7}
 	a := []byte{0, 0, 1, 1, 0, 1, 1, 1}
@@ -115,9 +116,8 @@ func TestOrderIndependence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scratch := make([]int, 2)
-	va := WindowValue(pa, 0, len(a), probs, scratch)
-	vb := WindowValue(pb, 0, len(b), probs, scratch)
+	va := Value(pa.Vector(0, len(a), make([]int, 2)), probs)
+	vb := Value(pb.Vector(0, len(b), make([]int, 2)), probs)
 	if math.Abs(va-vb) > 1e-12 {
 		t.Errorf("permutations disagree: %g vs %g", va, vb)
 	}
@@ -345,35 +345,6 @@ func TestMaxSkipMonotoneInBudget(t *testing.T) {
 		s2 := MaxSkip(yv, length, x2, b2, probs)
 		if s2 < s1 {
 			t.Fatalf("trial %d: skip decreased with budget: %d (b=%g) -> %d (b=%g)", trial, s1, b1, s2, b2)
-		}
-	}
-}
-
-func TestWindowValueAgainstPrefix(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	k := 3
-	probs := []float64{0.2, 0.3, 0.5}
-	n := 200
-	s := make([]byte, n)
-	for i := range s {
-		s[i] = byte(rng.Intn(k))
-	}
-	pre, err := counts.New(s, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scratch := make([]int, k)
-	for trial := 0; trial < 200; trial++ {
-		i := rng.Intn(n)
-		j := i + 1 + rng.Intn(n-i)
-		got := WindowValue(pre, i, j, probs, scratch)
-		yv := make([]int, k)
-		for _, c := range s[i:j] {
-			yv[c]++
-		}
-		want := Value(yv, probs)
-		if math.Abs(got-want) > 1e-9*math.Max(1, math.Abs(want)) {
-			t.Fatalf("WindowValue(%d,%d)=%g, want %g", i, j, got, want)
 		}
 	}
 }

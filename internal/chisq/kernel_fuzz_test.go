@@ -11,11 +11,22 @@ import (
 // supportedTiers returns every kernel tier executable on this host, scalar
 // first (the reference).
 func supportedTiers() []counts.Tier {
-	tiers := []counts.Tier{counts.TierScalar, counts.TierSWAR}
+	tiers := []counts.Tier{counts.TierScalar}
 	if counts.TierSupported(counts.TierAVX2) {
 		tiers = append(tiers, counts.TierAVX2)
 	}
 	return tiers
+}
+
+// pinTier returns a copy of idx, sharing its storage, whose probes — and
+// the cursors built over it — run on tier.
+func pinTier(t *testing.T, idx *counts.Checkpointed, tier counts.Tier) *counts.Checkpointed {
+	t.Helper()
+	c := *idx
+	if err := c.SetKernel(tier); err != nil {
+		t.Fatal(err)
+	}
+	return &c
 }
 
 // FuzzReconstructKernels differentially fuzzes the reconstruct kernel tiers
@@ -31,7 +42,7 @@ func FuzzReconstructKernels(f *testing.F) {
 	f.Add(int64(4), uint8(2), uint8(4), uint16(50), uint16(1))
 	f.Add(int64(5), uint8(11), uint8(16), uint16(90), uint16(80))
 	f.Fuzz(func(t *testing.T, seed int64, kRaw, intervalRaw uint8, nRaw, cutRaw uint16) {
-		k := 2 + int(kRaw)%15           // 2..16
+		k := 2 + int(kRaw)%15              // 2..16
 		interval := 4 << (intervalRaw % 3) // 4, 8, 16
 		n := 1 + int(nRaw)%400
 		rng := rand.New(rand.NewSource(seed))
@@ -121,7 +132,7 @@ func checkIndexKernels(t *testing.T, cp *counts.Checkpointed, s []byte, k int, r
 // skewed models — through an identical schedule of row starts, short
 // extensions (incremental rolls), and long jumps (kernel reconstructions),
 // asserting bit-identical counts, X², and Exact at every step.
-func checkRollTiers(t *testing.T, idx counts.Layout, s []byte, k int, rng *rand.Rand) {
+func checkRollTiers(t *testing.T, idx *counts.Checkpointed, s []byte, k int, rng *rand.Rand) {
 	t.Helper()
 	n := len(s)
 	probs := make([]float64, k)
@@ -145,11 +156,7 @@ func checkRollTiers(t *testing.T, idx counts.Layout, s []byte, k int, rng *rand.
 		tiers := supportedTiers()
 		rolls := make([]*Roll, len(tiers))
 		for ti, tier := range tiers {
-			kt, err := counts.KernelFor(tier)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rolls[ti] = NewRollKernel(kern, idx, s, kt)
+			rolls[ti] = NewRoll(kern, pinTier(t, idx, tier), s)
 		}
 		for range 4 {
 			i := rng.Intn(n)

@@ -29,22 +29,16 @@ const maxDrift = 4096
 // may differ from the canonical evaluation by the tiny bound Guard encodes;
 // Exact re-syncs and returns a value bit-identical to Kernel.Value of the
 // window's count vector — the number the non-rolling scan would have
-// computed, whatever the count layout. Scans call Exact whenever the rolled
+// computed, whatever the kernel tier. Scans call Exact whenever the rolled
 // value lands within the guard band of a decision boundary (a budget, a
 // threshold, a heap minimum), so every published result is exact and every
 // comparison decided from a rolled value provably has the same outcome as
 // the exact comparison.
 type Roll struct {
 	kern *Kernel
-	pre  counts.Layout
+	cp   *counts.Checkpointed
 	s    []byte
 
-	// Devirtualized fast paths: exactly one is non-nil for the dense and
-	// checkpointed layouts, letting the reconstruction fuse the index read,
-	// the base subtraction, and the sum rebuild into a single pass with no
-	// interface dispatch. Other Layout implementations fall back to CumAt.
-	ilv     *counts.Interleaved
-	cp      *counts.Checkpointed
 	cpWords []uint32 // cp's packed blocks, held directly for the hot loop
 	cpLanes bool     // cp nibble group fits one two-word read (counts.GroupFits)
 	cpOne   bool     // cp nibble group always fits ONE word (k = 2, 4, 8)
@@ -56,13 +50,14 @@ type Roll struct {
 	// path off the appender's write frontier, kernels included.
 	cpTail     []uint32
 	cpTailBase int
-	// kf holds the reconstruct kernel entry points (scalar, SWAR, or AVX2 —
-	// see counts.Kernel) resolved once for this cursor's alphabet. Every
-	// tier is exact integer arithmetic, so the cursor's results do not
-	// depend on which tier is bound.
+	// kf holds the reconstruct kernel entry points (scalar or AVX2 — see
+	// counts.Kernel) the index resolved when it was built, so the cursor
+	// and the index's own probes always run one tier. Both tiers are exact
+	// integer arithmetic, so the cursor's results do not depend on which
+	// tier is bound.
 	kf counts.KernelFuncs
 	// tailStart is the first position NOT servable from cpWords directly,
-	// consulted only by the NON-lanes checkpointed path (alphabets outside
+	// consulted only by the NON-lanes path (alphabets outside
 	// counts.GroupFits): probes landing there go through the dispatching
 	// accessor instead. Contiguous indexes set it to MaxInt. At most B−1
 	// positions of a live epoch land in the tail.
@@ -86,8 +81,8 @@ type Roll struct {
 	maxY    int     // max count in the window (the binding symbol's count)
 
 	// recost is the break-even extension length: extensions of at most this
-	// many symbols roll in O(d), longer ones reconstruct from the index in
-	// O(k) plus the layout's probe cost (O(B/4) for checkpointed counts).
+	// many symbols roll in O(d), longer ones reconstruct from one index
+	// block probe in O(k).
 	recost int
 	// hint is the last binding symbol of the skip quadratic (see
 	// Kernel.MaxSkipHint).
@@ -95,24 +90,13 @@ type Roll struct {
 }
 
 // NewRoll builds a cursor over the kernel's model, the count index, and the
-// raw symbol string the index was built from, binding the process-wide
-// active reconstruct kernel.
-func NewRoll(kern *Kernel, pre counts.Layout, s []byte) *Roll {
-	return NewRollKernel(kern, pre, s, counts.Active())
-}
-
-// NewRollKernel is NewRoll with an explicit reconstruct-kernel tier — the
-// per-scanner override and paired-measurement entry point. A nil kt binds
-// the process-wide active kernel. Results are bit-identical across tiers;
-// only throughput differs.
-func NewRollKernel(kern *Kernel, pre counts.Layout, s []byte, kt *counts.Kernel) *Roll {
-	if kt == nil {
-		kt = counts.Active()
-	}
+// raw symbol string the index was built from. The cursor reconstructs on
+// the kernel tier the index resolved.
+func NewRoll(kern *Kernel, cp *counts.Checkpointed, s []byte) *Roll {
 	k := kern.K()
 	r := &Roll{
 		kern:      kern,
-		pre:       pre,
+		cp:        cp,
 		s:         s,
 		base:      make([]int, k),
 		base32:    make([]int32, k),
@@ -122,30 +106,24 @@ func NewRollKernel(kern *Kernel, pre counts.Layout, s []byte, kt *counts.Kernel)
 		uinv:      kern.inv[0],
 		tailStart: math.MaxInt,
 	}
-	switch l := pre.(type) {
-	case *counts.Interleaved:
-		r.ilv = l
-	case *counts.Checkpointed:
-		r.cp = l
-		r.cpWords, r.cpTail, r.cpTailBase = l.Storage()
-		if lo, relocated := l.RelocatedTailStart(); relocated {
-			r.tailStart = lo
-		}
-		// The single two-word group read needs the group's word offset plus
-		// its 4k bits to fit 64 bits for every block position: offsets are
-		// multiples of gcd(4k, 32), so the condition is 32−gcd+4k ≤ 64 —
-		// counts.GroupFits. Eligible alphabets bind the resolved kernel
-		// tier's entry points; the rest take the per-nibble path.
-		r.kf, r.cpLanes = kt.Funcs(k)
-		r.cpOne = 4*k <= 32 && 32%(4*k) == 0
+	r.cpWords, r.cpTail, r.cpTailBase = cp.Storage()
+	if lo, relocated := cp.RelocatedTailStart(); relocated {
+		r.tailStart = lo
 	}
+	// The single two-word group read needs the group's word offset plus its
+	// 4k bits to fit 64 bits for every block position: offsets are multiples
+	// of gcd(4k, 32), so the condition is 32−gcd+4k ≤ 64 — counts.GroupFits.
+	// Eligible alphabets bind the index's kernel entry points; the rest take
+	// the per-nibble path.
+	r.kf, r.cpLanes = cp.Funcs()
+	r.cpOne = 4*k <= 32 && 32%(4*k) == 0
 	return r
 }
 
 // Begin positions the cursor on the window [i, j), starting a new row.
 func (r *Roll) Begin(i, j int) {
 	r.i = i
-	r.pre.CumAt(i, r.base)
+	r.cp.CumAt(i, r.base)
 	if r.cpLanes {
 		// Mirror the row base as the int32 lanes the reconstruct kernels
 		// subtract — cumulative counts are < 2³¹ by the corpus length cap,
@@ -223,10 +201,10 @@ func (r *Roll) Advance(to int) {
 // reconstruct rebuilds the window counts [i, to) from the count index and
 // refreshes the sum in the same flat function — the index probe, the base
 // subtraction, and the sum rebuild fuse into one pass per chain-cover
-// landing. Group-eligible checkpointed alphabets run the bound reconstruct
-// kernel (scalar, SWAR, or AVX2 — exact integer arithmetic in every tier,
-// so the tier choice never shows in results); uniform models additionally
-// get Σ Y² and max Y fused into the same kernel call.
+// landing. Group-eligible alphabets run the bound reconstruct kernel
+// (scalar or AVX2 — exact integer arithmetic in both tiers, so the tier
+// choice never shows in results); uniform models additionally get Σ Y² and
+// max Y fused into the same kernel call.
 //
 // The counts are exact; the non-uniform sum is rebuilt with two independent
 // accumulators — about twice the throughput of the canonical left-to-right
@@ -237,70 +215,6 @@ func (r *Roll) Advance(to int) {
 func (r *Roll) reconstruct(to int) {
 	vec := r.vec
 	switch {
-	case r.ilv != nil && r.uniform:
-		// Fused diff + integer statistics: two sum lanes and two max lanes
-		// keep the latency chains half as deep as a naive accumulation.
-		row := r.ilv.Row(to)
-		_ = row[len(vec)-1]
-		var s0, s1 int64
-		m0, m1 := 0, 0
-		c := 0
-		for ; c+1 < len(vec); c += 2 {
-			y0 := int(row[c]) - r.base[c]
-			y1 := int(row[c+1]) - r.base[c+1]
-			vec[c] = y0
-			vec[c+1] = y1
-			s0 += int64(y0) * int64(y0)
-			s1 += int64(y1) * int64(y1)
-			if y0 > m0 {
-				m0 = y0
-			}
-			if y1 > m1 {
-				m1 = y1
-			}
-		}
-		if c < len(vec) {
-			y := int(row[c]) - r.base[c]
-			vec[c] = y
-			s0 += int64(y) * int64(y)
-			if y > m0 {
-				m0 = y
-			}
-		}
-		if m1 > m0 {
-			m0 = m1
-		}
-		r.sumInt, r.maxY = s0+s1, m0
-		r.drift = 1
-		return
-	case r.cpLanes && r.uniform:
-		// One block probe, then the bound reconstruct kernel with the
-		// uniform statistics fused: counts, Σ Y², and max Y in one call.
-		k := len(vec)
-		base, off := r.cp.BlockIndex(to)
-		words := r.cpWords
-		if base >= r.cpTailBase {
-			words, base = r.cpTail, 0
-		}
-		row := words[base : base+k]
-		bit := off * k * 4
-		di := base + k + bit>>5
-		var group uint64
-		if r.cpOne {
-			// Power-of-two alphabets: the group never straddles a word.
-			group = uint64(words[di]) >> (bit & 31)
-		} else {
-			group = (uint64(words[di]) | uint64(words[di+1])<<32) >> (bit & 31)
-		}
-		r.sumInt, r.maxY = r.kf.ReconstructUniform(row, group, r.base32, vec)
-		r.drift = 1
-		return
-	case r.ilv != nil:
-		row := r.ilv.Row(to)
-		_ = row[len(vec)-1]
-		for c, b := range r.base {
-			vec[c] = int(row[c]) - b
-		}
 	case r.cpLanes:
 		// One block probe, no walk: the checkpoint row plus the position's
 		// nibble-delta group, grabbed as a single two-word read (group
@@ -318,18 +232,24 @@ func (r *Roll) reconstruct(to int) {
 		di := base + k + bit>>5
 		var group uint64
 		if r.cpOne {
+			// Power-of-two alphabets: the group never straddles a word.
 			group = uint64(words[di]) >> (bit & 31)
 		} else {
 			group = (uint64(words[di]) | uint64(words[di+1])<<32) >> (bit & 31)
 		}
-		r.kf.Reconstruct(row, group, r.base32, vec)
-	case r.cp != nil:
-		if to >= r.tailStart {
-			// Relocated-tail epoch probe on a non-group-eligible alphabet:
-			// serve it through the dispatching accessor off the fast path.
-			r.reconstructTail(to)
+		if r.uniform {
+			// Counts, Σ Y², and max Y in one kernel call.
+			r.sumInt, r.maxY = r.kf.ReconstructUniform(row, group, r.base32, vec)
+			r.drift = 1
 			return
 		}
+		r.kf.Reconstruct(row, group, r.base32, vec)
+	case to >= r.tailStart:
+		// Relocated-tail epoch probe on a non-group-eligible alphabet:
+		// serve it through the dispatching accessor off the fast path.
+		r.reconstructTail(to)
+		return
+	default:
 		base, off := r.cp.BlockIndex(to)
 		words := r.cpWords
 		row := words[base : base+len(vec)]
@@ -337,11 +257,6 @@ func (r *Roll) reconstruct(to int) {
 		for c, b := range r.base {
 			bit := (off*k + c) * 4
 			vec[c] = int(int32(row[c])) - b + int(words[base+k+bit>>5]>>(bit&31)&15)
-		}
-	default:
-		r.pre.CumAt(to, vec)
-		for c, b := range r.base {
-			vec[c] -= b
 		}
 	}
 	if r.uniform {

@@ -28,7 +28,7 @@ func collectBenchWindows(b *testing.B, k, n int) ([]benchWindow, *Kernel) {
 	for i := range s {
 		s[i] = byte(rng.Intn(k))
 	}
-	pre, err := counts.NewInterleaved(s, k)
+	pre, err := counts.New(s, k)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -97,8 +97,8 @@ func BenchmarkMaxSkipKernel(b *testing.B) {
 }
 
 // BenchmarkRollScan measures the landing path of the rolling cursor — the
-// per-evaluation index probe plus sum rebuild — on each count layout, with
-// the gang-of-3 interleave the engine uses.
+// per-evaluation index probe plus sum rebuild — with the gang-of-3
+// interleave the engine uses.
 func BenchmarkRollScan(b *testing.B) {
 	const n = 100_000
 	const gang = 3
@@ -113,10 +113,6 @@ func BenchmarkRollScan(b *testing.B) {
 			s[i] = byte(rng.Intn(k))
 		}
 		kern := NewKernel(probs)
-		ilv, err := counts.NewInterleaved(s, k)
-		if err != nil {
-			b.Fatal(err)
-		}
 		cp, err := counts.NewCheckpointed(s, k, 0)
 		if err != nil {
 			b.Fatal(err)
@@ -125,34 +121,29 @@ func BenchmarkRollScan(b *testing.B) {
 		for i := range skips {
 			skips[i] = 150 + rng.Intn(300)
 		}
-		for _, lay := range []struct {
-			name string
-			idx  counts.Layout
-		}{{"interleaved", ilv}, {"checkpointed", cp}} {
-			b.Run(fmt.Sprintf("%s/k=%d", lay.name, k), func(b *testing.B) {
-				var curs [gang]*Roll
-				var pos [gang]int
-				for i := range curs {
-					curs[i] = NewRoll(kern, lay.idx, s)
-					curs[i].Begin(0, 1)
-					pos[i] = 1
-				}
-				si := 0
-				b.ResetTimer()
-				for it := 0; it < b.N; it++ {
-					for ci := 0; ci < gang; ci++ {
-						p := pos[ci] + skips[si&4095]
-						si++
-						if p >= n {
-							curs[ci].Begin(0, 1)
-							p = 1
-						} else {
-							curs[ci].Advance(p)
-						}
-						pos[ci] = p
+		b.Run(fmt.Sprintf("checkpointed/k=%d", k), func(b *testing.B) {
+			var curs [gang]*Roll
+			var pos [gang]int
+			for i := range curs {
+				curs[i] = NewRoll(kern, cp, s)
+				curs[i].Begin(0, 1)
+				pos[i] = 1
+			}
+			si := 0
+			b.ResetTimer()
+			for it := 0; it < b.N; it++ {
+				for ci := 0; ci < gang; ci++ {
+					p := pos[ci] + skips[si&4095]
+					si++
+					if p >= n {
+						curs[ci].Begin(0, 1)
+						p = 1
+					} else {
+						curs[ci].Advance(p)
 					}
+					pos[ci] = p
 				}
-			})
-		}
+			}
+		})
 	}
 }

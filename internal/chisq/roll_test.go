@@ -8,17 +8,11 @@ import (
 	"repro/internal/counts"
 )
 
-// rollLayouts builds all three index layouts over s.
-func rollLayouts(t testing.TB, s []byte, k int) map[string]counts.Layout {
+// rollIndexes builds the checkpointed geometries every cursor must agree
+// on: B=16, B=4, and a B=16 appender epoch over s — its final block a
+// relocated private tail — whose appender has since moved on.
+func rollIndexes(t testing.TB, s []byte, k int) map[string]*counts.Checkpointed {
 	t.Helper()
-	pre, err := counts.New(s, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ilv, err := counts.NewInterleaved(s, k)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cp, err := counts.NewCheckpointed(s, k, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -27,7 +21,20 @@ func rollLayouts(t testing.TB, s []byte, k int) map[string]counts.Layout {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return map[string]counts.Layout{"prefix": pre, "interleaved": ilv, "checkpointed": cp, "checkpointed-b4": cpSmall}
+	ap, err := counts.NewAppender(k, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for lo := 0; lo < len(s); lo += 37 {
+		if err := ap.Append(s[lo:min(lo+37, len(s))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	epoch := ap.Snapshot()
+	if err := ap.Append(s); err != nil {
+		t.Fatal(err)
+	}
+	return map[string]*counts.Checkpointed{"b16": cp, "b4": cpSmall, "epoch": epoch}
 }
 
 // randomModel draws either the uniform model (triggering the integer fast
@@ -52,7 +59,7 @@ func randomModel(rng *rand.Rand, k int) []float64 {
 }
 
 // TestRollAgreesWithDirect drives cursors through random skip patterns on
-// every layout and checks the rolling kernel's contract at each step:
+// every index geometry and checks the rolling kernel's contract at each step:
 // Exact() is bit-identical to the direct O(k) evaluation of the window's
 // count vector, the rolled X2() lies within the guard band, the counts are
 // exact, and a false Passes() provably means "below the boundary".
@@ -67,13 +74,13 @@ func TestRollAgreesWithDirect(t *testing.T) {
 			s[i] = byte(rng.Intn(k))
 		}
 		kern := NewKernel(probs)
-		ref, err := counts.NewInterleaved(s, k)
+		ref, err := counts.New(s, k)
 		if err != nil {
 			t.Fatal(err)
 		}
 		vec := make([]int, k)
-		for name, lay := range rollLayouts(t, s, k) {
-			cur := NewRoll(kern, lay, s)
+		for name, idx := range rollIndexes(t, s, k) {
+			cur := NewRoll(kern, idx, s)
 			for rep := 0; rep < 40; rep++ {
 				i := rng.Intn(n)
 				j := i + 1 + rng.Intn(n-i)
@@ -205,7 +212,7 @@ func FuzzRollVsDirect(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		probs := randomModel(rng, k)
 		kern := NewKernel(probs)
-		ref, err := counts.NewInterleaved(s, k)
+		ref, err := counts.New(s, k)
 		if err != nil {
 			t.Skip()
 		}

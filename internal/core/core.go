@@ -55,58 +55,6 @@ type Stats struct {
 // for, equal to n(n+1)/2 for complete scans.
 func (st Stats) Total() int64 { return st.Evaluated + st.Skipped }
 
-// LayoutKind selects the count-index layout a Scanner builds.
-type LayoutKind int
-
-const (
-	// LayoutCheckpointed is the default: a full cumulative k-vector every B
-	// positions plus the raw text in between — O(nk/B + n) bytes instead of
-	// the dense layouts' O(nk), at the cost of scanning at most B−1 text
-	// symbols past a checkpoint per index probe. The rolling scan engine
-	// probes the index only at row starts and chain-cover skip landings, so
-	// the layout trades a few percent of scan throughput for holding ~B×
-	// more corpora in the same RAM.
-	LayoutCheckpointed LayoutKind = iota
-	// LayoutInterleaved is the dense position-major layout: a window's count
-	// vector is two contiguous k-wide reads. Fastest index probes, O(nk)
-	// ints resident.
-	LayoutInterleaved
-	// LayoutPrefix is the paper's symbol-major layout: k cumulative arrays,
-	// one strided read per symbol. Kept for comparison and for callers that
-	// probe one symbol at a time.
-	LayoutPrefix
-)
-
-// String names the layout kind.
-func (l LayoutKind) String() string {
-	switch l {
-	case LayoutCheckpointed:
-		return "checkpointed"
-	case LayoutInterleaved:
-		return "interleaved"
-	case LayoutPrefix:
-		return "prefix"
-	default:
-		return fmt.Sprintf("layout(%d)", int(l))
-	}
-}
-
-// Config tunes Scanner construction. The zero value selects the
-// checkpointed layout at the default checkpoint interval and the
-// process-wide active reconstruct kernel.
-type Config struct {
-	// Layout selects the count-index layout.
-	Layout LayoutKind
-	// CheckpointInterval is the checkpoint spacing B for LayoutCheckpointed
-	// (< 1 selects counts.DefaultInterval). Other layouts ignore it.
-	CheckpointInterval int
-	// Kernel pins the reconstruct-kernel tier this scanner's probes run on
-	// (counts.KernelFor); nil binds the process-wide active kernel. Results
-	// are bit-identical across tiers — the override exists for paired
-	// measurement and for forcing the portable tiers.
-	Kernel *counts.Kernel
-}
-
 // Scanner binds a symbol string to a model and owns the count index shared
 // by all algorithms. A Scanner is cheap to build (O(nk)) and may be reused
 // for any number of scans; after construction it is read-only, so any
@@ -115,19 +63,18 @@ type Config struct {
 // long-lived service layer relies on this to serve simultaneous queries
 // from one cached corpus.
 //
-// The count index is a counts.Layout chosen at construction (checkpointed
-// by default — see LayoutKind). The exact scans run on the rolling cursor
-// (chisq.Roll), which touches the index only at row starts and chain-cover
-// skip landings; the chi-square kernels run through chisq.Kernel, which
+// The count index is a counts.Checkpointed. The exact scans run on the
+// rolling cursor (chisq.Roll), which touches the index only at row starts
+// and chain-cover skip landings and reconstructs on the kernel tier the
+// index resolved; the chi-square kernels run through chisq.Kernel, which
 // hoists the reciprocal probabilities out of the hot loops.
 type Scanner struct {
 	s     []byte
 	model *alphabet.Model
 	probs []float64
 	k     int
-	pre   counts.Layout
+	pre   *counts.Checkpointed
 	kern  *chisq.Kernel
-	kt    *counts.Kernel // reconstruct-kernel override; nil = process active
 
 	// rollPool recycles scan cursors: a composite query (the disjoint peel)
 	// or a worker pool issues many scans on one Scanner, and each cursor
@@ -152,60 +99,27 @@ func (sc *Scanner) sharedWalks() (*walk.Walks, error) {
 	return sc.walks, sc.walkErr
 }
 
-// NewScanner validates s against the model and precomputes the count index
-// with the default configuration (checkpointed layout).
+// NewScanner validates s against the model and builds the checkpointed
+// count index at the default interval.
 func NewScanner(s []byte, m *alphabet.Model) (*Scanner, error) {
-	return NewScannerConfig(s, m, Config{})
-}
-
-// NewScannerConfig is NewScanner with an explicit layout configuration.
-func NewScannerConfig(s []byte, m *alphabet.Model, cfg Config) (*Scanner, error) {
 	if m == nil {
 		return nil, fmt.Errorf("core: nil model")
 	}
-	var pre counts.Layout
-	var err error
-	switch cfg.Layout {
-	case LayoutCheckpointed:
-		pre, err = counts.NewCheckpointed(s, m.K(), cfg.CheckpointInterval)
-	case LayoutInterleaved:
-		pre, err = counts.NewInterleaved(s, m.K())
-	case LayoutPrefix:
-		pre, err = counts.New(s, m.K())
-	default:
-		return nil, fmt.Errorf("core: unknown count layout %v", cfg.Layout)
-	}
+	pre, err := counts.NewCheckpointed(s, m.K(), 0)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Kernel != nil {
-		// The scanner owns this freshly built index, so the override may
-		// rebind the index's own probe dispatch (CumAt/Vector) too — shared
-		// indexes (NewScannerFromIndex) only switch the rolling cursors.
-		if cp, ok := pre.(*counts.Checkpointed); ok {
-			if err := cp.SetKernel(cfg.Kernel.Tier()); err != nil {
-				return nil, err
-			}
-		}
-	}
-	probs := m.Probs()
-	return &Scanner{
-		s:     s,
-		model: m,
-		probs: probs,
-		k:     m.K(),
-		pre:   pre,
-		kern:  chisq.NewKernel(probs),
-		kt:    cfg.Kernel,
-	}, nil
+	return NewScannerFromIndexTrusted(s, m, pre)
 }
 
 // NewScannerFromIndex builds a Scanner over an existing count index — the
 // zero-copy path snapshots use: s and pre may alias an mmap'd file, and no
 // index is rebuilt. The symbols are validated against the model (the index
 // geometry was validated by whoever built pre), and the index must describe
-// exactly this string: same length, same alphabet size.
-func NewScannerFromIndex(s []byte, m *alphabet.Model, pre counts.Layout) (*Scanner, error) {
+// exactly this string: same length, same alphabet size. Scans run on the
+// kernel tier pre resolved, so pre must not be rebound (SetKernel) once the
+// scanner exists.
+func NewScannerFromIndex(s []byte, m *alphabet.Model, pre *counts.Checkpointed) (*Scanner, error) {
 	if m != nil {
 		if err := alphabet.Validate(s, m.K()); err != nil {
 			return nil, err
@@ -219,7 +133,7 @@ func NewScannerFromIndex(s []byte, m *alphabet.Model, pre counts.Layout) (*Scann
 // appendable corpus, whose symbols were each validated on ingest; walking
 // the whole corpus again per published epoch would make publishing O(n)
 // instead of O(k). Callers must guarantee every symbol is < m.K().
-func NewScannerFromIndexTrusted(s []byte, m *alphabet.Model, pre counts.Layout) (*Scanner, error) {
+func NewScannerFromIndexTrusted(s []byte, m *alphabet.Model, pre *counts.Checkpointed) (*Scanner, error) {
 	if m == nil {
 		return nil, fmt.Errorf("core: nil model")
 	}
@@ -241,7 +155,7 @@ func NewScannerFromIndexTrusted(s []byte, m *alphabet.Model, pre counts.Layout) 
 }
 
 // Index returns the scanner's count index (shared; read-only).
-func (sc *Scanner) Index() counts.Layout { return sc.pre }
+func (sc *Scanner) Index() *counts.Checkpointed { return sc.pre }
 
 // newRoll takes a rolling cursor from the pool (or builds one) — one per
 // scan worker; putRoll returns it when the scan ends.
@@ -249,28 +163,18 @@ func (sc *Scanner) newRoll() *chisq.Roll {
 	if r, ok := sc.rollPool.Get().(*chisq.Roll); ok {
 		return r
 	}
-	return chisq.NewRollKernel(sc.kern, sc.pre, sc.s, sc.kt)
+	return chisq.NewRoll(sc.kern, sc.pre, sc.s)
 }
 
 func (sc *Scanner) putRoll(r *chisq.Roll) { sc.rollPool.Put(r) }
 
 // Kernel reports the reconstruct-kernel tier this scanner's scans run on:
-// the pinned override if one was configured, otherwise the process-wide
-// active tier — downgraded to scalar for alphabets outside the group-fetch
-// eligibility (counts.GroupFits), which always probe on the scalar path.
-func (sc *Scanner) Kernel() counts.Tier {
-	kt := sc.kt
-	if kt == nil {
-		kt = counts.Active()
-	}
-	if !counts.GroupFits(sc.k) {
-		return counts.TierScalar
-	}
-	return kt.Tier()
-}
+// the tier its index resolved when it was built — scalar for alphabets
+// outside the group-fetch eligibility (counts.GroupFits), which always
+// probe on the scalar path.
+func (sc *Scanner) Kernel() counts.Tier { return sc.pre.Kernel() }
 
-// IndexBytes returns the resident size of the count index in bytes
-// (including the text a checkpointed index references).
+// IndexBytes returns the resident size of the count index in bytes.
 func (sc *Scanner) IndexBytes() int { return sc.pre.Bytes() }
 
 // Len returns the string length.

@@ -25,15 +25,15 @@ const DefaultInterval = 16
 //
 // The nibble deltas are sound because a count can grow by at most B−1 = 15
 // inside a block, whatever the alphabet size. Memory per position is
-// 4k/B + k/2 bytes against the dense layouts' 4k — a uniform 5.3× smaller
-// than counts.Prefix at the default B=16 for every k — and the probe's
+// 4k/B + k/2 bytes against Prefix's 4k — a uniform 5.3× smaller at the
+// default B=16 for every k — and the probe's
 // entire working set is one contiguous block (4k + 8k bytes), sized and
 // laid out to be touched by a single cache fetch at small k.
 //
 // The scan engine's rolling kernel probes the index only at chain-cover
-// skip landings and row starts, which is what makes the trade — a few
-// percent of scan throughput for holding ~5× more corpora in the same
-// RAM — a clear win for the long-lived daemon.
+// skip landings and row starts, so under the AVX2 kernel the compact form
+// scans within a few percent of dense counts, or faster (BENCH_10.json),
+// while the long-lived daemon holds ~5× more corpora in the same RAM.
 type Checkpointed struct {
 	k      int
 	n      int
@@ -61,11 +61,12 @@ type Checkpointed struct {
 	contig bool
 
 	// Probe kernel state, resolved once at construction (from the
-	// process-wide active kernel) or by SetKernel. lanes marks alphabets
-	// whose whole nibble group fits one uint64 fetch (GroupFits): their
-	// probes run through the resolved kernel entry points instead of a
-	// per-symbol nibble walk. oneWord additionally marks geometries whose
-	// groups never straddle a word boundary, saving the second word read.
+	// process-wide active kernel) or by SetKernel, and shared with every
+	// scan cursor over the index. lanes marks alphabets whose whole nibble
+	// group fits one uint64 fetch (GroupFits): their probes run through the
+	// resolved kernel entry points instead of a per-symbol nibble walk.
+	// oneWord additionally marks geometries whose groups never straddle a
+	// word boundary, saving the second word read.
 	lanes   bool
 	oneWord bool
 	kt      Tier
@@ -88,10 +89,16 @@ func (p *Checkpointed) Kernel() Tier {
 	return p.kt
 }
 
+// Funcs returns the reconstruct entry points this index's probes resolved,
+// and whether its alphabet is group-eligible (GroupFits). Scan cursors bind
+// the same entry points, so one index never runs two tiers.
+func (p *Checkpointed) Funcs() (KernelFuncs, bool) { return p.kf, p.lanes }
+
 // SetKernel rebinds the index's probe kernels to an explicit tier, failing
 // if the tier cannot execute on this CPU/build. It mutates probe dispatch
 // state and must not race in-flight probes: call it before the index is
-// shared, or from the paired-measurement harnesses that own the index.
+// shared, i.e. before a scanner is built over it. Tests and the paired
+// harness use it to pin a tier.
 func (p *Checkpointed) SetKernel(t Tier) error {
 	kr, err := KernelFor(t)
 	if err != nil {
@@ -370,15 +377,6 @@ func (p *Checkpointed) CumAt(pos int, dst []int) {
 	}
 }
 
-// Count returns the number of occurrences of symbol c in the half-open
-// window s[i:j): two block probes.
-func (p *Checkpointed) Count(c, i, j int) int {
-	wj, bj, oj := p.probe(j)
-	wi, bi, oi := p.probe(i)
-	return int(int32(wj[bj+c])) + p.nibble(wj, bj, oj, c) -
-		int(int32(wi[bi+c])) - p.nibble(wi, bi, oi, c)
-}
-
 // Vector fills dst (which must have length k) with the count vector of the
 // window s[i:j): two block probes. On group-eligible alphabets the j probe
 // runs the reconstruct kernel and the i probe is folded in as its base.
@@ -406,14 +404,8 @@ func (p *Checkpointed) Vector(i, j int, dst []int) []int {
 	return dst
 }
 
-// Total returns the count vector of the whole string.
-func (p *Checkpointed) Total() []int {
-	dst := make([]int, p.k)
-	return p.Vector(0, p.n, dst)
-}
-
-// Bytes returns the resident index size — the blocks are the layout's
-// entire footprint: n·(4k/B + k/2) bytes against the dense layouts' 4·n·k.
+// Bytes returns the resident index size — the blocks are the index's
+// entire footprint: n·(4k/B + k/2) bytes against Prefix's 4·n·k.
 // Epoch views add their private tail block; their blocks may be a shared
 // prefix of the appender's storage, so the figure is the bytes this index
 // keeps REACHABLE, the number a byte-budgeted cache should charge.

@@ -6,13 +6,6 @@ import (
 	"testing/quick"
 )
 
-// Compile-time interface compliance for all three layouts.
-var (
-	_ Layout = (*Prefix)(nil)
-	_ Layout = (*Interleaved)(nil)
-	_ Layout = (*Checkpointed)(nil)
-)
-
 func TestCheckpointedValidates(t *testing.T) {
 	if _, err := NewCheckpointed([]byte{0, 1, 5}, 3, 4); err == nil {
 		t.Error("NewCheckpointed with out-of-range symbol: expected error")
@@ -30,17 +23,14 @@ func TestCheckpointedEmptyString(t *testing.T) {
 	if p.Len() != 0 || p.K() != 2 || p.Interval() != DefaultInterval {
 		t.Errorf("Len = %d, K = %d, Interval = %d", p.Len(), p.K(), p.Interval())
 	}
-	if got := p.Count(0, 0, 0); got != 0 {
-		t.Errorf("Count on empty = %d", got)
-	}
-	tot := p.Total()
+	tot := p.Vector(0, 0, make([]int, 2))
 	if tot[0] != 0 || tot[1] != 0 {
-		t.Errorf("Total = %v", tot)
+		t.Errorf("Vector(0, 0) = %v", tot)
 	}
 }
 
-// Property: Checkpointed agrees with the dense Prefix layout on every
-// Count, Vector, and CumAt query, for every checkpoint interval.
+// Property: Checkpointed agrees with the paper's Prefix arrays on every
+// Vector and CumAt query, for every checkpoint interval.
 func TestCheckpointedMatchesPrefix(t *testing.T) {
 	f := func(raw []byte, kRaw, bRaw, iRaw, jRaw uint16) bool {
 		k := int(kRaw%9) + 2
@@ -66,7 +56,7 @@ func TestCheckpointedMatchesPrefix(t *testing.T) {
 		a := ref.Vector(i, j, make([]int, k))
 		g := cp.Vector(i, j, make([]int, k))
 		for c := 0; c < k; c++ {
-			if a[c] != g[c] || ref.Count(c, i, j) != cp.Count(c, i, j) {
+			if a[c] != g[c] {
 				return false
 			}
 		}
@@ -126,32 +116,64 @@ func BenchmarkCumAt(b *testing.B) {
 	const n = 100_000
 	for _, k := range []int{4, 8} {
 		s := randomString(n, k, 1)
-		ilv, err := NewInterleaved(s, k)
-		if err != nil {
-			b.Fatal(err)
-		}
 		cp, err := NewCheckpointed(s, k, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
-		for name, lay := range map[string]Layout{"interleaved": ilv, "checkpointed": cp} {
-			b.Run(name+"/"+benchName(k), func(b *testing.B) {
-				dst := make([]int, k)
-				rng := rand.New(rand.NewSource(2))
-				pos := make([]int, 1024)
-				for i := range pos {
-					pos[i] = rng.Intn(n + 1)
-				}
-				b.ResetTimer()
-				sink := 0
-				for i := 0; i < b.N; i++ {
-					lay.CumAt(pos[i%len(pos)], dst)
-					sink += dst[0]
-				}
-				if sink == -1 {
-					b.Fatal("impossible")
-				}
-			})
+		b.Run("checkpointed/"+benchName(k), func(b *testing.B) {
+			dst := make([]int, k)
+			rng := rand.New(rand.NewSource(2))
+			pos := make([]int, 1024)
+			for i := range pos {
+				pos[i] = rng.Intn(n + 1)
+			}
+			b.ResetTimer()
+			sink := 0
+			for i := 0; i < b.N; i++ {
+				cp.CumAt(pos[i%len(pos)], dst)
+				sink += dst[0]
+			}
+			if sink == -1 {
+				b.Fatal("impossible")
+			}
+		})
+	}
+}
+
+// randomString builds a length-n string over k symbols for the benchmarks.
+func randomString(n, k int, seed int64) []byte {
+	rng := rand.New(rand.NewSource(seed))
+	s := make([]byte, n)
+	for i := range s {
+		s[i] = byte(rng.Intn(k))
+	}
+	return s
+}
+
+// layoutScan replays an MSS-shaped access pattern — for each start i,
+// Vector calls sweep j forward with growing strides — so it measures the
+// memory behaviour the scan engine sees, not a synthetic uniform-random
+// probe.
+func layoutScan(b *testing.B, vector func(i, j int, dst []int) []int, n, k int) {
+	b.Helper()
+	dst := make([]int, k)
+	sink := 0
+	b.ResetTimer()
+	for it := 0; it < b.N; it++ {
+		for i := 0; i < n; i += 101 {
+			step := 1
+			for j := i + 1; j <= n; j += step {
+				v := vector(i, j, dst)
+				sink += v[0]
+				step += 3 // mimic chain-cover skips growing with length
+			}
 		}
 	}
+	if sink == -1 {
+		b.Fatal("impossible")
+	}
+}
+
+func benchName(k int) string {
+	return "k=" + string(rune('0'+k))
 }

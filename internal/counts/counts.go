@@ -1,7 +1,17 @@
-// Package counts implements the k prefix count arrays the paper uses to
-// obtain the count vector of any substring in O(k) time (paper §2): for each
-// symbol c, cum[c][i] stores the number of occurrences of c in s[0:i].
-// Each array is preprocessed in O(n) time.
+// Package counts implements the count index every scan reads window count
+// vectors from.
+//
+// The paper (§2) keeps k prefix arrays: for each symbol c, cum[c][i] stores
+// the number of occurrences of c in s[0:i], so the count vector of any
+// substring costs O(k). Prefix is exactly those arrays. It is the reference
+// the scan engine's tests check against, not a layout scans run on.
+//
+// Scans run on Checkpointed, which keeps a full cumulative k-vector every B
+// positions plus per-position nibble deltas: about 5× smaller than Prefix,
+// and read only at the chain-cover scan's row starts and skip landings.
+// Appender grows a Checkpointed index in place for live corpora, and the
+// reconstruct kernels (kernel.go) rebuild a probe's count vector on the
+// scalar or AVX2 tier chosen by build tag and CPUID.
 package counts
 
 import (
@@ -9,36 +19,6 @@ import (
 
 	"repro/internal/alphabet"
 )
-
-// Layout is the interface every count-index layout satisfies: O(k)-ish
-// access to the count vector of any window plus the bookkeeping the scan
-// engine and the daemon's byte-budgeted cache need. Three implementations
-// exist, trading memory for per-query cost:
-//
-//   - Prefix: symbol-major dense cumulative arrays (O(nk) ints, k strided
-//     reads per Vector) — the paper's layout, kept for single-symbol probes.
-//   - Interleaved: position-major dense rows (O(nk) ints, two contiguous
-//     k-wide reads per Vector) — fastest for Vector-dominated loops.
-//   - Checkpointed: a full k-vector every B positions plus the raw text in
-//     between (O(nk/B + n) bytes) — ~B× smaller, reconstructs by scanning at
-//     most B-1 text symbols past the nearest checkpoint.
-type Layout interface {
-	// K returns the alphabet size.
-	K() int
-	// Len returns the length of the indexed string.
-	Len() int
-	// Count returns the occurrences of symbol c in the window s[i:j).
-	Count(c, i, j int) int
-	// Vector fills dst (length k) with the count vector of s[i:j).
-	Vector(i, j int, dst []int) []int
-	// CumAt fills dst (length k) with the cumulative counts of s[0:pos].
-	CumAt(pos int, dst []int)
-	// Total returns the count vector of the whole string.
-	Total() []int
-	// Bytes returns the resident size of the index in bytes, including any
-	// text the layout keeps a reference to.
-	Bytes() int
-}
 
 // Prefix holds per-symbol cumulative counts of a symbol string.
 type Prefix struct {

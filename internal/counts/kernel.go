@@ -2,7 +2,6 @@ package counts
 
 import (
 	"fmt"
-	"os"
 	"sync/atomic"
 )
 
@@ -14,23 +13,20 @@ import (
 //	vec[c] = row[c] + nibble(group, c) − base[c]
 //
 // and, for uniform models, fuses the integer statistics the rolling scan
-// needs (Σ y² and max y) into the same pass. Three tiers implement the
+// needs (Σ y² and max y) into the same pass. Two tiers implement the
 // identical integer contract:
 //
-//   - TierScalar: the unrolled scalar code the rolling scan has always run —
-//     the golden reference and the fallback for every build.
-//   - TierSWAR: portable pure-Go word tricks — paired 32-bit lanes in one
-//     64-bit word for the loads and adds, mask-and-shift nibble extraction
-//     with no per-symbol loop.
+//   - TierScalar: the unrolled scalar code — the golden reference and the
+//     fallback for every build.
 //   - TierAVX2: go-assembly kernels (amd64, !noasm) that unpack the nibble
 //     group, add the checkpoint row, subtract the base, widen, and (for
 //     uniform models) square-and-sum in a handful of vector instructions.
 //
-// All tiers are exact integer arithmetic, so results are bit-identical by
+// Both tiers are exact integer arithmetic, so results are bit-identical by
 // construction; the differential fuzz target and the kernel-matrix tests
-// pin that down. Dispatch is resolved once per process at init (CPUID via
-// internal/cpufeat, overridable with MSS_KERNEL=scalar|swar|avx2) and may
-// be overridden per scanner for paired measurement.
+// pin that down. Dispatch is resolved once per process at init from the
+// build tag and CPUID (internal/cpufeat); every index binds the tier it
+// resolved when it was built.
 
 // Tier identifies a reconstruct-kernel implementation tier.
 type Tier uint8
@@ -38,20 +34,16 @@ type Tier uint8
 const (
 	// TierScalar is the unrolled scalar reference implementation.
 	TierScalar Tier = iota
-	// TierSWAR is the portable word-parallel (SIMD-within-a-register) tier.
-	TierSWAR
 	// TierAVX2 is the go-assembly AVX2 tier (amd64 without the noasm tag,
 	// on CPUs whose CPUID reports AVX2).
 	TierAVX2
 )
 
-// String names the tier as accepted by ParseTier and MSS_KERNEL.
+// String names the tier.
 func (t Tier) String() string {
 	switch t {
 	case TierScalar:
 		return "scalar"
-	case TierSWAR:
-		return "swar"
 	case TierAVX2:
 		return "avx2"
 	default:
@@ -59,22 +51,12 @@ func (t Tier) String() string {
 	}
 }
 
-// ParseTier resolves a tier name as printed by String.
-func ParseTier(name string) (Tier, error) {
-	for _, t := range []Tier{TierScalar, TierSWAR, TierAVX2} {
-		if t.String() == name {
-			return t, nil
-		}
-	}
-	return 0, fmt.Errorf("counts: unknown kernel tier %q (want scalar, swar, or avx2)", name)
-}
-
 // TierSupported reports whether the tier can execute on this build and CPU.
-// Scalar and SWAR are always available; AVX2 requires an amd64 binary built
-// without the noasm tag on a CPU (and OS) that supports it.
+// Scalar is always available; AVX2 requires an amd64 binary built without
+// the noasm tag on a CPU (and OS) that supports it.
 func TierSupported(t Tier) bool {
 	switch t {
-	case TierScalar, TierSWAR:
+	case TierScalar:
 		return true
 	case TierAVX2:
 		return haveAVX2Kernels
@@ -83,13 +65,12 @@ func TierSupported(t Tier) bool {
 	}
 }
 
-// BestTier returns the fastest supported tier — what dispatch selects when
-// MSS_KERNEL does not override it.
+// BestTier returns the fastest supported tier — what dispatch selects.
 func BestTier() Tier {
 	if haveAVX2Kernels {
 		return TierAVX2
 	}
-	return TierSWAR
+	return TierScalar
 }
 
 // ReconstructFunc rebuilds the k-lane window count vector from one
@@ -112,9 +93,10 @@ type KernelFuncs struct {
 }
 
 // Kernel is a resolved kernel tier: a function table mapping an alphabet
-// size to its specialized entry points. Tiers specialize the alphabets the
-// scan engine cares about (k = 4, 8, 16) and inherit the next tier down for
-// the rest, so a Kernel always answers for every group-eligible k.
+// size to its specialized entry points. The AVX2 tier specializes the
+// alphabets the scan engine cares about (k = 4, 8, 16) and inherits the
+// scalar tier for the rest, so a Kernel always answers for every
+// group-eligible k.
 type Kernel struct {
 	tier  Tier
 	funcs func(k int) (KernelFuncs, bool)
@@ -147,22 +129,11 @@ func GroupFits(k int) bool {
 // Dispatch: the process-wide active kernel.
 
 // activeKernel holds the process-wide default kernel, selected at init from
-// CPUID and the MSS_KERNEL environment variable. It is stored atomically so
-// SetActiveTier (a startup-flag path) never races scanners resolving it.
+// the build tag and CPUID. It is stored atomically so SetActiveTier (a test
+// seam) never races indexes resolving it.
 var activeKernel atomic.Pointer[Kernel]
 
-func init() {
-	tier := BestTier()
-	if name := os.Getenv("MSS_KERNEL"); name != "" {
-		if t, err := ParseTier(name); err == nil && TierSupported(t) {
-			// An unsupported or misspelled request keeps the best supported
-			// tier: the env override exists so CI lanes can force a tier
-			// where it exists, not to break startup where it doesn't.
-			tier = t
-		}
-	}
-	activeKernel.Store(kernelFor(tier))
-}
+func init() { activeKernel.Store(kernelFor(BestTier())) }
 
 // Active returns the process-wide kernel new indexes and scanners resolve
 // by default.
@@ -172,9 +143,10 @@ func Active() *Kernel { return activeKernel.Load() }
 // observability endpoints report.
 func ActiveTier() Tier { return Active().tier }
 
-// SetActiveTier overrides the process-wide kernel tier (the -kernel flag
-// path). It fails if the tier is not supported on this build and CPU;
-// already-built indexes and scanners keep the kernel they resolved.
+// SetActiveTier overrides the process-wide kernel tier, for tests that pin
+// a tier. It fails if the tier is not supported on this build and CPU;
+// already-built indexes, and the scanners over them, keep the kernel they
+// resolved.
 func SetActiveTier(t Tier) error {
 	if !TierSupported(t) {
 		return fmt.Errorf("counts: kernel tier %s is not supported on this CPU/build", t)
@@ -193,20 +165,13 @@ func KernelFor(t Tier) (*Kernel, error) {
 	return kernelFor(t), nil
 }
 
-var (
-	scalarKernel = &Kernel{tier: TierScalar, funcs: scalarFuncs}
-	swarKernel   = &Kernel{tier: TierSWAR, funcs: swarFuncs}
-)
+var scalarKernel = &Kernel{tier: TierScalar, funcs: scalarFuncs}
 
 func kernelFor(t Tier) *Kernel {
-	switch t {
-	case TierAVX2:
+	if t == TierAVX2 {
 		return avx2Kernel
-	case TierSWAR:
-		return swarKernel
-	default:
-		return scalarKernel
 	}
+	return scalarKernel
 }
 
 // zeroBase is the shared all-zero base vector CumAt-style probes pass to
@@ -214,10 +179,9 @@ func kernelFor(t Tier) *Kernel {
 var zeroBase [16]int32
 
 // ---------------------------------------------------------------------------
-// Scalar tier: the unrolled reference implementation. These bodies are the
-// code the rolling scan ran before kernel dispatch existed, reshaped to the
-// kernel signature; they are the golden reference every other tier is
-// differentially tested against, and the noasm/unsupported-CPU fallback.
+// Scalar tier: the unrolled reference implementation — the golden reference
+// the AVX2 tier is differentially tested against, and the
+// noasm/unsupported-CPU fallback.
 
 func scalarFuncs(k int) (KernelFuncs, bool) {
 	switch k {
@@ -377,152 +341,4 @@ func scalarUniGeneric(row []uint32, group uint64, base []int32, vec []int) (int6
 		m0 = m1
 	}
 	return s0 + s1, m0
-}
-
-// ---------------------------------------------------------------------------
-// SWAR tier: pure-Go word-parallel kernels. Two 32-bit lanes ride in each
-// 64-bit word: the checkpoint row, the nibble pair, and the base are each
-// combined as lane pairs, then one 64-bit add and one subtract advance both
-// lanes at once. No lane can carry into its neighbour: every intermediate
-// (row[c] + nibble) is a cumulative count ≤ n < 2³¹, and every final lane
-// (a window count) lies in [0, 2³¹), so bit 31 never overflows into bit 32
-// and bit 63 falls off harmlessly. The nibble pairs come from mask-and-shift
-// spreading of the group word — no per-symbol loop anywhere.
-
-func swarFuncs(k int) (KernelFuncs, bool) {
-	switch k {
-	case 4:
-		return KernelFuncs{swarRecK4, swarUniK4}, true
-	case 8:
-		return KernelFuncs{swarRecK8, swarUniK8}, true
-	case 16:
-		return KernelFuncs{swarRecK16, swarUniK16}, true
-	default:
-		// The SWAR pair trick needs at least four lanes to pay for the
-		// packing; the remaining alphabets inherit the scalar tier, which is
-		// bit-identical by contract.
-		return scalarFuncs(k)
-	}
-}
-
-// swarLanes2 rebuilds lanes c and c+1 in one 64-bit word: lo holds lane c,
-// the high half lane c+1. nib must hold the two nibbles at bits 0 and 32.
-func swarLanes2(r0, r1 uint32, b0, b1 int32, nib uint64) (int, int) {
-	rw := uint64(r0) | uint64(r1)<<32
-	bw := uint64(uint32(b0)) | uint64(uint32(b1))<<32
-	s := rw + nib - bw
-	return int(int32(uint32(s))), int(int32(uint32(s >> 32)))
-}
-
-func swarRecK4(row []uint32, group uint64, base []int32, vec []int) {
-	_ = row[3]
-	_ = base[3]
-	_ = vec[3]
-	y0, y1 := swarLanes2(row[0], row[1], base[0], base[1], group&15|group>>4&15<<32)
-	y2, y3 := swarLanes2(row[2], row[3], base[2], base[3], group>>8&15|group>>12&15<<32)
-	vec[0], vec[1], vec[2], vec[3] = y0, y1, y2, y3
-}
-
-func swarUniK4(row []uint32, group uint64, base []int32, vec []int) (int64, int) {
-	_ = row[3]
-	_ = base[3]
-	_ = vec[3]
-	y0, y1 := swarLanes2(row[0], row[1], base[0], base[1], group&15|group>>4&15<<32)
-	y2, y3 := swarLanes2(row[2], row[3], base[2], base[3], group>>8&15|group>>12&15<<32)
-	vec[0], vec[1], vec[2], vec[3] = y0, y1, y2, y3
-	s0 := int64(y0)*int64(y0) + int64(y2)*int64(y2)
-	s1 := int64(y1)*int64(y1) + int64(y3)*int64(y3)
-	if y1 > y0 {
-		y0 = y1
-	}
-	if y3 > y2 {
-		y2 = y3
-	}
-	if y2 > y0 {
-		y0 = y2
-	}
-	return s0 + s1, y0
-}
-
-// swarSpread8 positions the eight nibbles of a 32-bit group as four
-// two-lane words: result[i] holds nibble 2i at bit 0 and nibble 2i+1 at
-// bit 32 — the shape swarLanes2 consumes. One shifted copy serves all four
-// pairs, so the extraction is four masks and four shifts for eight lanes.
-func swarSpread8(g uint64) (p0, p1, p2, p3 uint64) {
-	hi := g << 28 // nibble 2i+1 of pair i now at bit 32 + 8i
-	p0 = g&15 | hi&(15<<32)
-	p1 = g>>8&15 | hi>>8&(15<<32)
-	p2 = g>>16&15 | hi>>16&(15<<32)
-	p3 = g>>24&15 | hi>>24&(15<<32)
-	return
-}
-
-func swarRecK8(row []uint32, group uint64, base []int32, vec []int) {
-	_ = row[7]
-	_ = base[7]
-	_ = vec[7]
-	p0, p1, p2, p3 := swarSpread8(group & 0xFFFFFFFF)
-	y0, y1 := swarLanes2(row[0], row[1], base[0], base[1], p0)
-	y2, y3 := swarLanes2(row[2], row[3], base[2], base[3], p1)
-	y4, y5 := swarLanes2(row[4], row[5], base[4], base[5], p2)
-	y6, y7 := swarLanes2(row[6], row[7], base[6], base[7], p3)
-	vec[0], vec[1], vec[2], vec[3] = y0, y1, y2, y3
-	vec[4], vec[5], vec[6], vec[7] = y4, y5, y6, y7
-}
-
-func swarUniK8(row []uint32, group uint64, base []int32, vec []int) (int64, int) {
-	_ = row[7]
-	_ = base[7]
-	_ = vec[7]
-	p0, p1, p2, p3 := swarSpread8(group & 0xFFFFFFFF)
-	y0, y1 := swarLanes2(row[0], row[1], base[0], base[1], p0)
-	y2, y3 := swarLanes2(row[2], row[3], base[2], base[3], p1)
-	y4, y5 := swarLanes2(row[4], row[5], base[4], base[5], p2)
-	y6, y7 := swarLanes2(row[6], row[7], base[6], base[7], p3)
-	vec[0], vec[1], vec[2], vec[3] = y0, y1, y2, y3
-	vec[4], vec[5], vec[6], vec[7] = y4, y5, y6, y7
-	s0 := int64(y0)*int64(y0) + int64(y2)*int64(y2) + int64(y4)*int64(y4) + int64(y6)*int64(y6)
-	s1 := int64(y1)*int64(y1) + int64(y3)*int64(y3) + int64(y5)*int64(y5) + int64(y7)*int64(y7)
-	if y1 > y0 {
-		y0 = y1
-	}
-	if y3 > y2 {
-		y2 = y3
-	}
-	if y5 > y4 {
-		y4 = y5
-	}
-	if y7 > y6 {
-		y6 = y7
-	}
-	if y2 > y0 {
-		y0 = y2
-	}
-	if y6 > y4 {
-		y4 = y6
-	}
-	if y4 > y0 {
-		y0 = y4
-	}
-	return s0 + s1, y0
-}
-
-func swarRecK16(row []uint32, group uint64, base []int32, vec []int) {
-	_ = row[15]
-	_ = base[15]
-	_ = vec[15]
-	swarRecK8(row[:8], group&0xFFFFFFFF, base[:8], vec[:8])
-	swarRecK8(row[8:16], group>>32, base[8:16], vec[8:16])
-}
-
-func swarUniK16(row []uint32, group uint64, base []int32, vec []int) (int64, int) {
-	_ = row[15]
-	_ = base[15]
-	_ = vec[15]
-	sLo, mLo := swarUniK8(row[:8], group&0xFFFFFFFF, base[:8], vec[:8])
-	sHi, mHi := swarUniK8(row[8:16], group>>32, base[8:16], vec[8:16])
-	if mHi > mLo {
-		mLo = mHi
-	}
-	return sLo + sHi, mLo
 }

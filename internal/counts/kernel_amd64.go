@@ -21,9 +21,9 @@ func avx2Funcs(k int) (KernelFuncs, bool) {
 		return KernelFuncs{avx2RecK16, avx2UniK16}, true
 	default:
 		// Assembly specializes the alphabets the scan engine targets
-		// (4, 8, 16); the rest inherit the SWAR tier, bit-identical by
+		// (4, 8, 16); the rest inherit the scalar tier, bit-identical by
 		// contract.
-		return swarFuncs(k)
+		return scalarFuncs(k)
 	}
 }
 

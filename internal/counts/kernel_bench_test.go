@@ -26,7 +26,7 @@ func BenchmarkReconstructKernel(b *testing.B) {
 		if k < 16 {
 			group &= 1<<(4*uint(k)) - 1
 		}
-		for _, tier := range []Tier{TierScalar, TierSWAR, TierAVX2} {
+		for _, tier := range []Tier{TierScalar, TierAVX2} {
 			if !TierSupported(tier) {
 				continue
 			}

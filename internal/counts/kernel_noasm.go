@@ -7,4 +7,4 @@ package counts
 // table below exists only to satisfy the linker-level references.
 const haveAVX2Kernels = false
 
-var avx2Kernel = &Kernel{tier: TierAVX2, funcs: swarFuncs}
+var avx2Kernel = &Kernel{tier: TierAVX2, funcs: scalarFuncs}

@@ -5,12 +5,12 @@ import (
 	"testing"
 )
 
-// TestKernelTiersAgree drives every tier's reconstruct kernels with random
-// rows, groups, and bases over all group-eligible alphabets and asserts
+// TestKernelTiersAgree drives the AVX2 reconstruct kernels with random rows,
+// groups, and bases over all group-eligible alphabets and asserts
 // bit-identical vectors and fused statistics against the scalar reference.
 func TestKernelTiersAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
-	tiers := []Tier{TierSWAR, TierAVX2}
+	tiers := []Tier{TierAVX2}
 	for _, k := range []int{2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 16} {
 		if !GroupFits(k) {
 			t.Fatalf("k=%d should be group-eligible", k)
@@ -80,22 +80,25 @@ func TestKernelTiersAgree(t *testing.T) {
 	}
 }
 
-func TestTierParseAndSupport(t *testing.T) {
-	for _, tier := range []Tier{TierScalar, TierSWAR, TierAVX2} {
-		back, err := ParseTier(tier.String())
-		if err != nil || back != tier {
-			t.Fatalf("round-trip %v: got %v, %v", tier, back, err)
-		}
+func TestTierSupport(t *testing.T) {
+	if TierScalar.String() != "scalar" || TierAVX2.String() != "avx2" {
+		t.Fatalf("tier names: %v, %v", TierScalar, TierAVX2)
 	}
-	if _, err := ParseTier("sse9"); err == nil {
-		t.Fatal("expected error for unknown tier")
+	if !TierSupported(TierScalar) {
+		t.Fatal("the scalar tier must always be supported")
 	}
-	if !TierSupported(TierScalar) || !TierSupported(TierSWAR) {
-		t.Fatal("portable tiers must always be supported")
+	if TierSupported(Tier(7)) {
+		t.Fatal("an unknown tier must not be supported")
+	}
+	if _, err := KernelFor(Tier(7)); err == nil {
+		t.Fatal("KernelFor of an unknown tier: expected error")
 	}
 	best := BestTier()
-	if !TierSupported(best) {
+	if !TierSupported(best) || best != TierScalar && best != TierAVX2 {
 		t.Fatalf("best tier %v not supported", best)
+	}
+	if TierSupported(TierAVX2) != (best == TierAVX2) {
+		t.Fatalf("best tier %v, avx2 supported %v", best, TierSupported(TierAVX2))
 	}
 	if Active() == nil || Active().Tier() != ActiveTier() {
 		t.Fatal("active kernel inconsistent")

@@ -388,9 +388,9 @@ type cacheEntry struct {
 
 // Cache is a byte-budgeted LRU map of named corpora: capacity is measured
 // in resident bytes (Corpus.Bytes), not entries, so the budget translates
-// directly to the daemon's memory ceiling — with the checkpointed count
-// layout the same budget holds roughly 5× the corpora the dense layouts
-// did, and mmap-backed corpora charge only their small heap overhead. All
+// directly to the daemon's memory ceiling — a checkpointed count index
+// costs n·(4k/B + k/2) bytes, and mmap-backed corpora charge only their
+// small heap overhead. All
 // methods are safe for concurrent use; the corpora themselves are
 // immutable, so a Get result stays valid (and scannable) even after
 // eviction.

@@ -1,38 +1,65 @@
-package sigsub_test
+package sigsub
 
 import (
 	"math/rand"
 	"reflect"
 	"testing"
 
-	sigsub "repro"
+	"repro/internal/alphabet"
+	"repro/internal/core"
+	"repro/internal/counts"
 )
 
 // matrixTiers returns every kernel tier executable on this host, scalar
 // first (the golden reference).
-func matrixTiers() []sigsub.KernelTier {
-	tiers := []sigsub.KernelTier{sigsub.KernelScalar, sigsub.KernelSWAR}
-	if sigsub.KernelSupported(sigsub.KernelAVX2) {
-		tiers = append(tiers, sigsub.KernelAVX2)
+func matrixTiers() []counts.Tier {
+	tiers := []counts.Tier{counts.TierScalar}
+	if counts.TierSupported(counts.TierAVX2) {
+		tiers = append(tiers, counts.TierAVX2)
 	}
 	return tiers
+}
+
+// pinnedCoreScanner builds a scanner whose count index — and so every scan
+// over it — runs the given reconstruct-kernel tier: the index is built,
+// pinned with SetKernel, and only then handed to the scanner.
+func pinnedCoreScanner(t testing.TB, s []byte, m *alphabet.Model, tier counts.Tier) *core.Scanner {
+	t.Helper()
+	cp, err := counts.NewCheckpointed(s, m.K(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cp.SetKernel(tier); err != nil {
+		t.Fatal(err)
+	}
+	sc, err := core.NewScannerFromIndex(s, m, cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sc
+}
+
+// pinnedScanner is pinnedCoreScanner behind the public Scanner.
+func pinnedScanner(t testing.TB, s []byte, m *Model, tier counts.Tier) *Scanner {
+	t.Helper()
+	return &Scanner{sc: pinnedCoreScanner(t, s, m.m, tier), k: m.K()}
 }
 
 // matrixAnswers runs the Problems 1–4 query suite plus composed range and
 // min-length queries, with thresholds anchored to the scan's own maximum X²
 // so random inputs of any skew produce bounded (but non-empty) result sets.
-func matrixAnswers(t *testing.T, sc *sigsub.Scanner, maxX2 float64) [][]sigsub.Result {
+func matrixAnswers(t *testing.T, sc *Scanner, maxX2 float64) [][]Result {
 	t.Helper()
 	n := sc.Len()
-	qs := []sigsub.Query{
-		sigsub.MSSQuery(),                                    // Problem 1
-		sigsub.TopTQuery(10),                                 // Problem 2
-		sigsub.ThresholdQuery(maxX2 * 0.8),                   // Problem 3
-		sigsub.MSSQuery().WithMinLength(20),                  // Problem 4
-		sigsub.TopTQuery(5).WithRange(n/20, n-n/20),          // composed range query
-		sigsub.ThresholdQuery(maxX2 * 0.6).WithMinLength(15), // composed threshold
+	qs := []Query{
+		MSSQuery(),                                    // Problem 1
+		TopTQuery(10),                                 // Problem 2
+		ThresholdQuery(maxX2 * 0.8),                   // Problem 3
+		MSSQuery().WithMinLength(20),                  // Problem 4
+		TopTQuery(5).WithRange(n/20, n-n/20),          // composed range query
+		ThresholdQuery(maxX2 * 0.6).WithMinLength(15), // composed threshold
 	}
-	out := make([][]sigsub.Result, len(qs))
+	out := make([][]Result, len(qs))
 	for i, q := range qs {
 		qr, err := sc.Run(q)
 		if err != nil {
@@ -46,10 +73,10 @@ func matrixAnswers(t *testing.T, sc *sigsub.Scanner, maxX2 float64) [][]sigsub.R
 	return out
 }
 
-func matrixModel(t *testing.T, k int, skewed bool) *sigsub.Model {
+func matrixModel(t *testing.T, k int, skewed bool) *Model {
 	t.Helper()
 	if !skewed {
-		m, err := sigsub.UniformModel(k)
+		m, err := UniformModel(k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,7 +89,7 @@ func matrixModel(t *testing.T, k int, skewed bool) *sigsub.Model {
 		rest -= probs[c]
 	}
 	probs[k-1] = rest
-	m, err := sigsub.NewModel(probs)
+	m, err := NewModel(probs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,11 +114,8 @@ func TestKernelMatrixGolden(t *testing.T) {
 			for i := range s {
 				s[i] = byte(rng.Intn(k))
 			}
-			ref, err := sigsub.NewScanner(s, m, sigsub.WithKernel(sigsub.KernelScalar))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := ref.Kernel(); got != sigsub.KernelScalar {
+			ref := pinnedScanner(t, s, m, counts.TierScalar)
+			if got := ref.Kernel(); got != KernelScalar {
 				t.Fatalf("pinned scalar scanner reports kernel %v", got)
 			}
 			refMSS, err := ref.MSS()
@@ -100,19 +124,16 @@ func TestKernelMatrixGolden(t *testing.T) {
 			}
 			want := matrixAnswers(t, ref, refMSS.X2)
 			for _, tier := range matrixTiers()[1:] {
-				sc, err := sigsub.NewScanner(s, m, sigsub.WithKernel(tier))
-				if err != nil {
-					t.Fatal(err)
-				}
+				sc := pinnedScanner(t, s, m, tier)
 				if got := matrixAnswers(t, sc, refMSS.X2); !reflect.DeepEqual(got, want) {
 					t.Fatalf("k=%d skewed=%v: %v results differ from scalar", k, skewed, tier)
 				}
 				for _, workers := range []int{1, 8} {
-					wantMSS, err := ref.MSS(sigsub.WithWorkers(workers))
+					wantMSS, err := ref.MSS(WithWorkers(workers))
 					if err != nil {
 						t.Fatal(err)
 					}
-					gotMSS, err := sc.MSS(sigsub.WithWorkers(workers))
+					gotMSS, err := sc.MSS(WithWorkers(workers))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -131,12 +152,7 @@ func TestKernelMatrixGolden(t *testing.T) {
 // from relocated tail copies), and each epoch's view must answer the query
 // suite bit-identically to a scalar-pinned scanner over the same prefix.
 func TestKernelMatrixLiveEpochs(t *testing.T) {
-	orig := sigsub.ActiveKernel()
-	defer func() {
-		if err := sigsub.SetActiveKernel(orig); err != nil {
-			t.Fatal(err)
-		}
-	}()
+	defer restoreActiveTier(t)()
 	rng := rand.New(rand.NewSource(99))
 	for _, k := range []int{4, 8} {
 		m := matrixModel(t, k, k == 8)
@@ -145,12 +161,9 @@ func TestKernelMatrixLiveEpochs(t *testing.T) {
 			s[i] = byte(rng.Intn(k))
 		}
 		tiers := matrixTiers()
-		corpora := make(map[sigsub.KernelTier]*sigsub.Corpus, len(tiers))
+		corpora := make(map[counts.Tier]*Corpus, len(tiers))
 		for _, tier := range tiers {
-			if err := sigsub.SetActiveKernel(tier); err != nil {
-				t.Fatal(err)
-			}
-			c, err := sigsub.NewCorpus(m)
+			c, err := NewCorpus(m)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -165,18 +178,12 @@ func TestKernelMatrixLiveEpochs(t *testing.T) {
 			}
 			prefix := s[:done+batch]
 			for _, tier := range tiers {
-				if err := sigsub.SetActiveKernel(tier); err != nil {
-					t.Fatal(err)
-				}
 				if err := corpora[tier].Append(s[done : done+batch]); err != nil {
 					t.Fatal(err)
 				}
 			}
 			done += batch
-			ref, err := sigsub.NewScanner(prefix, m, sigsub.WithKernel(sigsub.KernelScalar))
-			if err != nil {
-				t.Fatal(err)
-			}
+			ref := pinnedScanner(t, prefix, m, counts.TierScalar)
 			wantMSS, err := ref.MSS()
 			if err != nil {
 				t.Fatal(err)
@@ -186,10 +193,15 @@ func TestKernelMatrixLiveEpochs(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, tier := range tiers {
-				if err := sigsub.SetActiveKernel(tier); err != nil {
+				// Each epoch's view resolves the active tier when it is
+				// published, and keeps it.
+				if err := counts.SetActiveTier(tier); err != nil {
 					t.Fatal(err)
 				}
 				view := corpora[tier].View()
+				if got := view.Kernel(); got != KernelTier(tier) {
+					t.Fatalf("k=%d epoch n=%d: view published under %v runs %v", k, done, tier, got)
+				}
 				gotMSS, err := view.MSS()
 				if err != nil {
 					t.Fatal(err)
@@ -204,13 +216,87 @@ func TestKernelMatrixLiveEpochs(t *testing.T) {
 				if !reflect.DeepEqual(gotTop, wantTop) {
 					t.Fatalf("k=%d epoch n=%d %v: TopT differs", k, done, tier)
 				}
-				gotPar, err := view.MSS(sigsub.WithWorkers(8))
+				gotPar, err := view.MSS(WithWorkers(8))
 				if err != nil {
 					t.Fatal(err)
 				}
 				if gotPar != wantMSS {
 					t.Fatalf("k=%d epoch n=%d %v w=8: MSS %+v want %+v", k, done, tier, gotPar, wantMSS)
 				}
+			}
+		}
+	}
+}
+
+// restoreActiveTier records the process-wide kernel tier and returns the
+// func that restores it.
+func restoreActiveTier(t *testing.T) func() {
+	orig := counts.ActiveTier()
+	return func() {
+		if err := counts.SetActiveTier(orig); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestScannerTierFixedAtBuild: a scanner's reconstruct tier is the one its
+// index resolved when it was built. Flipping the process-wide tier later
+// changes neither what Kernel reports nor what the index's probes and the
+// scanner's new cursors run — the scanner keeps one tier end to end.
+func TestScannerTierFixedAtBuild(t *testing.T) {
+	if !counts.TierSupported(counts.TierAVX2) {
+		t.Skip("needs both the scalar and the AVX2 tier")
+	}
+	defer restoreActiveTier(t)()
+	m, err := UniformModel(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	s := make([]byte, 3000)
+	for i := range s {
+		s[i] = byte(rng.Intn(8))
+	}
+	for _, built := range []counts.Tier{counts.TierScalar, counts.TierAVX2} {
+		flipped := counts.TierScalar
+		if built == counts.TierScalar {
+			flipped = counts.TierAVX2
+		}
+		if err := counts.SetActiveTier(built); err != nil {
+			t.Fatal(err)
+		}
+		sc, err := NewScanner(s, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		live, err := NewCorpus(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := live.Append(s); err != nil {
+			t.Fatal(err)
+		}
+		view := live.View()
+		want, err := sc.MSS(WithWorkers(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := counts.SetActiveTier(flipped); err != nil {
+			t.Fatal(err)
+		}
+		for name, got := range map[string]*Scanner{"scanner": sc, "corpus view": view} {
+			if tier := got.Kernel(); tier != KernelTier(built) {
+				t.Fatalf("%s built under %v reports %v after the active tier flipped to %v", name, built, tier, flipped)
+			}
+			if tier := got.sc.Index().Kernel(); tier != built {
+				t.Fatalf("%s built under %v: index probes run %v after the flip", name, built, tier)
+			}
+			res, err := got.MSS(WithWorkers(2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res != want {
+				t.Fatalf("%s built under %v: MSS %+v after the flip, want %+v", name, built, res, want)
 			}
 		}
 	}

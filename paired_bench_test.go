@@ -1,14 +1,14 @@
 package sigsub
 
-// Paired layout measurement: the checkpointed-vs-interleaved scan penalty
-// on a noisy host. Benchmarking the two layouts in separate runs lets
-// noisy-neighbor drift land on one side only; this harness alternates
-// single full scans of the two layouts within one process and compares
-// minima, so both sides see the same machine. BENCH_4.json records a run.
+// Paired kernel measurement on a noisy host: benchmarking the reconstruct
+// kernel tiers in separate runs lets noisy-neighbor drift land on one side
+// only, so this harness alternates single full scans of one checkpointed
+// scanner per tier within one process and compares minima — every tier sees
+// the same machine. BENCH_10.json records a run.
 //
 // Run with:
 //
-//	MSS_PAIRED_BENCH=1 go test -run TestPairedLayoutPenalty -v .
+//	MSS_PAIRED_BENCH=1 go test -run TestPairedKernelPenalty -v .
 
 import (
 	"fmt"
@@ -22,67 +22,22 @@ import (
 	"repro/internal/strgen"
 )
 
-func TestPairedLayoutPenalty(t *testing.T) {
-	if os.Getenv("MSS_PAIRED_BENCH") == "" {
-		t.Skip("set MSS_PAIRED_BENCH=1 to run the paired layout measurement")
-	}
-	const n = 100_000
-	const rounds = 8
-	for _, k := range []int{2, 4, 8} {
-		rng := rand.New(rand.NewSource(1))
-		g := strgen.MustNull(k)
-		s := g.Generate(n, rng)
-		cp, err := core.NewScannerConfig(s, g.Model(), core.Config{Layout: core.LayoutCheckpointed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ilv, err := core.NewScannerConfig(s, g.Model(), core.Config{Layout: core.LayoutInterleaved})
-		if err != nil {
-			t.Fatal(err)
-		}
-		scan := func(sc *core.Scanner) time.Duration {
-			start := time.Now()
-			sc.MSSWith(core.Engine{Workers: 1})
-			return time.Since(start)
-		}
-		// Warm both paths (page-in, branch predictors) before timing.
-		scan(cp)
-		scan(ilv)
-		minCP, minILV := time.Duration(1<<62), time.Duration(1<<62)
-		for r := 0; r < rounds; r++ {
-			if d := scan(cp); d < minCP {
-				minCP = d
-			}
-			if d := scan(ilv); d < minILV {
-				minILV = d
-			}
-		}
-		penalty := float64(minCP)/float64(minILV) - 1
-		fmt.Printf("paired/n=100k/k=%d checkpointed=%dms interleaved=%dms penalty=%+.1f%%\n",
-			k, minCP.Milliseconds(), minILV.Milliseconds(), 100*penalty)
-	}
-}
-
-// TestPairedKernelPenalty sweeps the reconstruct kernel tiers through the
-// same paired harness: per round it scans the interleaved baseline once and
-// one checkpointed scanner per tier, all inside one process, and compares
-// minima. The k=8 row is the gap this PR closes; BENCH_10.json records a
-// run.
-//
-// Run with:
-//
-//	MSS_PAIRED_BENCH=1 go test -run TestPairedKernelPenalty -v .
+// TestPairedKernelPenalty sweeps the supported reconstruct kernel tiers
+// (scalar, and AVX2 where the build and CPU have it) over k ∈ {2, 4, 8, 16}
+// × {uniform, geometric} models: per round it scans one checkpointed
+// scanner per tier, all inside one process, and reports each tier's minimum
+// plus its delta against scalar.
 func TestPairedKernelPenalty(t *testing.T) {
 	if os.Getenv("MSS_PAIRED_BENCH") == "" {
 		t.Skip("set MSS_PAIRED_BENCH=1 to run the paired kernel measurement")
 	}
 	const n = 100_000
 	const rounds = 8
-	tiers := []counts.Tier{counts.TierScalar, counts.TierSWAR}
+	tiers := []counts.Tier{counts.TierScalar}
 	if counts.TierSupported(counts.TierAVX2) {
 		tiers = append(tiers, counts.TierAVX2)
 	}
-	for _, k := range []int{4, 8} {
+	for _, k := range []int{2, 4, 8, 16} {
 		gens := []*strgen.Multinomial{strgen.MustNull(k)}
 		if g, err := strgen.NewGeometric(k); err == nil {
 			gens = append(gens, g)
@@ -90,53 +45,34 @@ func TestPairedKernelPenalty(t *testing.T) {
 		for _, g := range gens {
 			rng := rand.New(rand.NewSource(1))
 			s := g.Generate(n, rng)
-			ilv, err := core.NewScannerConfig(s, g.Model(), core.Config{Layout: core.LayoutInterleaved})
-			if err != nil {
-				t.Fatal(err)
-			}
-			cps := make([]*core.Scanner, len(tiers))
+			scs := make([]*core.Scanner, len(tiers))
 			for ti, tier := range tiers {
-				kr, err := counts.KernelFor(tier)
-				if err != nil {
-					t.Fatal(err)
-				}
-				cps[ti], err = core.NewScannerConfig(s, g.Model(), core.Config{
-					Layout: core.LayoutCheckpointed, Kernel: kr,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
+				scs[ti] = pinnedCoreScanner(t, s, g.Model(), tier)
 			}
 			scan := func(sc *core.Scanner) time.Duration {
 				start := time.Now()
 				sc.MSSWith(core.Engine{Workers: 1})
 				return time.Since(start)
 			}
-			scan(ilv)
-			for _, cp := range cps {
-				scan(cp)
+			// Warm every path (page-in, branch predictors) before timing.
+			for _, sc := range scs {
+				scan(sc)
 			}
-			minILV := time.Duration(1 << 62)
-			minCP := make([]time.Duration, len(tiers))
-			for ti := range minCP {
-				minCP[ti] = 1 << 62
+			mins := make([]time.Duration, len(tiers))
+			for ti := range mins {
+				mins[ti] = 1 << 62
 			}
 			for r := 0; r < rounds; r++ {
-				if d := scan(ilv); d < minILV {
-					minILV = d
-				}
-				for ti, cp := range cps {
-					if d := scan(cp); d < minCP[ti] {
-						minCP[ti] = d
+				for ti, sc := range scs {
+					if d := scan(sc); d < mins[ti] {
+						mins[ti] = d
 					}
 				}
 			}
 			for ti, tier := range tiers {
-				penalty := float64(minCP[ti])/float64(minILV) - 1
-				fmt.Printf("paired/n=100k/k=%d/%s/%v checkpointed=%.1fms interleaved=%.1fms penalty=%+.1f%%\n",
-					k, g.Name(), tier,
-					float64(minCP[ti].Microseconds())/1000,
-					float64(minILV.Microseconds())/1000, 100*penalty)
+				fmt.Printf("paired/n=100k/k=%d/%s/%v checkpointed=%.1fms vs-scalar=%+.1f%%\n",
+					k, g.Name(), tier, float64(mins[ti].Microseconds())/1000,
+					100*(float64(mins[ti])/float64(mins[0])-1))
 			}
 		}
 	}

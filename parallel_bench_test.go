@@ -3,7 +3,7 @@ package sigsub
 // Benchmarks of the parallel chain-cover scan engine (core.Engine): wall
 // clock of the exact scans at paper-scale n as the worker count grows, plus
 // the warm-start ablation. BENCH_1.json at the repo root records a measured
-// run of these benches together with the prefix-layout benches in
+// run of these benches together with the count-index benches in
 // internal/counts (go test -bench 'ParallelMSS|PrefixLayout').
 
 import (
@@ -18,27 +18,25 @@ import (
 
 var parallelWorkerGrid = []int{1, 2, 4, 8}
 
-// BenchmarkSeqMSSLayouts is the headline single-thread number of the
+// BenchmarkSeqMSS is the headline single-thread number of the
 // rolling-kernel engine: the sequential exact MSS scan at n=100k across
-// alphabet sizes, on the default checkpointed count index and the dense
-// interleaved one. BENCH_3.json records a measured run together with the
-// kernel and index microbenchmarks (internal/chisq, internal/counts) and
-// the PR2-engine baseline it was compared against.
-func BenchmarkSeqMSSLayouts(b *testing.B) {
+// alphabet sizes on the checkpointed count index. BENCH_3.json records a
+// measured run together with the kernel and index microbenchmarks
+// (internal/chisq, internal/counts) and the earlier engine baseline it was
+// compared against.
+func BenchmarkSeqMSS(b *testing.B) {
 	for _, k := range []int{2, 4, 8} {
-		for _, lay := range []core.LayoutKind{core.LayoutCheckpointed, core.LayoutInterleaved} {
-			rng := rand.New(rand.NewSource(1))
-			g := strgen.MustNull(k)
-			sc, err := core.NewScannerConfig(g.Generate(100_000, rng), g.Model(), core.Config{Layout: lay})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Run(fmt.Sprintf("%v/n=100k/k=%d", lay, k), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					sc.MSSWith(core.Engine{Workers: 1})
-				}
-			})
+		rng := rand.New(rand.NewSource(1))
+		g := strgen.MustNull(k)
+		sc, err := core.NewScanner(g.Generate(100_000, rng), g.Model())
+		if err != nil {
+			b.Fatal(err)
 		}
+		b.Run(fmt.Sprintf("checkpointed/n=100k/k=%d", k), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				sc.MSSWith(core.Engine{Workers: 1})
+			}
+		})
 	}
 }
 

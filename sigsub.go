@@ -247,139 +247,43 @@ func buildOptions(opts []Option) options {
 	return o
 }
 
-// CountsLayout selects the count-index layout a Scanner builds — the
-// memory/speed tradeoff of the scan stack.
-type CountsLayout int
-
-const (
-	// CountsCheckpointed is the default: cumulative counts every B
-	// positions plus per-position nibble deltas — O(nk/B + nk/2) bytes, ~5×
-	// smaller than the dense layouts, with the scan engine reading the
-	// index only at row starts and chain-cover skip landings. The layout
-	// the daemon's byte-budgeted corpus cache relies on.
-	CountsCheckpointed CountsLayout = iota
-	// CountsInterleaved is the dense position-major layout: fastest index
-	// probes, O(nk) int32 resident.
-	CountsInterleaved
-	// CountsPrefix is the paper's symbol-major dense layout, kept for
-	// comparison.
-	CountsPrefix
-)
-
-// String names the layout as accepted by ParseCountsLayout.
-func (l CountsLayout) String() string {
-	switch l {
-	case CountsCheckpointed:
-		return "checkpointed"
-	case CountsInterleaved:
-		return "interleaved"
-	case CountsPrefix:
-		return "prefix"
-	default:
-		return fmt.Sprintf("countslayout(%d)", int(l))
-	}
-}
-
-// ParseCountsLayout resolves a layout name as printed by String.
-func ParseCountsLayout(name string) (CountsLayout, error) {
-	for _, l := range []CountsLayout{CountsCheckpointed, CountsInterleaved, CountsPrefix} {
-		if l.String() == name {
-			return l, nil
-		}
-	}
-	return 0, fmt.Errorf("sigsub: unknown counts layout %q", name)
-}
-
-// KernelTier selects a reconstruct-kernel implementation for the scan hot
+// KernelTier names a reconstruct-kernel implementation of the scan hot
 // path: the data-parallel rebuild of a window's count vector from the
-// checkpointed index's nibble groups. Every tier computes exact integer
-// arithmetic, so results are bit-identical — tiers differ only in speed.
+// checkpointed index's nibble groups. The tier is chosen by build tag and
+// CPUID alone; every tier computes exact integer arithmetic, so results are
+// bit-identical — tiers differ only in speed.
 type KernelTier int
 
 const (
 	// KernelScalar is the unrolled scalar reference implementation —
-	// available everywhere, and the automatic fallback for alphabets whose
-	// nibble group cannot be fetched as a single machine word.
-	KernelScalar KernelTier = iota
-	// KernelSWAR is the portable pure-Go word-parallel tier: two 32-bit
-	// count lanes per 64-bit operation. Available everywhere.
-	KernelSWAR
+	// available everywhere (and the only tier of -tags noasm builds), and
+	// the automatic fallback for alphabets whose nibble group cannot be
+	// fetched as a single machine word.
+	KernelScalar KernelTier = KernelTier(counts.TierScalar)
 	// KernelAVX2 is the assembly tier for amd64 CPUs with AVX2 (and binaries
 	// built without the noasm tag): whole-group nibble unpacking and fused
 	// statistics in a handful of vector instructions.
-	KernelAVX2
+	KernelAVX2 KernelTier = KernelTier(counts.TierAVX2)
 )
 
-// String names the tier as accepted by ParseKernelTier and the MSS_KERNEL
-// environment variable.
+// String names the tier.
 func (t KernelTier) String() string { return counts.Tier(t).String() }
 
-// ParseKernelTier resolves a tier name as printed by String.
-func ParseKernelTier(name string) (KernelTier, error) {
-	t, err := counts.ParseTier(name)
-	return KernelTier(t), err
-}
-
-// KernelSupported reports whether the tier can execute on this CPU and
-// build. The portable tiers always can.
-func KernelSupported(t KernelTier) bool { return counts.TierSupported(counts.Tier(t)) }
-
-// ActiveKernel reports the process-wide kernel tier scans run on by default:
-// the fastest supported tier, unless overridden by the MSS_KERNEL
-// environment variable at startup or SetActiveKernel.
+// ActiveKernel reports the kernel tier scans run on: the fastest tier this
+// build and CPU support.
 func ActiveKernel() KernelTier { return KernelTier(counts.ActiveTier()) }
-
-// SetActiveKernel overrides the process-wide kernel tier (what the CLI and
-// daemon -kernel flags call at startup). It fails if the tier is not
-// supported on this CPU/build. Scanners built before the call keep the
-// kernel they resolved.
-func SetActiveKernel(t KernelTier) error { return counts.SetActiveTier(counts.Tier(t)) }
 
 // CPUFeatures renders the detected CPU features the kernel dispatcher
 // considered, e.g. "sse4.2,avx,avx2" — surfaced by mss -version and the
 // daemon's healthz endpoint.
 func CPUFeatures() string { return cpufeat.Summary() }
 
-// ScannerOption configures Scanner construction.
-type ScannerOption func(*scannerOptions)
-
-type scannerOptions struct {
-	layout   CountsLayout
-	interval int
-	kernel   *KernelTier
-}
-
-// WithCountsLayout selects the count-index layout (default
-// CountsCheckpointed). All layouts produce bit-identical scan results; they
-// trade resident index bytes against index-probe speed.
-func WithCountsLayout(l CountsLayout) ScannerOption {
-	return func(o *scannerOptions) { o.layout = l }
-}
-
-// WithCheckpointInterval sets the checkpoint spacing B of the checkpointed
-// layout (rounded to a power of two and clamped to [4, 16]; 0 means the
-// default). Larger B shrinks the index; the probe cost is unaffected, so
-// the default is the maximum.
-func WithCheckpointInterval(b int) ScannerOption {
-	return func(o *scannerOptions) { o.interval = b }
-}
-
-// WithKernel pins the reconstruct-kernel tier this scanner runs on instead
-// of the process-wide active one. Unlike the MSS_KERNEL environment
-// variable (which silently falls back to the best supported tier), an
-// explicitly pinned tier that cannot execute on this CPU/build makes
-// NewScanner fail — the option exists for paired measurement, where a
-// silent substitution would invalidate the comparison.
-func WithKernel(t KernelTier) ScannerOption {
-	return func(o *scannerOptions) { o.kernel = &t }
-}
-
 // Scanner binds a symbol string to a model for repeated queries. Building a
-// Scanner costs O(n·k) time plus the count index (checkpointed by default —
-// see CountsLayout); every scan then reuses it. After construction a
-// Scanner is read-only, so any number of scans — including batches — may
-// run on it concurrently; the mssd daemon serves simultaneous requests from
-// one cached Scanner this way.
+// Scanner costs O(n·k) time to build the checkpointed count index; every
+// scan then reuses it. After construction a Scanner is read-only, so any
+// number of scans — including batches — may run on it concurrently; the
+// mssd daemon serves simultaneous requests from one cached Scanner this
+// way.
 type Scanner struct {
 	sc *core.Scanner
 	k  int
@@ -390,45 +294,21 @@ type Scanner struct {
 }
 
 // NewScanner validates the string against the model (every symbol must be
-// < model.K()) and prepares the count index. Options select the index
-// layout; results are identical for all of them.
-func NewScanner(s []byte, m *Model, opts ...ScannerOption) (*Scanner, error) {
+// < model.K()) and builds the count index.
+func NewScanner(s []byte, m *Model) (*Scanner, error) {
 	if m == nil {
 		return nil, errNilModel
 	}
-	var o scannerOptions
-	for _, fn := range opts {
-		fn(&o)
-	}
-	cfg := core.Config{CheckpointInterval: o.interval}
-	switch o.layout {
-	case CountsCheckpointed:
-		cfg.Layout = core.LayoutCheckpointed
-	case CountsInterleaved:
-		cfg.Layout = core.LayoutInterleaved
-	case CountsPrefix:
-		cfg.Layout = core.LayoutPrefix
-	default:
-		return nil, fmt.Errorf("sigsub: unknown counts layout %v", o.layout)
-	}
-	if o.kernel != nil {
-		kt, err := counts.KernelFor(counts.Tier(*o.kernel))
-		if err != nil {
-			return nil, err
-		}
-		cfg.Kernel = kt
-	}
-	sc, err := core.NewScannerConfig(s, m.m, cfg)
+	sc, err := core.NewScanner(s, m.m)
 	if err != nil {
 		return nil, err
 	}
 	return &Scanner{sc: sc, k: m.K()}, nil
 }
 
-// Kernel reports the reconstruct-kernel tier this scanner's scans run on —
-// the pinned override if WithKernel was used, otherwise the process-wide
-// active tier (downgraded to scalar for alphabets the group-fetch kernels
-// cannot serve).
+// Kernel reports the reconstruct-kernel tier this scanner's scans run on:
+// the tier its count index resolved when it was built (scalar for alphabets
+// the group-fetch kernels cannot serve).
 func (s *Scanner) Kernel() KernelTier { return KernelTier(s.sc.Kernel()) }
 
 // IndexBytes returns the resident size of the scanner's count index in

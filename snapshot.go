@@ -36,10 +36,6 @@ type Snapshot struct {
 // and the checkpointed count index — to w in the versioned, checksummed
 // snapshot format. codec may be nil for symbol-level corpora; when present
 // its alphabet table is stored so OpenSnapshot can decode result snippets.
-//
-// Scanners using a dense count layout are snapshotted by building the
-// checkpointed index once at write time (O(n·k)) — the format always
-// stores the compact layout, and scan results are identical across layouts.
 func WriteSnapshot(w io.Writer, s *Scanner, codec *TextCodec) error {
 	if s == nil {
 		return fmt.Errorf("sigsub: nil scanner")
@@ -47,14 +43,7 @@ func WriteSnapshot(w io.Writer, s *Scanner, codec *TextCodec) error {
 	if codec != nil && codec.K() != s.k {
 		return fmt.Errorf("sigsub: codec has %d symbols but the scanner uses %d", codec.K(), s.k)
 	}
-	cp, ok := s.sc.Index().(*counts.Checkpointed)
-	if !ok {
-		var err error
-		cp, err = counts.NewCheckpointed(s.sc.Symbols(), s.k, 0)
-		if err != nil {
-			return fmt.Errorf("sigsub: building snapshot index: %w", err)
-		}
-	}
+	cp := s.sc.Index()
 	f := &snapshot.File{
 		K:        s.k,
 		N:        s.sc.Len(),

@@ -70,22 +70,35 @@ func queryAnswers(t testing.TB, sc *sigsub.Scanner) [][]sigsub.Result {
 	return out
 }
 
-// TestSnapshotRoundTripLayouts writes a snapshot from a scanner built on
-// each count layout, reopens it both mmap'd and from a stream, and asserts
-// every Problem 1–4 answer is bit-identical to the heap-built scanner's.
+// TestSnapshotRoundTripLayouts writes a snapshot from a scanner over each
+// in-memory index layout — a contiguous index (NewScanner) and a live
+// corpus's epoch view, whose final block is a relocated private tail —
+// reopens it both mmap'd and from a stream, and asserts every Problem 1–4
+// answer is bit-identical to the source scanner's.
 func TestSnapshotRoundTripLayouts(t *testing.T) {
 	s, m := snapshotCorpus(t, 2000, 4)
-	for _, layout := range []sigsub.CountsLayout{
-		sigsub.CountsCheckpointed, sigsub.CountsInterleaved, sigsub.CountsPrefix,
-	} {
-		built, err := sigsub.NewScanner(s, m, sigsub.WithCountsLayout(layout))
-		if err != nil {
+	built, err := sigsub.NewScanner(s, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, err := sigsub.NewCorpus(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for lo := 0; lo < len(s)-7; lo += 333 {
+		if err := live.Append(s[lo:min(lo+333, len(s)-7)]); err != nil {
 			t.Fatal(err)
 		}
-		want := queryAnswers(t, built)
+	}
+	for _, src := range []struct {
+		layout string
+		sc     *sigsub.Scanner
+	}{{"contiguous", built}, {"epoch", live.View()}} {
+		layout := src.layout
+		want := queryAnswers(t, src.sc)
 
 		var buf bytes.Buffer
-		if err := built.WriteSnapshot(&buf); err != nil {
+		if err := src.sc.WriteSnapshot(&buf); err != nil {
 			t.Fatalf("%v: WriteSnapshot: %v", layout, err)
 		}
 		path := filepath.Join(t.TempDir(), "c.snap")
@@ -98,7 +111,7 @@ func TestSnapshotRoundTripLayouts(t *testing.T) {
 			t.Fatalf("%v: OpenSnapshot: %v", layout, err)
 		}
 		if got := queryAnswers(t, opened.Scanner()); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%v: mmap-served results differ from heap-built scanner", layout)
+			t.Fatalf("%v: mmap-served results differ from the source scanner", layout)
 		}
 		if opened.Codec() != nil {
 			t.Fatalf("%v: codec-less snapshot reports a codec", layout)
@@ -115,7 +128,7 @@ func TestSnapshotRoundTripLayouts(t *testing.T) {
 			t.Fatalf("%v: ReadSnapshot: %v", layout, err)
 		}
 		if got := queryAnswers(t, read.Scanner()); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%v: stream-read results differ from heap-built scanner", layout)
+			t.Fatalf("%v: stream-read results differ from the source scanner", layout)
 		}
 	}
 }
