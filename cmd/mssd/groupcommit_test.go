@@ -1,6 +1,5 @@
 // Daemon-level group-commit tests: the durability field on the append
-// endpoint, commit-pipeline stats in healthz and corpus listings, and the
-// -group-commit=false escape hatch.
+// endpoint and commit-pipeline stats in healthz and corpus listings.
 package main
 
 import (
@@ -11,23 +10,21 @@ import (
 	"repro/internal/service"
 )
 
-// gcServerConfig is the durable test daemon with group commit on (the
-// default wiring main() builds).
-func gcServerConfig(t *testing.T, dir string, groupCommit bool) string {
+// gcServerConfig is the durable test daemon (the wiring main() builds).
+func gcServerConfig(t *testing.T, dir string) string {
 	t.Helper()
 	ts := testServerConfig(t, serverConfig{
-		cacheBytes:  1 << 20,
-		maxQueries:  16,
-		maxWorkers:  8,
-		maxText:     1 << 16,
-		dataDir:     dir,
-		groupCommit: groupCommit,
+		cacheBytes: 1 << 20,
+		maxQueries: 16,
+		maxWorkers: 8,
+		maxText:    1 << 16,
+		dataDir:    dir,
 	})
 	return ts.URL
 }
 
 func TestDaemonAppendDurabilityModes(t *testing.T) {
-	url := gcServerConfig(t, t.TempDir(), true)
+	url := gcServerConfig(t, t.TempDir())
 	do(t, "PUT", url+"/v1/corpora/demo", map[string]any{"text": demoText}, http.StatusOK, nil)
 
 	var app struct {
@@ -74,21 +71,5 @@ func TestDaemonAppendDurabilityModes(t *testing.T) {
 	}
 	if health.Fsync <= 0 {
 		t.Fatalf("healthz fsync_interval_ns: %d", health.Fsync)
-	}
-}
-
-func TestDaemonGroupCommitDisabled(t *testing.T) {
-	url := gcServerConfig(t, t.TempDir(), false)
-	do(t, "PUT", url+"/v1/corpora/demo", map[string]any{"text": demoText}, http.StatusOK, nil)
-	do(t, "POST", url+"/v1/corpora/demo/append", map[string]any{"text": "01"}, http.StatusOK, nil)
-	// Relaxed durability needs the pipeline: with -group-commit=false it is
-	// a validation error, not a silently stronger guarantee.
-	do(t, "POST", url+"/v1/corpora/demo/append", map[string]any{"text": "01", "durability": "relaxed"}, http.StatusBadRequest, nil)
-	var health struct {
-		Commit *service.CommitStats `json:"commit"`
-	}
-	do(t, "GET", url+"/v1/healthz", nil, http.StatusOK, &health)
-	if health.Commit != nil {
-		t.Fatalf("healthz reports a commit pipeline with group commit disabled: %+v", *health.Commit)
 	}
 }

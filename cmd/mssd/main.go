@@ -54,15 +54,14 @@
 // by the last completed append; corpus info reports the epoch it answered
 // from.
 //
-// Durable appends ride a group-commit pipeline (disable with
-// -group-commit=false): records are framed into an in-memory group buffer,
-// and one write + one fsync covers every record that arrived while the
-// previous fsync was in flight, so N concurrent appenders cost ~1 fsync
-// per batch instead of N. Acknowledgment semantics are unchanged by
-// default — an append returns only after its covering fsync. A request may
-// opt into {"durability": "relaxed"} to be acknowledged on enqueue instead,
-// with the fsync following within -fsync-interval: 10-100x cheaper under
-// load, losing at most that unfsynced window on a crash. healthz and
+// Durable appends ride a group-commit pipeline: records are framed into an
+// in-memory group buffer, and one write + one fsync covers every record
+// that arrived while the previous fsync was in flight, so N concurrent
+// appenders cost ~1 fsync per batch instead of N. By default an append
+// returns only after its covering fsync. A request may opt into
+// {"durability": "relaxed"} to be acknowledged on enqueue instead, with the
+// fsync following within -fsync-interval: 10-100x cheaper under load,
+// losing at most that unfsynced window on a crash. healthz and
 // corpus info report the pipeline's counters (appends per fsync, max batch,
 // max ticket wait, pending, relaxed records lost).
 //
@@ -114,11 +113,9 @@ func main() {
 		writeTO     = fs.Duration("write-timeout", 0, "maximum time to write a response; 0 means -scan-timeout plus slack (a response can only start after its scan)")
 		idleTimeout = fs.Duration("idle-timeout", defaultIdleTimeout, "how long an idle keep-alive connection is held open")
 		pprofOn     = fs.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ (profiling; keep off in production)")
-		groupCommit = fs.Bool("group-commit", true, "batch WAL fsyncs across concurrent appends (one covering fsync per batch); false restores one fsync per append")
 		fsyncEvery  = fs.Duration("fsync-interval", service.DefaultFsyncInterval, "group-commit idle flush floor: the longest a relaxed-durability append waits for its covering fsync (also the relaxed-mode crash-loss window)")
 		replFrom    = fs.String("replicate-from", "", "run as a follower of the primary at this base URL (e.g. http://primary:8765): its live corpora are mirrored here as read-only replicas via WAL shipping; requires -data-dir")
 		autoCompact = fs.Int64("auto-compact-wal-bytes", 0, "auto-compact a live corpus in the background once its WAL passes this many bytes, bounding restart-replay time and log disk; 0 keeps compaction manual (the compact endpoint)")
-		walPrealloc = fs.Int64("wal-prealloc", 0, "preallocate each live-corpus WAL to this many bytes at creation: appends inside the region never grow the file, so each covering fsync flushes data only (no size-update journaling); 0 disables")
 		shardOf     = fs.String("shard-of", "", "declare this node a segment server, e.g. 1/3 (segment index/count): startup fails if any loaded segment corpus disagrees, and healthz reports the claim")
 		peers       = fs.String("peers", "", "comma-separated base URLs of segment-serving peers (e.g. http://a:8765,http://b:8765): corpus-named queries scatter across their shard catalogs and merge deterministically, falling back to local corpora the peers don't advertise")
 		advertise   = fs.String("advertise", "", "externally reachable base URL of this node, reported in healthz so operators can point followers (and failover tooling) at it")
@@ -136,7 +133,6 @@ func main() {
 		maxScans:      *maxScans,
 		queueWait:     *queueWait,
 		pprof:         *pprofOn,
-		groupCommit:   *groupCommit,
 		fsyncInterval: *fsyncEvery,
 		replicateFrom: *replFrom,
 		advertise:     *advertise,
@@ -144,7 +140,6 @@ func main() {
 		shardOf:       *shardOf,
 		peers:         splitPeers(*peers),
 		autoCompact:   *autoCompact,
-		walPrealloc:   *walPrealloc,
 	}
 	srv, err := newServer(cfg)
 	if err != nil {
@@ -240,9 +235,8 @@ type serverConfig struct {
 	maxScans    int
 	queueWait   time.Duration
 	pprof       bool
-	// groupCommit routes durable appends through the batched-fsync
-	// pipeline; fsyncInterval is its idle flush floor (0: the default).
-	groupCommit   bool
+	// fsyncInterval is the group-commit pipeline's idle flush floor (0: the
+	// default).
 	fsyncInterval time.Duration
 	// replicateFrom, when set, runs the daemon as a follower of the primary
 	// at that base URL (requires a data dir); advertise is this node's own
@@ -256,9 +250,8 @@ type serverConfig struct {
 	shardOf string
 	peers   []string
 	// autoCompact triggers background live-corpus compaction past this WAL
-	// size; walPrealloc preallocates each WAL at creation (both 0: off).
+	// size (0: off).
 	autoCompact int64
-	walPrealloc int64
 }
 
 // splitPeers parses the -peers flag into trimmed, non-empty base URLs.
@@ -307,7 +300,6 @@ func newServer(cfg serverConfig) (*server, error) {
 		if err != nil {
 			return nil, err
 		}
-		store.WALPrealloc = cfg.walPrealloc
 	}
 	maxScans := cfg.maxScans
 	if maxScans <= 0 {
@@ -318,7 +310,7 @@ func newServer(cfg serverConfig) (*server, error) {
 		queueWait = defaultQueueWait
 	}
 	var committer *service.Committer
-	if cfg.groupCommit && store != nil {
+	if store != nil {
 		// Memory-only daemons have no WAL to batch; the pipeline only runs
 		// when there is a log to fsync.
 		committer = service.NewCommitter(cfg.fsyncInterval)

@@ -369,6 +369,9 @@ func TestReplicationPartitionHeal(t *testing.T) {
 		BackoffBase: 5 * time.Millisecond, BackoffMax: 50 * time.Millisecond}
 
 	ctx, cancel := context.WithCancel(context.Background())
+	// A failing assertion must still end the session: its open WAL stream
+	// would otherwise block the source server's Close.
+	t.Cleanup(cancel)
 	done := make(chan error, 1)
 	go func() { done <- sess.Run(ctx) }()
 
@@ -474,6 +477,7 @@ func TestManagerDiscovery(t *testing.T) {
 	m := &Manager{Exec: follower, Src: src, Interval: 10 * time.Millisecond}
 
 	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel) // see TestReplicationPartitionHeal
 	done := make(chan struct{})
 	go func() { m.Run(ctx); close(done) }()
 

@@ -11,11 +11,13 @@ import (
 	"errors"
 	"syscall"
 	"testing"
+	"time"
 
 	"repro/internal/vfs"
 )
 
-// reopenFS is reopen on an injectable filesystem.
+// reopenFS is reopen on an injectable filesystem. The executor is closed at
+// test end, stopping its commit pipeline.
 func reopenFS(t *testing.T, dir string, fsys vfs.FS) *Executor {
 	t.Helper()
 	store, err := NewStoreFS(dir, fsys)
@@ -23,8 +25,17 @@ func reopenFS(t *testing.T, dir string, fsys vfs.FS) *Executor {
 		t.Fatal(err)
 	}
 	e := &Executor{Cache: NewCache(0), Store: store}
+	t.Cleanup(func() { e.Close() })
 	e.LoadCatalog(t.Logf)
 	return e
+}
+
+// openLive opens name's live corpus on store with a commit pipeline of its
+// own, stopped at test end.
+func openLive(t *testing.T, store *Store, name string) (*LiveCorpus, error) {
+	c := NewCommitter(0)
+	t.Cleanup(c.Stop)
+	return store.OpenLive(name, c)
 }
 
 // liveSymbols opens the live corpus fresh from dir (clean OS filesystem —
@@ -36,7 +47,7 @@ func liveSymbols(t *testing.T, dir, name string) ([]byte, *Corpus) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lc, err := store.OpenLive(name)
+	lc, err := openLive(t, store, name)
 	if err != nil {
 		t.Fatalf("reopening live corpus after faults: %v", err)
 	}
@@ -228,12 +239,14 @@ func TestStoreSaveFaults(t *testing.T) {
 }
 
 // crashWorkload is the deterministic sequence the crash harness walks: open
-// the live corpus, append twice, compact, append once more. It returns the
-// texts of the appends that were ACKNOWLEDGED (returned nil) — the history
-// recovery must serve.
+// the live corpus with a commit pipeline, append twice, compact, append once
+// more. It returns the texts of the appends that were ACKNOWLEDGED
+// (returned nil) — the history recovery must serve.
 func crashWorkload(store *Store) (acked []string) {
 	steps := []string{"0011", "1101", "", "10"} // "" marks the compaction
-	lc, err := store.OpenLive("c")
+	c := NewCommitter(time.Millisecond)
+	defer c.Stop()
+	lc, err := store.OpenLive("c", c)
 	if err != nil {
 		return nil
 	}
@@ -264,11 +277,13 @@ func crashSetup(t *testing.T) string {
 }
 
 // TestCrashConsistencyHarness walks every filesystem operation of the
-// append/compact workload, crashing at each in turn, and asserts after each
-// crash that reopening on the clean filesystem serves the acknowledged
-// history bit-identically — allowing only a single trailing unacknowledged
-// append (a record can be durable without having been acknowledged; it must
-// never split or truncate the acknowledged prefix).
+// append/compact workload through the group-commit pipeline — including
+// between a batch's WAL write and its covering fsync — crashing at each in
+// turn, and asserts after each crash that reopening on the clean filesystem
+// serves the acknowledged history bit-identically — allowing only a single
+// trailing unacknowledged append (a record can be durable without having
+// been acknowledged; it must never split or truncate the acknowledged
+// prefix).
 func TestCrashConsistencyHarness(t *testing.T) {
 	// Measure the workload: run it on a counting filesystem that never
 	// fires.
@@ -353,7 +368,7 @@ func TestCompactCrashKeepsOldGeneration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lc, err := store.OpenLive("c")
+	lc, err := openLive(t, store, "c")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +389,7 @@ func TestCompactCrashKeepsOldGeneration(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if lc, err := store.OpenLive("c"); err == nil {
+		if lc, err := openLive(t, store, "c"); err == nil {
 			lc.Compact() // expected to fail at some step; the protocol must absorb it
 			lc.Close()
 		}

@@ -1,21 +1,22 @@
-// Group commit: the write-path throughput lever BENCH_5 named. A durable
-// append costs 3-62us of actual work and 111-271us of fsync, so issuing one
-// fsync per append caps a node at the disk's fsync rate regardless of how
-// many clients feed it. The Committer amortizes that cost: appends write
-// their WAL record (serialized per corpus, under the corpus mutex), enqueue
-// a commit ticket, and release the mutex; one pipeline goroutine issues a
-// single fsync per corpus covering EVERY record that arrived while the
-// previous fsync was in flight. Under load the batch window is exactly one
-// fsync duration — no timer tuning — and when idle a lone append triggers
-// its fsync immediately, so single-client latency matches the per-append
-// path. Records are applied to the in-memory corpus in WAL order only
-// after their covering fsync completes, so memory never runs ahead of
-// stable storage and an acknowledgment still means durable.
+// Group commit: the only way a durable append reaches disk. A durable
+// append costs 3-62us of actual work and 111-271us of fsync (BENCH_5), so
+// one fsync per append would cap a node at the disk's fsync rate regardless
+// of how many clients feed it. The Committer amortizes that cost: appends
+// frame their WAL record into the corpus's group buffer (serialized per
+// corpus, under the corpus mutex), enqueue a commit ticket, and release the
+// mutex; one pipeline goroutine issues a single write + fsync per corpus
+// covering EVERY record that arrived while the previous fsync was in
+// flight. Under load the batch window is exactly one fsync duration — no
+// timer tuning — and when idle a lone append triggers its fsync
+// immediately, so a single client pays one fsync per append. Records are
+// applied to the in-memory corpus in WAL order only after their covering
+// fsync completes, so memory never runs ahead of stable storage and an
+// acknowledgment means durable.
 //
 // Durability modes per append:
 //
 //	fsync (default)  the append returns after its covering fsync: acked
-//	                 implies durable, exactly the per-append contract.
+//	                 implies durable.
 //	relaxed          the append returns once its record is written; the
 //	                 committer fsyncs within the -fsync-interval floor. A
 //	                 crash (or a failed group fsync) loses at most that
@@ -298,7 +299,7 @@ func (c *Committer) run() {
 			c.flights.Add(1)
 			go func(lc *LiveCorpus) {
 				defer c.flights.Done()
-				lc.flushCommit(c)
+				lc.flushCommit()
 			}(lc)
 		}
 	}
@@ -322,6 +323,6 @@ func (c *Committer) Stop() {
 	// Drain whatever the scheduler left: corpora marked dirty before the
 	// stop flag landed.
 	for _, lc := range c.take() {
-		lc.flushCommit(c)
+		lc.flushCommit()
 	}
 }

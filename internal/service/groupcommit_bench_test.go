@@ -9,32 +9,27 @@ import (
 )
 
 // BenchmarkConcurrentDurableAppend measures durable append throughput with N
-// concurrent clients hammering one corpus, under three commit disciplines:
+// concurrent clients hammering one corpus through the group-commit pipeline,
+// under both acknowledgment modes:
 //
-//	commit=per-append   the PR5 path: every append fsyncs its own record
-//	                    under the corpus mutex (the nil-committer base).
-//	commit=group        the pipeline: one fsync covers every record written
+//	commit=group        fsync acks: one fsync covers every record queued
 //	                    while the previous fsync was in flight.
-//	commit=relaxed      the pipeline with ack-on-write appends (the fsync
-//	                    still happens, off the ack path, on the interval
-//	                    floor).
+//	commit=relaxed      ack-on-queue appends (the fsync still happens, off
+//	                    the ack path, on the interval floor).
 //
-// The per-append/group pair at clients=16 is the headline BENCH_7 number:
-// per-append throughput is flat in client count (the fsync is serialized
-// under the mutex), group commit scales with it until the disk's bandwidth,
-// not its sync rate, is the limit. clients=1 bounds the pipelining overhead
-// a lone appender pays.
+// A lone group-commit appender pays one fsync per append, so clients=1 is
+// the one-fsync-per-append baseline; the clients=1/clients=16 ratio of
+// commit=group is how far batching scales throughput with client count,
+// until the disk's bandwidth, not its sync rate, is the limit.
 func BenchmarkConcurrentDurableAppend(b *testing.B) {
 	const batchLen = 64
 	chunk := strings.Repeat("01101", batchLen/5+1)[:batchLen]
 	for _, bench := range []struct {
 		name string
 		mode Durability
-		grp  bool
 	}{
-		{"commit=per-append", DurabilityFsync, false},
-		{"commit=group", DurabilityFsync, true},
-		{"commit=relaxed", DurabilityRelaxed, true},
+		{"commit=group", DurabilityFsync},
+		{"commit=relaxed", DurabilityRelaxed},
 	} {
 		for _, clients := range []int{1, 4, 16} {
 			b.Run(fmt.Sprintf("%s/clients=%d", bench.name, clients), func(b *testing.B) {
@@ -43,9 +38,6 @@ func BenchmarkConcurrentDurableAppend(b *testing.B) {
 					b.Fatal(err)
 				}
 				e := &Executor{Cache: NewCache(0), Store: store}
-				if bench.grp {
-					e.Commit = NewCommitter(0)
-				}
 				defer e.Close()
 				if _, _, err := e.AddCorpus("bench", "0101101001", ModelSpec{}); err != nil {
 					b.Fatal(err)
@@ -79,7 +71,7 @@ func BenchmarkConcurrentDurableAppend(b *testing.B) {
 				if _, err := e.AppendMode("bench", chunk, DurabilityFsync); err != nil {
 					b.Fatal(err)
 				}
-				if lc := e.liveGet("bench"); lc != nil && bench.grp {
+				if lc := e.liveGet("bench"); lc != nil {
 					b.ReportMetric(lc.CommitStats().AppendsPerFsync, "appends/fsync")
 				}
 			})

@@ -1,9 +1,9 @@
 // Group-commit tests: correctness of the batched-fsync pipeline (every
-// acknowledged append durable and bit-identically replayed), the no-stall
-// property the restructured Append buys (reads and queued appends proceed
-// while an fsync is in flight), whole-batch failure semantics, relaxed-mode
-// loss bounds, and the crash harness re-walked over the new commit
-// protocol.
+// acknowledged append durable and bit-identically replayed, and counted and
+// published before its ack), the no-stall property the restructured Append
+// buys (reads and queued appends proceed while an fsync is in flight),
+// whole-batch failure semantics, and relaxed-mode loss bounds. The crash
+// harness in fault_test.go walks the same pipeline.
 package service
 
 import (
@@ -94,6 +94,32 @@ func TestGroupCommitConcurrentAppends(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("restart serves %d symbols, want %d", len(got), len(want))
+	}
+}
+
+// TestAckedAppendIsCountedAndPublished: an append is acknowledged only
+// after its batch is counted and its WAL position published, so the info
+// it returns and the corpus's committed position already include it — the
+// cursor followers are compared against, and the offset auto-compaction
+// reads right after the ack.
+func TestAckedAppendIsCountedAndPublished(t *testing.T) {
+	e, _ := liveFixture(t, "01011010")
+	if _, err := e.Append("c", "01"); err != nil {
+		t.Fatal(err) // promote once, outside the loop
+	}
+	lc := e.liveGet("c")
+	for i := 1; i <= 200; i++ {
+		before := lc.WALProgress().Offset
+		info, err := e.Append("c", "0110")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Commit == nil || info.Commit.Records != uint64(i+1) {
+			t.Fatalf("append %d acknowledged with commit stats %+v, want %d records", i, info.Commit, i+1)
+		}
+		if got, want := lc.WALProgress().Offset, before+snapshot.WALRecordSize(4); got != want {
+			t.Fatalf("append %d acknowledged at WAL offset %d, want %d", i, got, want)
+		}
 	}
 }
 
@@ -287,11 +313,10 @@ func TestRelaxedModeCrashLosesOnlyUnfsyncedWindow(t *testing.T) {
 	}
 	c := NewCommitter(time.Hour) // the crash, not the timer, ends the window
 	defer c.Stop()
-	lc, err := store.OpenLive("c")
+	lc, err := store.OpenLive("c", c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lc.attachCommitter(c)
 
 	// Two relaxed appends ride the page cache, acked but uncovered.
 	for _, text := range []string{"11", "00"} {
@@ -319,20 +344,6 @@ func TestRelaxedModeCrashLosesOnlyUnfsyncedWindow(t *testing.T) {
 	wantSymbols(t, dir, "c", "01011010"+"01")
 }
 
-// TestRelaxedModeRequiresCommitter: relaxed durability without a commit
-// pipeline would silently be STRONGER than asked (every append fsyncs);
-// the API refuses it as a validation error instead.
-func TestRelaxedModeRequiresCommitter(t *testing.T) {
-	e, _ := liveFixture(t, "01011010")
-	defer e.Close()
-	if _, err := e.Append("c", "11"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.AppendMode("c", "00", DurabilityRelaxed); !IsValidation(err) {
-		t.Fatalf("relaxed append without committer: %v, want validation error", err)
-	}
-}
-
 // TestGroupCommitCompactDrains: Compact on a corpus with queued records
 // settles the pipeline first — every acknowledged record is sealed into
 // the new base, none is left riding a log that is about to be superseded.
@@ -351,36 +362,54 @@ func TestGroupCommitCompactDrains(t *testing.T) {
 	wantSymbols(t, dir, "c", "01011010"+"01"+"11")
 }
 
-// crashWorkloadGC is crashWorkload with a group-commit pipeline attached —
-// the same deterministic step sequence, routed through batched fsyncs.
-func crashWorkloadGC(store *Store) (acked []string) {
-	c := NewCommitter(time.Millisecond)
+// crashBatchSteps is the batched crash workload: relaxed appends queue
+// behind an hour-long idle floor until an fsync-mode append flushes them
+// with it, so covering fsyncs land multi-record batches. "" marks the
+// compaction, which drains the queued relaxed record before sealing.
+var crashBatchSteps = []struct {
+	text    string
+	relaxed bool
+}{
+	{"0011", true}, {"1101", true}, {"01", false}, {"10", true}, {"", false}, {"0110", false},
+}
+
+// crashWorkloadGC runs crashBatchSteps and returns the appended texts in
+// WAL order, how many of them the last acknowledged fsync-mode append
+// covers (the history recovery must serve), and the corpus's pipeline
+// counters.
+func crashWorkloadGC(store *Store) (appends []string, durable int, stats CommitStats) {
+	c := NewCommitter(time.Hour) // only fsync-mode appends and Compact flush
 	defer c.Stop()
-	steps := []string{"0011", "1101", "", "10"}
-	lc, err := store.OpenLive("c")
+	lc, err := store.OpenLive("c", c)
 	if err != nil {
-		return nil
+		return nil, 0, CommitStats{}
 	}
 	defer lc.Close()
-	lc.attachCommitter(c)
-	for _, step := range steps {
-		if step == "" {
+	for _, step := range crashBatchSteps {
+		if step.text == "" {
 			lc.Compact()
 			continue
 		}
-		if _, err := lc.Append(step); err == nil {
-			acked = append(acked, step)
+		mode := DurabilityFsync
+		if step.relaxed {
+			mode = DurabilityRelaxed
+		}
+		_, err := lc.AppendMode(step.text, mode)
+		appends = append(appends, step.text)
+		if err == nil && !step.relaxed {
+			durable = len(appends)
 		}
 	}
-	return acked
+	return appends, durable, lc.CommitStats()
 }
 
-// TestCrashConsistencyHarnessGroupCommit re-walks the crash harness over
-// the group-commit protocol: crash at every filesystem operation of the
-// append/compact workload — including between a batch's WAL writes and its
-// covering fsync — and assert the acknowledged history is served
-// bit-identically on reopen, with at most one trailing unacknowledged
-// in-flight record.
+// TestCrashConsistencyHarnessGroupCommit walks the crash harness over
+// multi-record batches: crash at every filesystem operation of
+// crashBatchSteps — including between a batch's single WAL write and its
+// covering fsync — and assert the reopened corpus serves a record-boundary
+// prefix of the appends that holds every append up to the last
+// acknowledged fsync-mode one. Relaxed records past it are the loss
+// window; they may or may not survive, but never out of order or torn.
 func TestCrashConsistencyHarnessGroupCommit(t *testing.T) {
 	dir := crashSetup(t)
 	counter := vfs.NewFaulty(vfs.OS, vfs.FaultPlan{})
@@ -388,47 +417,56 @@ func TestCrashConsistencyHarnessGroupCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	allAcked := crashWorkloadGC(store)
+	appends, durable, stats := crashWorkloadGC(store)
 	total := counter.Ops()
 	if total < 10 {
 		t.Fatalf("workload performed only %d filesystem ops; harness is not exercising the stack", total)
 	}
-	if len(allAcked) != 3 {
-		t.Fatalf("fault-free workload acknowledged %d appends, want 3", len(allAcked))
+	if durable != len(appends) || durable != 5 {
+		t.Fatalf("fault-free workload covered %d of %d appends, want 5 of 5", durable, len(appends))
 	}
-	t.Logf("group-commit crash harness: workload spans %d filesystem operations", total)
+	if stats.MaxBatch < 3 {
+		t.Fatalf("largest batch covered %d records, want the 3 queued before the first fsync-mode append", stats.MaxBatch)
+	}
+	t.Logf("batched crash harness: workload spans %d filesystem operations", total)
 
-	base := "010110" + "11"
+	base := "010110" + "11" // setup text + setup append
 	for n := 1; n <= total; n++ {
 		dir := crashSetup(t)
 		fsys := vfs.NewFaulty(vfs.OS, vfs.FaultPlan{Nth: n, Crash: true})
-		var acked []string
+		var appends []string
+		durable := 0
 		if store, err := NewStoreFS(dir, fsys); err == nil {
-			acked = crashWorkloadGC(store)
+			appends, durable, _ = crashWorkloadGC(store)
 		}
 		if !fsys.Fired() {
 			t.Fatalf("crash@%d never fired (workload only reached %d ops)", n, fsys.Ops())
 		}
 
 		got, frozen := liveSymbols(t, dir, "c")
+		kept := -1
 		expect := base
-		for _, a := range acked {
-			expect += a
-		}
-		want, err := frozen.Codec.Encode(expect)
-		if err != nil {
-			t.Fatalf("crash@%d: %v", n, err)
-		}
-		if len(got) < len(want) || !bytes.Equal(got[:len(want)], want) {
-			t.Fatalf("crash@%d: served %d symbols, acknowledged history of %d symbols not a prefix (acked %q)",
-				n, len(got), len(want), acked)
-		}
-		if rest := got[len(want):]; len(rest) > 0 {
-			if !isWorkloadStep(frozen, rest) {
-				t.Fatalf("crash@%d: %d surplus symbols are not a single in-flight append (acked %q)",
-					n, len(rest), acked)
+		for k := 0; k <= len(appends); k++ {
+			if k > 0 {
+				expect += appends[k-1]
 			}
-			t.Logf("crash@%d: unacknowledged in-flight append survived (legal): %d symbols", n, len(rest))
+			want, err := frozen.Codec.Encode(expect)
+			if err != nil {
+				t.Fatalf("crash@%d: %v", n, err)
+			}
+			if bytes.Equal(got, want) {
+				kept = k
+				break
+			}
+		}
+		if kept < 0 {
+			t.Fatalf("crash@%d: served %d symbols, not a record-boundary prefix of the appends %q", n, len(got), appends)
+		}
+		if kept < durable {
+			t.Fatalf("crash@%d: served %d appends, but an acknowledged fsync covered %d (%q)", n, kept, durable, appends)
+		}
+		if kept > durable {
+			t.Logf("crash@%d: %d uncovered records survived (legal)", n, kept-durable)
 		}
 	}
 }

@@ -7,10 +7,10 @@ import (
 )
 
 // BenchmarkLiveAppend measures the daemon's full durable append path —
-// encode, WAL record write, fsync, in-memory index extension — per batch,
-// at several batch sizes. The gap between this and the in-memory
-// BenchmarkAppend (internal/counts) is the per-append fsync cost BENCH_5
-// records.
+// encode, group-committed WAL write + fsync, in-memory index extension —
+// per batch, at several batch sizes. One client pays one fsync per append,
+// so the gap between this and the in-memory BenchmarkAppend
+// (internal/counts) is the per-append fsync cost BENCH_5 records.
 func BenchmarkLiveAppend(b *testing.B) {
 	for _, batchLen := range []int{64, 512, 4096} {
 		b.Run(fmt.Sprintf("batch=%d", batchLen), func(b *testing.B) {
@@ -20,6 +20,7 @@ func BenchmarkLiveAppend(b *testing.B) {
 				b.Fatal(err)
 			}
 			e := &Executor{Cache: NewCache(0), Store: store}
+			defer e.Close()
 			if _, _, err := e.AddCorpus("bench", "0101101001", ModelSpec{}); err != nil {
 				b.Fatal(err)
 			}

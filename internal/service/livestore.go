@@ -169,13 +169,13 @@ func (s *Store) ListLive() ([]string, error) {
 // frozen file removed. A crash anywhere before the manifest rename leaves
 // the frozen corpus untouched (stray half-built directories are ignored by
 // ListLive/IsLive and recycled here).
-func (s *Store) UpgradeToLive(name string) (*LiveCorpus, error) {
+func (s *Store) UpgradeToLive(name string, c *Committer) (*LiveCorpus, error) {
 	if err := checkName(name); err != nil {
 		return nil, err
 	}
 	dir := s.liveDir(name)
 	if _, err := readManifest(s.fs, dir); err == nil {
-		return s.OpenLive(name) // already live
+		return s.OpenLive(name, c) // already live
 	}
 	snapPath := s.path(name)
 	if _, err := s.fs.Stat(snapPath); err != nil {
@@ -201,10 +201,6 @@ func (s *Store) UpgradeToLive(name string) (*LiveCorpus, error) {
 	if err != nil {
 		return nil, fmt.Errorf("service: upgrading corpus %q: %w", name, err)
 	}
-	if err := preallocWAL(wal, s.WALPrealloc, 0); err != nil {
-		wal.Close()
-		return nil, fmt.Errorf("service: upgrading corpus %q: %w", name, err)
-	}
 	if err := wal.Sync(); err != nil {
 		wal.Close()
 		return nil, fmt.Errorf("service: upgrading corpus %q: %w", name, err)
@@ -215,43 +211,7 @@ func (s *Store) UpgradeToLive(name string) (*LiveCorpus, error) {
 	}
 	// The live directory is authoritative; the frozen file is now garbage.
 	s.fs.Remove(snapPath)
-	return s.OpenLive(name)
-}
-
-// preallocWAL extends a fresh or truncated WAL to the preallocation target
-// without moving the write offset. The extension is written as real zeros,
-// not a sparse Truncate: a sparse tail would leave every append allocating
-// extents on first touch, and the allocation is journaled metadata the
-// covering fsync must flush — exactly the cost the lever exists to remove.
-// Zeros read back as a torn tail, which replay already tolerates, so
-// preallocation never changes what a restart recovers; its payoff is that
-// appends within the target touch only allocated bytes of a fixed-size
-// file, making each covering fsync a data-only flush.
-func preallocWAL(f vfs.File, target, used int64) error {
-	if target <= used {
-		return nil
-	}
-	cur, err := f.Seek(0, io.SeekCurrent)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Seek(used, io.SeekStart); err != nil {
-		return err
-	}
-	zeros := make([]byte, 256<<10)
-	for off := used; off < target; {
-		n := target - off
-		if n > int64(len(zeros)) {
-			n = int64(len(zeros))
-		}
-		m, err := f.Write(zeros[:n])
-		if err != nil {
-			return err
-		}
-		off += int64(m)
-	}
-	_, err = f.Seek(cur, io.SeekStart)
-	return err
+	return s.OpenLive(name, c)
 }
 
 // copyFileSync copies src to dst and fsyncs dst — the hardlink fallback.
@@ -280,9 +240,10 @@ func copyFileSync(fsys vfs.FS, src, dst string) error {
 
 // OpenLive opens a live corpus: mmap the sealed base, replay the WAL
 // through the appender (truncating any torn tail), and position the log for
-// further appends. Queries before the first post-open append are served
+// further appends, which commit through c — the corpus's only way to make a
+// record durable. Queries before the first post-open append are served
 // straight from the base mapping when the WAL was empty.
-func (s *Store) OpenLive(name string) (*LiveCorpus, error) {
+func (s *Store) OpenLive(name string, c *Committer) (*LiveCorpus, error) {
 	if err := checkName(name); err != nil {
 		return nil, err
 	}
@@ -321,18 +282,11 @@ func (s *Store) OpenLive(name string) (*LiveCorpus, error) {
 		sn.Close()
 		return nil, fmt.Errorf("service: replaying WAL of corpus %q: %w", name, err)
 	}
-	// Drop any torn tail so new records append after the valid prefix, then
-	// re-extend to the preallocation target (zeros, so a crash before the
-	// next append replays identically).
+	// Drop any torn tail so new records append after the valid prefix.
 	if err := wal.Truncate(valid); err != nil {
 		wal.Close()
 		sn.Close()
 		return nil, fmt.Errorf("service: truncating torn WAL of corpus %q: %w", name, err)
-	}
-	if err := preallocWAL(wal, s.WALPrealloc, valid); err != nil {
-		wal.Close()
-		sn.Close()
-		return nil, fmt.Errorf("service: preallocating WAL of corpus %q: %w", name, err)
 	}
 	if _, err := wal.Seek(valid, io.SeekStart); err != nil {
 		wal.Close()
@@ -340,20 +294,21 @@ func (s *Store) OpenLive(name string) (*LiveCorpus, error) {
 		return nil, fmt.Errorf("service: seeking WAL of corpus %q: %w", name, err)
 	}
 	lc := &LiveCorpus{
-		name:        name,
-		codec:       codec,
-		model:       sn.Model(),
-		modelStr:    sn.Model().String(),
-		corpus:      corpus,
-		store:       s,
-		fs:          s.fs,
-		dir:         dir,
-		gen:         m.Gen,
-		wal:         wal,
-		walSize:     valid,
-		walPrealloc: s.WALPrealloc,
-		durable:     true,
+		name:      name,
+		codec:     codec,
+		model:     sn.Model(),
+		modelStr:  sn.Model().String(),
+		corpus:    corpus,
+		store:     s,
+		fs:        s.fs,
+		dir:       dir,
+		gen:       m.Gen,
+		wal:       wal,
+		walSize:   valid,
+		durable:   true,
+		committer: c,
 	}
+	lc.flushCond = sync.NewCond(&lc.mu)
 	// The durable replica marker survives restarts: a follower's corpora
 	// stay read-only (and resumable at their manifest generation + replayed
 	// valid length — the replication cursor) until explicitly promoted.
@@ -479,8 +434,8 @@ type LiveCorpus struct {
 	// Written under mu via publishProgressLocked.
 	progress atomic.Pointer[progressCell]
 
-	// durable is set once at construction: the corpus has a backing store
-	// and a WAL, so it can replicate. Read lock-free.
+	// durable is set once at construction: the corpus has a backing store,
+	// a WAL and a committer, so it can replicate. Read lock-free.
 	durable bool
 
 	// autoCompactBytes, when positive, triggers a background Compact once
@@ -497,26 +452,23 @@ type LiveCorpus struct {
 	gen     int      // current generation
 	wal     vfs.File // nil when memory-only
 	walSize int64    // bytes of acknowledged (synced + applied) records
-	// walPrealloc mirrors the store's WALPrealloc for generations this
-	// corpus creates itself (Compact, recovery reopen).
-	walPrealloc int64
-	closed      bool
+	closed  bool
 
-	// Group-commit state (all under mu; nil/zero when no committer is
-	// attached, in which case Append syncs per record as before). queue
-	// holds enqueued-but-unflushed tickets in append order; walBuf holds
-	// their framed record bytes, not yet written to the log — the flush
-	// lands the whole buffer with ONE write and ONE fsync, so the
-	// mutex-serialized cost of an append is a memcpy, not a syscall.
-	// flushing marks the one in-flight flush (its batch is detached from
-	// queue/walBuf), and flushCond (on mu) lets Compact/Close wait it out.
-	// queuedSyms is the symbol count riding the queue, so the corpus-size
-	// guard covers not-yet-applied records too.
-	// pumping marks a live flushCommit loop (which spans several
-	// flush cycles and the yields between them, where flushing is
-	// momentarily false): while it is set, appends skip the committer
-	// wakeup — the loop collects them itself — and the scheduler's spawned
-	// flushes bow out at entry.
+	// Group-commit state (all under mu; nil/zero when memory-only). A
+	// durable corpus gets its committer when the store opens it, and every
+	// record reaches the log through it. queue holds enqueued-but-unflushed
+	// tickets in append order; walBuf holds their framed record bytes, not
+	// yet written to the log — the flush lands the whole buffer with ONE
+	// write and ONE fsync, so the mutex-serialized cost of an append is a
+	// memcpy, not a syscall. flushing marks the one in-flight flush (its
+	// batch is detached from queue/walBuf), and flushCond (on mu) lets
+	// Compact/Close wait it out. queuedSyms is the symbol count riding the
+	// queue, so the corpus-size guard covers not-yet-applied records too.
+	// pumping marks a live flushCommit loop (which spans several flush
+	// cycles and the yields between them, where flushing is momentarily
+	// false): while it is set, appends skip the committer wakeup — the loop
+	// collects them itself — and the scheduler's spawned flushes bow out at
+	// entry.
 	committer   *Committer
 	flushCond   *sync.Cond
 	flushing    bool
@@ -527,18 +479,8 @@ type LiveCorpus struct {
 	commitStats commitCounters
 }
 
-// attachCommitter routes this corpus's durability through a group-commit
-// pipeline. Called once, before the corpus is reachable by appenders.
-func (lc *LiveCorpus) attachCommitter(c *Committer) {
-	if c == nil || lc.wal == nil {
-		return
-	}
-	lc.committer = c
-	lc.flushCond = sync.NewCond(&lc.mu)
-}
-
-// CommitStats returns the corpus's commit-pipeline counters (zero when no
-// committer is attached). Lock-free.
+// CommitStats returns the corpus's commit-pipeline counters (zero when
+// memory-only). Lock-free.
 func (lc *LiveCorpus) CommitStats() CommitStats {
 	return lc.commitStats.Stats()
 }
@@ -623,10 +565,10 @@ func (lc *LiveCorpus) Append(text string) (int, error) {
 	return lc.AppendMode(text, DurabilityFsync)
 }
 
-// AppendMode is Append with an explicit durability contract. Relaxed mode
-// requires a committer (the interval timer is what bounds its loss window);
-// asking for it on a per-append-fsync corpus is a validation error rather
-// than a silently stronger guarantee the client didn't budget latency for.
+// AppendMode is Append with an explicit durability contract: fsync waits
+// for the record's covering fsync, relaxed returns once the record is queued
+// and leaves the fsync to the committer's interval floor. A memory-only
+// corpus has nothing to make durable and applies either mode at once.
 func (lc *LiveCorpus) AppendMode(text string, mode Durability) (int, error) {
 	if text == "" {
 		return 0, badRequest("empty append text")
@@ -674,42 +616,14 @@ func (lc *LiveCorpus) AppendMode(text string, mode Durability) (int, error) {
 		}
 		return len(symbols), nil
 	}
-	if lc.committer == nil {
-		// Per-append fsync: record, sync, apply — all under mu. This is the
-		// pre-group-commit path, kept verbatim as the paired-benchmark base
-		// and the -group-commit=false escape hatch.
-		defer lc.mu.Unlock()
-		if mode == DurabilityRelaxed {
-			return 0, badRequest("corpus %q has no commit pipeline; relaxed durability needs -group-commit", lc.name)
-		}
-		if err := snapshot.AppendWALRecord(lc.wal, symbols); err != nil {
-			return 0, lc.rollbackWAL(err)
-		}
-		if err := lc.wal.Sync(); err != nil {
-			// The in-memory corpus is NOT advanced, so memory never runs
-			// ahead of what was acknowledged — but the record (possibly
-			// complete, with a valid checksum) may be on disk and the file
-			// offset is past it. Roll the log back to the acknowledged
-			// prefix; otherwise a later successful append would commit
-			// AFTER an unapplied record and restart replay would resurrect
-			// it (or stop at its torn frame and drop everything behind it).
-			return 0, lc.rollbackWAL(err)
-		}
-		lc.walSize += snapshot.WALRecordSize(len(symbols))
-		lc.publishProgressLocked()
-		if err := lc.corpus.Append(symbols); err != nil {
-			return 0, fmt.Errorf("service: appending to corpus %q: %w", lc.name, err)
-		}
-		return len(symbols), nil
-	}
-	// Group commit: frame the record into the in-memory log buffer under
-	// mu, enqueue a ticket, and wait for the covering flush OUTSIDE the
-	// lock. Nothing touches the disk here — the flush lands the whole
-	// buffer with one write and one fsync — so the serialized cost of an
-	// append is encode + memcpy, and neither reads, epoch publishes, nor
-	// the appends queueing behind this one wait on I/O. The in-memory
-	// corpus advances only after the covering fsync (in flushCommit, in
-	// WAL order), so memory never runs ahead of stable storage.
+	// Frame the record into the in-memory log buffer under mu, enqueue a
+	// ticket, and wait for the covering flush OUTSIDE the lock. Nothing
+	// touches the disk here — the flush lands the whole buffer with one
+	// write and one fsync — so the serialized cost of an append is encode +
+	// memcpy, and neither reads, epoch publishes, nor the appends queueing
+	// behind this one wait on I/O. The in-memory corpus advances only after
+	// the covering fsync (in flushCommit, in WAL order), so memory never
+	// runs ahead of stable storage.
 	buf, err := snapshot.AppendWALRecordBuf(lc.walBuf, symbols)
 	if err != nil {
 		lc.mu.Unlock()
@@ -757,10 +671,9 @@ func (lc *LiveCorpus) AppendMode(text string, mode Durability) (int, error) {
 // so clients it just acknowledged can re-append into THIS batch instead of
 // fragmenting into per-fsync cohorts — the yield is what lets a steady
 // population of N appenders converge to N appends per fsync). On failure
-// the batch fails AND everything that queued behind it (those appends were
-// ordered after records that never became durable), and the log is rolled
-// back to the acknowledged prefix.
-func (lc *LiveCorpus) flushCommit(c *Committer) {
+// the batch fails AND everything that queued behind it (see
+// failBatchLocked).
+func (lc *LiveCorpus) flushCommit() {
 	first := true
 	gathered := false
 	for {
@@ -823,20 +736,13 @@ func (lc *LiveCorpus) flushCommit(c *Committer) {
 			err = fmt.Errorf("corpus degraded during commit")
 		}
 		if err != nil {
-			cause := fmt.Errorf("service: appending to corpus %q: %w", lc.name, err)
-			lc.failTicketsLocked(batch, cause)
-			lc.failQueueLocked(cause)
-			if lc.degraded.Load() == nil {
-				// Restore log == acknowledged prefix (same contract as the
-				// per-append path); failure here degrades the corpus.
-				lc.rollbackWAL(err)
-			}
+			lc.failBatchLocked(batch, err)
 			lc.pumping = false
 			lc.flushCond.Broadcast()
 			lc.mu.Unlock()
 			return
 		}
-		lc.applyBatchLocked(batch, c)
+		lc.applyBatchLocked(batch)
 		lc.flushCond.Broadcast()
 		lc.mu.Unlock()
 		// Yield BEFORE deciding whether to keep pumping: the resolve above
@@ -867,7 +773,7 @@ func (lc *LiveCorpus) flushCommit(c *Committer) {
 				// queue: hand them back to the committer's interval timer
 				// instead of fsyncing greedily — batching them up to the
 				// floor is the whole point of relaxed mode.
-				c.markDirty(lc, false)
+				lc.committer.markDirty(lc, false)
 			}
 			return
 		}
@@ -878,43 +784,57 @@ func (lc *LiveCorpus) flushCommit(c *Committer) {
 }
 
 // applyBatchLocked acknowledges a covered (written + fsynced) batch: each
-// record is applied to the in-memory corpus in WAL order, the acknowledged
-// prefix advances, and tickets resolve. c carries the node-wide counters
-// (nil in the Close/Compact drain path). Callers hold mu; batch is detached
-// from the queue.
-func (lc *LiveCorpus) applyBatchLocked(batch []*commitTicket, c *Committer) {
+// record is applied to the in-memory corpus in WAL order and the
+// acknowledged prefix advances. The batch is counted and the new position
+// published BEFORE any ticket resolves, so a returning append always finds
+// its own record in CommitStats and WALProgress. Callers hold mu; batch is
+// detached from the queue.
+func (lc *LiveCorpus) applyBatchLocked(batch []*commitTicket) {
 	now := time.Now()
-	for i, t := range batch {
-		if err := lc.corpus.Append(t.syms); err != nil {
-			// Can only trip if the corpus-limit guard was bypassed; applying
-			// later records would diverge memory order from WAL order, so
-			// fail everything from here and drop it from the log (the failed
-			// records are fsynced but unacknowledged — rollback truncates
-			// them back off).
-			cause := fmt.Errorf("service: appending to corpus %q: %w", lc.name, err)
-			lc.failTicketsLocked(batch[i:], cause)
-			lc.failQueueLocked(cause)
-			lc.rollbackWAL(err)
-			lc.publishProgressLocked()
-			return
+	applied := 0
+	var err error
+	for _, t := range batch {
+		if err = lc.corpus.Append(t.syms); err != nil {
+			break
 		}
 		lc.walSize += t.size
 		lc.queuedSyms -= int64(len(t.syms))
+		lc.commitStats.pending.Add(-1)
 		wait := now.Sub(t.enqueued)
 		lc.commitStats.observeWait(wait)
-		lc.commitStats.pending.Add(-1)
-		if c != nil {
-			c.stats.observeWait(wait)
-		}
-		t.resolve(nil)
+		lc.committer.stats.observeWait(wait)
+		applied++
 	}
-	lc.commitStats.observeBatch(len(batch))
-	if c != nil {
-		c.stats.observeBatch(len(batch))
+	lc.commitStats.observeBatch(applied)
+	lc.committer.stats.observeBatch(applied)
+	if err != nil {
+		// Can only trip if the corpus-limit guard was bypassed; applying
+		// later records would diverge memory order from WAL order, so fail
+		// everything from here and drop it from the log (the failed records
+		// are fsynced but unacknowledged — rollback truncates them back off).
+		lc.failBatchLocked(batch[applied:], err)
 	}
 	// One covering fsync landed a whole batch: publish once, so the
 	// replication tap ships the batch as one frame.
 	lc.publishProgressLocked()
+	for _, t := range batch[:applied] {
+		t.resolve(nil)
+	}
+}
+
+// failBatchLocked refuses a batch whose group write, covering fsync or
+// apply failed, and everything queued behind it (those records were
+// ordered after ones that never became durable). The log is rolled back to
+// the acknowledged prefix first — degrading the corpus if that fails — so
+// a refused appender already sees the state its failure left. Callers hold
+// mu; batch is detached from the queue.
+func (lc *LiveCorpus) failBatchLocked(batch []*commitTicket, err error) {
+	if lc.degraded.Load() == nil {
+		lc.rollbackWAL(err)
+	}
+	cause := fmt.Errorf("service: appending to corpus %q: %w", lc.name, err)
+	lc.failTicketsLocked(batch, cause)
+	lc.failQueueLocked(cause)
 }
 
 // failTicketsLocked fails tickets with cause. Fsync-mode waiters get the
@@ -927,9 +847,7 @@ func (lc *LiveCorpus) failTicketsLocked(tickets []*commitTicket, cause error) {
 		lc.queuedSyms -= int64(len(t.syms))
 		if t.relaxed {
 			lc.commitStats.relaxedLost.Add(1)
-			if lc.committer != nil {
-				lc.committer.stats.relaxedLost.Add(1)
-			}
+			lc.committer.stats.relaxedLost.Add(1)
 		}
 		t.resolve(cause)
 	}
@@ -949,9 +867,6 @@ func (lc *LiveCorpus) failQueueLocked(cause error) {
 // left riding a pipeline that is about to lose the log handle. Callers hold
 // mu.
 func (lc *LiveCorpus) drainLocked() {
-	if lc.committer == nil {
-		return
-	}
 	for lc.flushing {
 		lc.flushCond.Wait()
 	}
@@ -970,22 +885,22 @@ func (lc *LiveCorpus) drainLocked() {
 		err = lc.wal.Sync()
 	}
 	if err != nil {
-		lc.failTicketsLocked(batch, fmt.Errorf("service: appending to corpus %q: %w", lc.name, err))
-		lc.rollbackWAL(err)
+		lc.failBatchLocked(batch, err)
 		return
 	}
-	lc.applyBatchLocked(batch, nil)
+	lc.applyBatchLocked(batch)
 }
 
 // rollbackWAL restores the log to the acknowledged prefix after a failed
-// record write, group write, or sync: everything past walSize is a record
-// that was never acknowledged at its promised durability (queued records
-// that WERE acked — relaxed mode — are counted as lost by the caller), so
-// replay must never see it ahead of a later successful append. If the
-// rollback itself fails, the corpus degrades: appends refuse (reads keep
-// serving) until in-process recovery — attempted automatically by later
-// appends, or on demand via Recover — re-verifies the acknowledged prefix
-// on disk. Callers hold mu, with the commit queue already failed/cleared.
+// group write, replicated-frame write, or sync: everything past walSize is
+// a record that was never acknowledged at its promised durability (queued
+// records that WERE acked — relaxed mode — are counted as lost by the
+// caller), so replay must never see it ahead of a later successful append.
+// If the rollback itself fails, the corpus degrades: appends refuse (reads
+// keep serving) until in-process recovery — attempted automatically by
+// later appends, or on demand via Recover — re-verifies the acknowledged
+// prefix on disk. Callers hold mu; queued records were never written, so
+// the caller fails them afterwards.
 func (lc *LiveCorpus) rollbackWAL(cause error) error {
 	err := fmt.Errorf("service: appending to corpus %q: %w", lc.name, cause)
 	end := lc.walSize
@@ -1087,10 +1002,6 @@ func (lc *LiveCorpus) recoverLocked() error {
 	if _, err := wal.Seek(lc.walSize, io.SeekStart); err != nil {
 		return fail(err)
 	}
-	// Best-effort: re-extend to the preallocation target. A failure here is
-	// not a recovery failure — the lever is a fsync-cost nicety, and the
-	// acknowledged prefix is already verified and sealed.
-	preallocWAL(wal, lc.walPrealloc, lc.walSize)
 	old := lc.wal
 	lc.wal = wal
 	if old != nil {
@@ -1174,10 +1085,6 @@ func (lc *LiveCorpus) Compact() error {
 	}
 	newWal, err := lc.fs.OpenFile(filepath.Join(lc.dir, walName(next)), os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
-		return fmt.Errorf("service: compacting corpus %q: %w", lc.name, err)
-	}
-	if err := preallocWAL(newWal, lc.walPrealloc, 0); err != nil {
-		newWal.Close()
 		return fmt.Errorf("service: compacting corpus %q: %w", lc.name, err)
 	}
 	if err := newWal.Sync(); err != nil {

@@ -12,7 +12,8 @@ import (
 )
 
 // liveFixture uploads a corpus through an executor backed by a fresh store
-// directory.
+// directory. The executor is closed at test end, stopping the commit
+// pipeline its first durable append starts.
 func liveFixture(t *testing.T, text string) (*Executor, string) {
 	t.Helper()
 	dir := t.TempDir()
@@ -21,6 +22,7 @@ func liveFixture(t *testing.T, text string) (*Executor, string) {
 		t.Fatal(err)
 	}
 	e := &Executor{Cache: NewCache(0), Store: store}
+	t.Cleanup(func() { e.Close() })
 	if _, _, err := e.AddCorpus("c", text, ModelSpec{}); err != nil {
 		t.Fatal(err)
 	}
@@ -30,14 +32,7 @@ func liveFixture(t *testing.T, text string) (*Executor, string) {
 // reopen simulates a daemon restart: a brand-new executor over the same
 // directory, catalog replayed.
 func reopen(t *testing.T, dir string) *Executor {
-	t.Helper()
-	store, err := NewStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := &Executor{Cache: NewCache(0), Store: store}
-	e.LoadCatalog(t.Logf)
-	return e
+	return reopenFS(t, dir, vfs.OS)
 }
 
 // libraryMSS computes ground truth over the full concatenated text.
@@ -135,46 +130,124 @@ func TestLiveAppendRestart(t *testing.T) {
 	}
 }
 
-// TestLiveTornWALRecovery: a crash mid-append (simulated by truncating the
-// WAL mid-record) recovers the acknowledged prefix and accepts new appends.
+// TestLiveTornWALRecovery: a crash mid-append leaves the WAL with a damaged
+// tail — a record torn short, zeros past the last record (the file grew but
+// the data never landed), or a flipped byte inside the last record. Replay
+// stops at the last intact record boundary, the corpus serves exactly that
+// prefix, and new appends land after it and survive another restart.
 func TestLiveTornWALRecovery(t *testing.T) {
 	base := "0101101010"
-	e, dir := liveFixture(t, base)
-	if _, err := e.Append("c", "111111"); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		// damage corrupts the log, whose last record spans [last, end).
+		damage func(f *os.File, last, end int64) error
+		kept   []string // the acknowledged appends recovery serves
+	}{
+		{"torn", func(f *os.File, _, end int64) error {
+			return f.Truncate(end - 3)
+		}, []string{"111111"}},
+		{"zero-tail", func(f *os.File, _, end int64) error {
+			_, err := f.WriteAt(make([]byte, 4096), end)
+			return err
+		}, []string{"111111", "000000"}},
+		{"flipped", func(f *os.File, last, _ int64) error {
+			_, err := f.WriteAt([]byte{0xFF, 0xFF, 0xFF, 0xFF}, last+2)
+			return err
+		}, []string{"111111"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, dir := liveFixture(t, base)
+			if _, err := e.Append("c", "111111"); err != nil {
+				t.Fatal(err)
+			}
+			lc := e.liveGet("c")
+			last := lc.WALProgress().Offset
+			if _, err := e.Append("c", "000000"); err != nil {
+				t.Fatal(err)
+			}
+			f, err := os.OpenFile(filepath.Join(lc.dir, walName(lc.gen)), os.O_WRONLY, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.damage(f, last, lc.WALProgress().Offset); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			e2 := reopen(t, dir)
+			kept := base + strings.Join(tc.kept, "")
+			got, info := execMSS(t, e2, "c")
+			if want := libraryMSS(t, kept); got != want {
+				t.Fatalf("recovered MSS %+v, want %+v", got, want)
+			}
+			if info.Epoch != uint64(len(tc.kept)) {
+				t.Fatalf("recovered epoch %d, want %d", info.Epoch, len(tc.kept))
+			}
+			// New appends land after the recovered prefix and survive another
+			// restart.
+			if _, err := e2.Append("c", "0000011111"); err != nil {
+				t.Fatal(err)
+			}
+			e3 := reopen(t, dir)
+			got3, _ := execMSS(t, e3, "c")
+			if want3 := libraryMSS(t, kept+"0000011111"); got3 != want3 {
+				t.Fatalf("post-recovery append MSS %+v, want %+v", got3, want3)
+			}
+		})
 	}
-	if _, err := e.Append("c", "000000"); err != nil {
-		t.Fatal(err)
+}
+
+// TestLiveWALPreallocRecovery: data directories written by earlier builds
+// with -wal-prealloc hold WAL files zero-padded well past their last
+// record. Opening one replays the full history and cuts the padding off,
+// so the next record lands right after the last one — not past a zero gap
+// where replay would stop — and survives a restart.
+func TestLiveWALPreallocRecovery(t *testing.T) {
+	base := "01011010101001010110"
+	e, dir := liveFixture(t, base)
+	full := base
+	for _, a := range []string{"11111111", "00001111"} {
+		if _, err := e.Append("c", a); err != nil {
+			t.Fatal(err)
+		}
+		full += a
 	}
 	lc := e.liveGet("c")
+	logical := lc.WALProgress().Offset
 	walPath := filepath.Join(lc.dir, walName(lc.gen))
-	st, err := os.Stat(walPath)
-	if err != nil {
+	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Tear the second record.
-	if err := os.Truncate(walPath, st.Size()-3); err != nil {
+	// Pad the log the way -wal-prealloc left it: zeros out to the target.
+	const prealloc = 600 << 10
+	if err := os.Truncate(walPath, prealloc); err != nil {
 		t.Fatal(err)
 	}
 
 	e2 := reopen(t, dir)
 	got, info := execMSS(t, e2, "c")
-	want := libraryMSS(t, base+"111111")
-	if got != want {
-		t.Fatalf("torn-tail recovery MSS %+v, want %+v", got, want)
+	if want := libraryMSS(t, full); got != want || info.Epoch != 2 {
+		t.Fatalf("recovered MSS %+v epoch %d, want %+v epoch 2", got, info.Epoch, want)
 	}
-	if info.Epoch != 1 {
-		t.Fatalf("torn-tail recovery epoch %d, want 1", info.Epoch)
+	fi, err := os.Stat(walPath)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// New appends land after the truncated prefix and survive another
-	// restart.
-	if _, err := e2.Append("c", "0000011111"); err != nil {
+	if fi.Size() != logical {
+		t.Fatalf("recovered WAL is %d bytes on disk, want the %d-byte logical log", fi.Size(), logical)
+	}
+	if _, err := e2.Append("c", "0101"); err != nil {
+		t.Fatal(err)
+	}
+	if err := e2.Close(); err != nil {
 		t.Fatal(err)
 	}
 	e3 := reopen(t, dir)
-	got3, _ := execMSS(t, e3, "c")
-	if want3 := libraryMSS(t, base+"111111"+"0000011111"); got3 != want3 {
-		t.Fatalf("post-recovery append MSS %+v, want %+v", got3, want3)
+	got3, info3 := execMSS(t, e3, "c")
+	if want3 := libraryMSS(t, full+"0101"); got3 != want3 || info3.Epoch != 3 {
+		t.Fatalf("post-recovery append MSS %+v epoch %d, want %+v epoch 3", got3, info3.Epoch, want3)
 	}
 }
 
@@ -409,87 +482,5 @@ func TestLiveAutoCompact(t *testing.T) {
 	}
 	if info2.N != len(full) {
 		t.Fatalf("post-restart n=%d, want %d", info2.N, len(full))
-	}
-}
-
-// TestLiveWALPreallocRecovery covers the -wal-prealloc lever: the WAL file
-// is extended to the target size up front, the zero padding reads back as a
-// torn tail (full history still recovers), and a flipped byte inside a
-// record — the tear truncation can't simulate once zeros pad the tail —
-// cuts replay at the preceding record boundary.
-func TestLiveWALPreallocRecovery(t *testing.T) {
-	dir := t.TempDir()
-	store, err := NewStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	store.WALPrealloc = 4096
-	e := &Executor{Cache: NewCache(0), Store: store}
-	base := "01011010101001010110"
-	if _, _, err := e.AddCorpus("c", base, ModelSpec{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Append("c", "11111111"); err != nil {
-		t.Fatal(err)
-	}
-	lc := e.liveGet("c")
-	off1 := lc.WALProgress().Offset
-	if _, err := e.Append("c", "00001111"); err != nil {
-		t.Fatal(err)
-	}
-	off2 := lc.WALProgress().Offset
-
-	walPath := filepath.Join(store.liveDir("c"), walName(0))
-	fi, err := os.Stat(walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fi.Size() != 4096 {
-		t.Fatalf("preallocated WAL is %d bytes on disk, want 4096", fi.Size())
-	}
-	if off2 >= 4096 || off1 <= 0 || off2 <= off1 {
-		t.Fatalf("logical WAL offsets %d, %d outside the preallocated region", off1, off2)
-	}
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Restart: the zero padding past off2 must read as a torn tail, not
-	// corrupt history.
-	e2 := reopen(t, dir)
-	full := base + "11111111" + "00001111"
-	want := libraryMSS(t, full)
-	got, info := execMSS(t, e2, "c")
-	if got != want || info.Epoch != 2 {
-		t.Fatalf("post-restart MSS %+v epoch %d, want %+v epoch 2", got, info.Epoch, want)
-	}
-	if err := e2.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Flip bytes inside the second record's frame: replay must stop at the
-	// end of record one and serve exactly the first append's history.
-	f, err := os.OpenFile(walPath, os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteAt([]byte{0xFF, 0xFF, 0xFF, 0xFF}, off1+2); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	e3 := reopen(t, dir)
-	want1 := libraryMSS(t, base+"11111111")
-	got3, info3 := execMSS(t, e3, "c")
-	if got3 != want1 || info3.Epoch != 1 {
-		t.Fatalf("post-corruption MSS %+v epoch %d, want %+v epoch 1", got3, info3.Epoch, want1)
-	}
-	if _, err := e3.Append("c", "0101"); err != nil {
-		t.Fatal(err)
-	}
-	want4 := libraryMSS(t, base+"11111111"+"0101")
-	if got4, _ := execMSS(t, e3, "c"); got4 != want4 {
-		t.Fatalf("append after truncated recovery MSS %+v, want %+v", got4, want4)
 	}
 }

@@ -63,7 +63,7 @@ func (e *Executor) ReplicaSeed(name string, gen int, snap io.Reader) error {
 	if err := e.Store.seedReplica(name, gen, snap); err != nil {
 		return err
 	}
-	lc, err := e.Store.OpenLive(name)
+	lc, err := e.Store.OpenLive(name, e.committer())
 	if err != nil {
 		// The seed produced an unopenable corpus (torn stream, bad
 		// snapshot); leave nothing behind.

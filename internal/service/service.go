@@ -623,11 +623,14 @@ type Executor struct {
 	// blocks another's.
 	liveMu sync.Mutex
 	live   map[string]*LiveCorpus
-	// Commit, when non-nil, is the node-wide group-commit pipeline: every
-	// durable live corpus added to the registry routes its WAL fsyncs
-	// through it (one covering fsync per batch instead of one per append).
-	// Nil keeps the per-append-fsync path.
+	// Commit is the node-wide group-commit pipeline every durable live
+	// corpus commits through (one covering fsync per batch of concurrent
+	// appends). Left nil on an executor with a Store, one is started at
+	// DefaultFsyncInterval on the first durable live open. Close stops it
+	// either way.
 	Commit *Committer
+	// commitMu guards the lazy start of Commit.
+	commitMu sync.Mutex
 	// AutoCompactWALBytes, when positive, auto-compacts a live corpus in the
 	// background once its acknowledged WAL passes this many bytes, bounding
 	// restart-replay time and log disk without an operator in the loop.
@@ -718,7 +721,7 @@ func (e *Executor) lookup(name string) (*Corpus, error) {
 		return corpus, nil
 	}
 	if e.Store.IsLive(name) {
-		lc, err := e.Store.OpenLive(name)
+		lc, err := e.Store.OpenLive(name, e.committer())
 		if err != nil {
 			return nil, err
 		}
@@ -740,10 +743,20 @@ func (e *Executor) liveGet(name string) *LiveCorpus {
 	return e.live[name]
 }
 
+// committer returns the node's commit pipeline, starting one the first
+// time a durable live corpus opens on an executor configured without one.
+func (e *Executor) committer() *Committer {
+	e.commitMu.Lock()
+	defer e.commitMu.Unlock()
+	if e.Commit == nil {
+		e.Commit = NewCommitter(DefaultFsyncInterval)
+	}
+	return e.Commit
+}
+
 // liveAdd pins a live corpus (and drops any stale frozen cache entry: the
 // registry is now authoritative for the name).
 func (e *Executor) liveAdd(lc *LiveCorpus) {
-	lc.attachCommitter(e.Commit)
 	lc.autoCompactBytes = e.AutoCompactWALBytes
 	e.liveMu.Lock()
 	if e.live == nil {
@@ -781,8 +794,8 @@ func (e *Executor) Append(name, text string) (Info, error) {
 }
 
 // AppendMode is Append with an explicit durability contract: fsync (acked
-// ⇒ durable, the default) or relaxed (acked on WAL write, fsynced within
-// the committer's interval floor; requires a commit pipeline).
+// ⇒ durable, the default) or relaxed (acked once queued, fsynced within
+// the committer's interval floor).
 func (e *Executor) AppendMode(name, text string, mode Durability) (Info, error) {
 	lc := e.liveGet(name)
 	if lc == nil {
@@ -851,8 +864,11 @@ func (e *Executor) Close() error {
 	}
 	// Corpora drain their commit queues in Close, so by here the pipeline
 	// has nothing left to cover; stop its scheduler.
-	if e.Commit != nil {
-		e.Commit.Stop()
+	e.commitMu.Lock()
+	c := e.Commit
+	e.commitMu.Unlock()
+	if c != nil {
+		c.Stop()
 	}
 	return first
 }
@@ -868,9 +884,9 @@ func (e *Executor) promote(name string) (*LiveCorpus, error) {
 	var err error
 	switch {
 	case e.Store != nil && e.Store.IsLive(name):
-		lc, err = e.Store.OpenLive(name)
+		lc, err = e.Store.OpenLive(name, e.committer())
 	case e.Store != nil:
-		lc, err = e.Store.UpgradeToLive(name)
+		lc, err = e.Store.UpgradeToLive(name, e.committer())
 	default:
 		corpus, ok := e.Cache.Get(name)
 		if !ok {
@@ -979,7 +995,7 @@ func (e *Executor) LoadCatalog(logf func(format string, args ...any)) int {
 	}
 	loaded := 0
 	for name := range liveNames {
-		lc, err := e.Store.OpenLive(name)
+		lc, err := e.Store.OpenLive(name, e.committer())
 		if err != nil {
 			logf("corpus catalog: skipping live %q: %v", name, err)
 			continue

@@ -34,16 +34,6 @@ const snapExt = ".snap"
 type Store struct {
 	dir string
 	fs  vfs.FS
-
-	// WALPrealloc, when positive, extends every freshly created (or
-	// reopened) live-corpus WAL to this many bytes of materialized zeros up
-	// front. Zeros read back as a torn tail, so recovery semantics are
-	// unchanged — but appends landing inside the preallocated region touch
-	// only already-allocated bytes of a fixed-size file, so each covering
-	// fsync flushes data without journaling a size update or an extent
-	// allocation (the fdatasync lever; see BENCH_9.json for the paired
-	// numbers). Set before the store is shared.
-	WALPrealloc int64
 }
 
 // NewStore opens (creating if needed) a snapshot directory on the real

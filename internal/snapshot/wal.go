@@ -48,21 +48,11 @@ var ErrWALRecordTooLarge = errors.New("snapshot: WAL record exceeds the size cap
 // frame.
 var ErrWALOffsetMidRecord = errors.New("snapshot: WAL offset is not a record boundary")
 
-// AppendWALRecord writes one record for payload to w. Callers own
-// durability (fsync) and serialization.
-func AppendWALRecord(w io.Writer, payload []byte) error {
-	buf, err := AppendWALRecordBuf(nil, payload)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(buf)
-	return err
-}
-
 // AppendWALRecordBuf frames payload as one record and appends it to dst,
 // returning the extended buffer. This is the group-commit building block: a
 // committer accumulates many framed records in memory and lands them with
-// one write + one fsync, instead of a write syscall per record.
+// one write + one fsync, instead of a write syscall per record. Callers own
+// durability (fsync) and serialization.
 func AppendWALRecordBuf(dst []byte, payload []byte) ([]byte, error) {
 	if len(payload) > MaxWALRecord {
 		return dst, fmt.Errorf("%w: %d bytes", ErrWALRecordTooLarge, len(payload))

@@ -6,6 +6,13 @@ import (
 	"testing"
 )
 
+// appendRecord frames payload onto log.
+func appendRecord(log *bytes.Buffer, payload []byte) error {
+	rec, err := AppendWALRecordBuf(nil, payload)
+	log.Write(rec)
+	return err
+}
+
 func TestWALRoundTrip(t *testing.T) {
 	batches := [][]byte{
 		{0, 1, 2, 3},
@@ -16,7 +23,7 @@ func TestWALRoundTrip(t *testing.T) {
 	var log bytes.Buffer
 	var want int64
 	for _, b := range batches {
-		if err := AppendWALRecord(&log, b); err != nil {
+		if err := appendRecord(&log, b); err != nil {
 			t.Fatal(err)
 		}
 		want += WALRecordSize(len(b))
@@ -49,11 +56,11 @@ func TestWALRoundTrip(t *testing.T) {
 // replays the earlier records and reports exactly their length.
 func TestWALTornTail(t *testing.T) {
 	var log bytes.Buffer
-	if err := AppendWALRecord(&log, []byte{0, 1, 0}); err != nil {
+	if err := appendRecord(&log, []byte{0, 1, 0}); err != nil {
 		t.Fatal(err)
 	}
 	prefix := int64(log.Len())
-	if err := AppendWALRecord(&log, []byte{1, 1, 1, 1}); err != nil {
+	if err := appendRecord(&log, []byte{1, 1, 1, 1}); err != nil {
 		t.Fatal(err)
 	}
 	full := log.Bytes()
@@ -77,11 +84,11 @@ func TestWALTornTail(t *testing.T) {
 // an allocation.
 func TestWALCorruptTail(t *testing.T) {
 	var log bytes.Buffer
-	if err := AppendWALRecord(&log, []byte{0, 1, 0}); err != nil {
+	if err := appendRecord(&log, []byte{0, 1, 0}); err != nil {
 		t.Fatal(err)
 	}
 	prefix := int64(log.Len())
-	if err := AppendWALRecord(&log, []byte{1, 0, 1, 1}); err != nil {
+	if err := appendRecord(&log, []byte{1, 0, 1, 1}); err != nil {
 		t.Fatal(err)
 	}
 	for bit := int(prefix) * 8; bit < log.Len()*8; bit += 7 {
@@ -106,7 +113,7 @@ func TestWALCorruptTail(t *testing.T) {
 
 func TestWALRecordTooLarge(t *testing.T) {
 	var log bytes.Buffer
-	if err := AppendWALRecord(&log, make([]byte, MaxWALRecord+1)); !errors.Is(err, ErrWALRecordTooLarge) {
+	if err := appendRecord(&log, make([]byte, MaxWALRecord+1)); !errors.Is(err, ErrWALRecordTooLarge) {
 		t.Fatalf("err = %v, want ErrWALRecordTooLarge", err)
 	}
 }
@@ -124,7 +131,7 @@ func TestReplayWALFromOffsets(t *testing.T) {
 	var bounds []int64 // start offset of each record, plus the total length
 	for _, b := range batches {
 		bounds = append(bounds, int64(log.Len()))
-		if err := AppendWALRecord(&log, b); err != nil {
+		if err := appendRecord(&log, b); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -163,11 +170,11 @@ func TestReplayWALFromOffsets(t *testing.T) {
 // non-boundary means cursor and log disagree.
 func TestReplayWALFromMidRecord(t *testing.T) {
 	var log bytes.Buffer
-	if err := AppendWALRecord(&log, []byte{0, 1, 0}); err != nil {
+	if err := appendRecord(&log, []byte{0, 1, 0}); err != nil {
 		t.Fatal(err)
 	}
 	first := int64(log.Len())
-	if err := AppendWALRecord(&log, []byte{1, 1}); err != nil {
+	if err := appendRecord(&log, []byte{1, 1}); err != nil {
 		t.Fatal(err)
 	}
 	total := int64(log.Len())
@@ -197,7 +204,7 @@ func TestReplayWALFromEmptyAndPast(t *testing.T) {
 		t.Fatalf("empty log: valid=%d err=%v, want 0, nil", valid, err)
 	}
 	var log bytes.Buffer
-	if err := AppendWALRecord(&log, []byte{1, 0, 1}); err != nil {
+	if err := appendRecord(&log, []byte{1, 0, 1}); err != nil {
 		t.Fatal(err)
 	}
 	total := int64(log.Len())
@@ -217,7 +224,7 @@ func TestWALAlign(t *testing.T) {
 	var bounds []int64
 	for _, b := range [][]byte{{1}, {2, 2}, {}, {3, 3, 3}} {
 		bounds = append(bounds, int64(log.Len()))
-		if err := AppendWALRecord(&log, b); err != nil {
+		if err := appendRecord(&log, b); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -239,15 +246,15 @@ func TestWALAlign(t *testing.T) {
 // still visits the surviving records after it.
 func TestReplayWALFromTornTail(t *testing.T) {
 	var log bytes.Buffer
-	if err := AppendWALRecord(&log, []byte{0}); err != nil {
+	if err := appendRecord(&log, []byte{0}); err != nil {
 		t.Fatal(err)
 	}
 	first := int64(log.Len())
-	if err := AppendWALRecord(&log, []byte{1, 1}); err != nil {
+	if err := appendRecord(&log, []byte{1, 1}); err != nil {
 		t.Fatal(err)
 	}
 	second := int64(log.Len())
-	if err := AppendWALRecord(&log, []byte{2, 2, 2}); err != nil {
+	if err := appendRecord(&log, []byte{2, 2, 2}); err != nil {
 		t.Fatal(err)
 	}
 	torn := log.Bytes()[:log.Len()-3] // tear the last record's trailer
