@@ -3,80 +3,56 @@ package sigsub
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
-// TestRunLowersLegacyMethods locks every legacy method to the Query it now
-// lowers to: results must be bit-identical, sequentially and parallel.
+// TestRunLowersLegacyMethods locks each public Query to the core plan it
+// lowers to — Hi == 0 resolved to Len(), a zero threshold Limit to the
+// default cap, MinLength and the range passed through — and Scanner.MSS to
+// Run(MSSQuery()): answers must be bit-identical, sequentially and
+// parallel (top-t by X² value, as the problem statement permits).
 func TestRunLowersLegacyMethods(t *testing.T) {
 	sc, _ := parallelFixture(t, 1200, 3, 42)
+	n := sc.Len()
+	cases := []struct {
+		q    Query
+		plan core.Query
+	}{
+		{MSSQuery(), core.Query{Kind: core.KindMSS, Hi: n}},
+		{MSSQuery().WithMinLength(61), core.Query{Kind: core.KindMSS, MinLen: 61, Hi: n}},
+		{MSSQuery().WithRange(100, 900).WithMinLength(10), core.Query{Kind: core.KindMSS, MinLen: 10, Lo: 100, Hi: 900}},
+		{TopTQuery(10), core.Query{Kind: core.KindTopT, T: 10, Hi: n}},
+		{ThresholdQuery(12), core.Query{Kind: core.KindThreshold, Alpha: 12, Hi: n, Limit: 1_000_000}},
+		{DisjointQuery(3).WithMinLength(20), core.Query{Kind: core.KindDisjoint, T: 3, MinLen: 20, Hi: n}},
+	}
 	for _, w := range []int{1, 8} {
-		opts := []Option{WithWorkers(w)}
-
-		mss, err := sc.MSS(opts...)
+		for _, c := range cases {
+			got, err := sc.Run(c.q, WithWorkers(w))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := sc.queryResult(sc.sc.RunQuery(core.Engine{Workers: w}, c.plan))
+			if len(got.Results) != len(want.Results) || got.Stats.Evaluated+got.Stats.Skipped != want.Stats.Evaluated+want.Stats.Skipped {
+				t.Fatalf("workers=%d %v: %d results, %+v; plan %d results, %+v", w, c.q.Kind, len(got.Results), got.Stats, len(want.Results), want.Stats)
+			}
+			for i := range want.Results {
+				if c.q.Kind == QueryTopT && got.Results[i].X2 != want.Results[i].X2 ||
+					c.q.Kind != QueryTopT && got.Results[i] != want.Results[i] {
+					t.Errorf("workers=%d %v: result %d %+v, plan %+v", w, c.q.Kind, i, got.Results[i], want.Results[i])
+				}
+			}
+		}
+		mss, err := sc.MSS(WithWorkers(w))
 		if err != nil {
 			t.Fatal(err)
 		}
-		qr, err := sc.Run(MSSQuery(), opts...)
+		qr, err := sc.Run(MSSQuery(), WithWorkers(w))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(qr.Results) != 1 || qr.Results[0] != mss {
 			t.Errorf("workers=%d: Run(MSSQuery()) %+v, MSS %+v", w, qr.Results, mss)
-		}
-
-		minLen, err := sc.MSSMinLength(60, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		qr, err = sc.Run(MSSQuery().WithMinLength(61), opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if qr.Results[0] != minLen {
-			t.Errorf("workers=%d: min-length query diverges from MSSMinLength", w)
-		}
-
-		rng, err := sc.MSSRange(100, 900, 10, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		qr, err = sc.Run(MSSQuery().WithRange(100, 900).WithMinLength(10), opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if firstOr(qr) != rng {
-			t.Errorf("workers=%d: range query diverges from MSSRange", w)
-		}
-
-		top, err := sc.TopT(10, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		qr, err = sc.Run(TopTQuery(10), opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range top {
-			if top[i].X2 != qr.Results[i].X2 {
-				t.Errorf("workers=%d: top-t value %d diverges", w, i)
-			}
-		}
-
-		th, err := sc.Threshold(12, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		qr, err = sc.Run(ThresholdQuery(12), opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(th) != len(qr.Results) {
-			t.Fatalf("workers=%d: threshold sizes %d vs %d", w, len(th), len(qr.Results))
-		}
-		for i := range th {
-			if th[i] != qr.Results[i] {
-				t.Errorf("workers=%d: threshold result %d diverges", w, i)
-			}
 		}
 	}
 }
@@ -202,37 +178,38 @@ func TestMSSRangeEdgeCases(t *testing.T) {
 
 	// lo < 0 clamps to 0; hi > n clamps to n: both equal the whole-string scan.
 	for _, c := range [][3]int{{-5, n, 1}, {0, n + 100, 1}, {-3, n + 3, 1}} {
-		got, err := sc.MSSRange(c[0], c[1], c[2])
+		got, err := runBest(sc, MSSQuery().WithRange(c[0], c[1]).WithMinLength(c[2]))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got != whole {
-			t.Errorf("MSSRange(%d, %d, %d) = %+v, want whole-string MSS %+v", c[0], c[1], c[2], got, whole)
+			t.Errorf("range [%d, %d) floor %d = %+v, want whole-string MSS %+v", c[0], c[1], c[2], got, whole)
 		}
 	}
 
 	zero := Result{PValue: 1}
 	// hi − lo < minLen: no candidate fits.
-	if got, err := sc.MSSRange(10, 14, 10); err != nil || got != zero {
+	if got, err := runBest(sc, MSSQuery().WithRange(10, 14).WithMinLength(10)); err != nil || got != zero {
 		t.Errorf("narrow range: got %+v, err %v", got, err)
 	}
 	// Empty and inverted ranges.
-	if got, err := sc.MSSRange(50, 50, 1); err != nil || got != zero {
+	if got, err := runBest(sc, MSSQuery().WithRange(50, 50)); err != nil || got != zero {
 		t.Errorf("empty range: got %+v, err %v", got, err)
 	}
-	if got, err := sc.MSSRange(80, 20, 1); err != nil || got != zero {
+	if got, err := runBest(sc, MSSQuery().WithRange(80, 20)); err != nil || got != zero {
 		t.Errorf("inverted range: got %+v, err %v", got, err)
 	}
-	if got, err := sc.MSSRange(0, 0, 1); err != nil || got != zero {
-		t.Errorf("hi=0 range: got %+v, err %v", got, err)
+	// Hi == 0 is the "to the end" sentinel, not an empty range.
+	if got, err := runBest(sc, MSSQuery().WithRange(0, 0)); err != nil || got != whole {
+		t.Errorf("hi=0 range: got %+v, err %v, want whole-string MSS %+v", got, err, whole)
 	}
 	// A range touching the end of the string stays in bounds.
-	if got, err := sc.MSSRange(n-4, n, 4); err != nil || got.Start != n-4 || got.End != n {
+	if got, err := runBest(sc, MSSQuery().WithRange(n-4, n).WithMinLength(4)); err != nil || got.Start != n-4 || got.End != n {
 		t.Errorf("suffix range: got %+v, err %v", got, err)
 	}
 	// Stats for a degenerate range are all-zero.
 	var st Stats
-	if _, err := sc.MSSRange(30, 30, 1, WithStats(&st)); err != nil {
+	if _, err := runBest(sc, MSSQuery().WithRange(30, 30), WithStats(&st)); err != nil {
 		t.Fatal(err)
 	}
 	if st != (Stats{}) {

@@ -87,7 +87,7 @@ func BenchmarkMSSExactN10k(b *testing.B) {
 	b.ResetTimer()
 	var st core.Stats
 	for i := 0; i < b.N; i++ {
-		_, st = sc.MSS()
+		st = sc.RunQuery(core.Engine{Workers: 1}, core.Query{Kind: core.KindMSS, Hi: sc.Len()}).Stats
 	}
 	b.ReportMetric(float64(st.Evaluated), "substrings-evaluated")
 }
@@ -120,19 +120,19 @@ func BenchmarkTopT100N10k(b *testing.B) {
 	sc := benchScanner(b, 10000, 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := sc.TopT(100); err != nil {
-			b.Fatal(err)
+		if r := sc.RunQuery(core.Engine{Workers: 1}, core.Query{Kind: core.KindTopT, T: 100, Hi: sc.Len()}); r.Err != nil {
+			b.Fatal(r.Err)
 		}
 	}
 }
 
 func BenchmarkThresholdN10k(b *testing.B) {
 	sc := benchScanner(b, 10000, 2)
-	mss, _ := sc.MSS()
+	mss := sc.RunQuery(core.Engine{Workers: 1}, core.Query{Kind: core.KindMSS, Hi: sc.Len()}).Best()
 	alpha := mss.X2 + 1
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sc.ThresholdCount(alpha)
+		sc.RunQuery(core.Engine{Workers: 1}, core.Query{Kind: core.KindThreshold, Alpha: alpha, Hi: sc.Len(), Visit: func(core.Scored) {}})
 	}
 }
 

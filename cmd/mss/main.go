@@ -222,6 +222,7 @@ func run(args []string, out io.Writer) error {
 
 	var results []sigsub.Result
 	var calibration *calibrationJSON
+	var q sigsub.Query
 	switch *mode {
 	case "mss":
 		alg, aerr := sigsub.ParseAlgorithm(*algName)
@@ -245,31 +246,29 @@ func run(args []string, out io.Writer) error {
 			}
 		}
 	case "topt":
-		res, terr := sc.TopT(*tFlag, opts...)
-		if terr != nil {
-			return terr
-		}
-		results = res
+		q = sigsub.TopTQuery(*tFlag)
 	case "disjoint":
-		res, derr := sc.DisjointTopT(*tFlag, *minLen, opts...)
-		if derr != nil {
-			return derr
-		}
-		results = res
+		q = sigsub.DisjointQuery(*tFlag).WithMinLength(*minLen)
 	case "threshold":
-		res, herr := sc.Threshold(*alpha, opts...)
-		if herr != nil {
-			return herr
-		}
-		results = res
+		q = sigsub.ThresholdQuery(*alpha)
 	case "minlen":
-		res, gerr := sc.MSSMinLength(*gamma, opts...)
-		if gerr != nil {
-			return gerr
+		if *gamma >= sc.Len() {
+			return fmt.Errorf("sigsub: no substring of length > %d in a string of length %d", *gamma, sc.Len())
 		}
-		results = []sigsub.Result{res}
+		q = sigsub.MSSQuery().WithMinLength(max(*gamma, 0) + 1)
 	default:
 		return fmt.Errorf("unknown mode %q", *mode)
+	}
+	if *mode != "mss" {
+		qr, qerr := sc.Run(q, opts...)
+		if qerr != nil {
+			return qerr
+		}
+		if qr.Err != nil {
+			// A threshold scan past its result cap.
+			return qr.Err
+		}
+		results = qr.Results
 	}
 
 	if asJSON {

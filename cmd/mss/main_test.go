@@ -90,6 +90,13 @@ func TestMinlenMode(t *testing.T) {
 			}
 		}
 	}
+	// No substring is longer than a γ ≥ n.
+	for _, gamma := range []string{"15", "40"} {
+		err := runErr(t, "-text", "000001111100000", "-mode", "minlen", "-gamma", gamma)
+		if want := "sigsub: no substring of length > " + gamma + " in a string of length 15"; err.Error() != want {
+			t.Errorf("-gamma %s: error %q, want %q", gamma, err, want)
+		}
+	}
 }
 
 func TestAlgorithmSelection(t *testing.T) {

@@ -15,6 +15,20 @@ import (
 
 const demoText = "01011010111111111110010101"
 
+// libResults answers q on the library scanner, failing the test on any
+// error: the reference the daemon's answers are diffed against.
+func libResults(t *testing.T, sc *sigsub.Scanner, q sigsub.Query) []sigsub.Result {
+	t.Helper()
+	qr, err := sc.Run(q)
+	if err == nil {
+		err = qr.Err
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return qr.Results
+}
+
 func testServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	return testServerConfig(t, serverConfig{cacheBytes: 1 << 20, maxQueries: 16, maxWorkers: 8, maxText: 1 << 16})
@@ -182,10 +196,7 @@ func TestDaemonBatchMatchesLibrary(t *testing.T) {
 	if got.Text != demoText[mss.Start:mss.End] {
 		t.Errorf("snippet %q", got.Text)
 	}
-	top, err := sc.TopT(3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	top := libResults(t, sc, sigsub.TopTQuery(3))
 	if len(resp.Results[1].Results) != 3 {
 		t.Fatalf("top-t returned %d", len(resp.Results[1].Results))
 	}
@@ -194,10 +205,7 @@ func TestDaemonBatchMatchesLibrary(t *testing.T) {
 			t.Errorf("top-t %d: %v vs %v", i, resp.Results[1].Results[i].X2, top[i].X2)
 		}
 	}
-	th, err := sc.Threshold(8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	th := libResults(t, sc, sigsub.ThresholdQuery(8))
 	if len(resp.Results[2].Results) != len(th) {
 		t.Fatalf("threshold %d vs %d", len(resp.Results[2].Results), len(th))
 	}

@@ -125,14 +125,8 @@ func TestMSSDSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	top, err := sc.TopT(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	th, err := sc.Threshold(8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	top := libResults(t, sc, sigsub.TopTQuery(3))
+	th := libResults(t, sc, sigsub.ThresholdQuery(8))
 
 	if got := batch.Results[0].Results[0]; got.Start != mss.Start || got.End != mss.End || got.X2 != mss.X2 {
 		t.Errorf("daemon MSS %+v, library %+v", got, mss)
@@ -315,10 +309,7 @@ func TestMSSDSnapshotSmoke(t *testing.T) {
 	if got := second.Results[0].Results[0]; got.Start != mss.Start || got.End != mss.End || got.X2 != mss.X2 {
 		t.Errorf("post-restart MSS %+v, library %+v", got, mss)
 	}
-	top, err := sc.TopT(5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	top := libResults(t, sc, sigsub.TopTQuery(5))
 	for i := range top {
 		if second.Results[1].Results[i].X2 != top[i].X2 {
 			t.Errorf("post-restart top-t %d: %v vs %v", i, second.Results[1].Results[i].X2, top[i].X2)
@@ -475,19 +466,13 @@ func TestMSSDAppendSmoke(t *testing.T) {
 	if got := batch.Results[0].Results[0]; got.Start != mss.Start || got.End != mss.End || got.X2 != mss.X2 {
 		t.Errorf("post-restart MSS %+v, library %+v", got, mss)
 	}
-	top, err := sc.TopT(5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	top := libResults(t, sc, sigsub.TopTQuery(5))
 	for i := range top {
 		if batch.Results[1].Results[i].X2 != top[i].X2 {
 			t.Errorf("post-restart top-t %d: %v vs %v", i, batch.Results[1].Results[i].X2, top[i].X2)
 		}
 	}
-	th, err := sc.Threshold(10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	th := libResults(t, sc, sigsub.ThresholdQuery(10))
 	if len(batch.Results[2].Results) != len(th) {
 		t.Fatalf("threshold sizes %d vs %d", len(batch.Results[2].Results), len(th))
 	}
@@ -497,10 +482,7 @@ func TestMSSDAppendSmoke(t *testing.T) {
 			t.Errorf("threshold %d: %+v vs %+v", i, got, th[i])
 		}
 	}
-	mssMin, err := sc.MSSMinLength(7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mssMin := libResults(t, sc, sigsub.MSSQuery().WithMinLength(8))[0]
 	if got := batch.Results[3].Results[0]; got.Start != mssMin.Start || got.End != mssMin.End || got.X2 != mssMin.X2 {
 		t.Errorf("post-restart min-length MSS %+v, library %+v", got, mssMin)
 	}

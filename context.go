@@ -20,7 +20,7 @@ func (s *Scanner) RunContext(ctx context.Context, q Query, opts ...Option) (Quer
 		return QueryResult{}, errors.New("sigsub: cannot scan an empty string")
 	}
 	o := buildOptions(opts)
-	cq, err := s.lower(q, o)
+	cq, err := lowerQuery(q, s.sc.Len())
 	if err != nil {
 		return QueryResult{}, err
 	}
@@ -47,16 +47,7 @@ func (s *Scanner) RunBatchContext(ctx context.Context, qs []Query, opts ...Optio
 		return nil, errors.New("sigsub: cannot scan an empty string")
 	}
 	o := buildOptions(opts)
-	cqs := make([]core.Query, len(qs))
-	lowerErrs := make([]error, len(qs))
-	for i, q := range qs {
-		cq, err := s.lower(q, o)
-		if err != nil {
-			lowerErrs[i] = err
-			cq = core.Query{Kind: core.Kind(-1)}
-		}
-		cqs[i] = cq
-	}
+	cqs, lowerErrs := lowerBatch(qs, s.sc.Len())
 	rs := s.sc.RunBatchContext(ctx, o.engine(), cqs)
 	out := make([]QueryResult, len(rs))
 	var sum core.Stats

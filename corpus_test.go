@@ -117,11 +117,11 @@ func TestCorpusGoldenEquivalence(t *testing.T) {
 				t.Fatalf("%s w=%d: MSS %+v, want %+v", name, workers, gotMSS, wantMSS)
 			}
 
-			wantTop, err := ref.TopT(7, opts...)
+			wantTop, err := runResults(ref, TopTQuery(7), opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotTop, err := view.TopT(7, opts...)
+			gotTop, err := runResults(view, TopTQuery(7), opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -134,11 +134,11 @@ func TestCorpusGoldenEquivalence(t *testing.T) {
 				}
 			}
 
-			wantTh, err := ref.Threshold(9.5, opts...)
+			wantTh, err := runResults(ref, ThresholdQuery(9.5), opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotTh, err := view.Threshold(9.5, opts...)
+			gotTh, err := runResults(view, ThresholdQuery(9.5), opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -146,11 +146,11 @@ func TestCorpusGoldenEquivalence(t *testing.T) {
 				t.Fatalf("%s w=%d: threshold sets differ (%d vs %d results)", name, workers, len(gotTh), len(wantTh))
 			}
 
-			wantMin, err := ref.MSSMinLength(5, opts...)
+			wantMin, err := runBest(ref, MSSQuery().WithMinLength(6), opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotMin, err := view.MSSMinLength(5, opts...)
+			gotMin, err := runBest(view, MSSQuery().WithMinLength(6), opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -281,7 +281,7 @@ func TestCorpusConcurrentReadersWriter(t *testing.T) {
 					got, err = view.MSS()
 				} else {
 					var top []Result
-					top, err = view.TopT(3, WithWorkers(2))
+					top, err = runResults(view, TopTQuery(3), WithWorkers(2))
 					if err == nil && len(top) > 0 {
 						got = top[0]
 					}

@@ -21,14 +21,14 @@ func ExampleFindMSS() {
 	// window [8, 19), X² = 11.00
 }
 
-func ExampleScanner_TopT() {
+func ExampleScanner_Run_topT() {
 	codec, _ := sigsub.NewTextCodecSorted("01")
 	s, _ := codec.Encode("0000011111")
 	model, _ := sigsub.UniformModel(2)
 	sc, _ := sigsub.NewScanner(s, model)
 
-	top, _ := sc.TopT(3)
-	for i, r := range top {
+	top, _ := sc.Run(sigsub.TopTQuery(3))
+	for i, r := range top.Results {
 		fmt.Printf("%d. [%d, %d) X² = %.2f\n", i+1, r.Start, r.End, r.X2)
 	}
 	// Output:
@@ -37,7 +37,7 @@ func ExampleScanner_TopT() {
 	// 3. [5, 9) X² = 4.00
 }
 
-func ExampleScanner_Threshold() {
+func ExampleScanner_Run_threshold() {
 	codec, _ := sigsub.NewTextCodecSorted("01")
 	s, _ := codec.Encode("000000110101")
 	model, _ := sigsub.UniformModel(2)
@@ -45,8 +45,8 @@ func ExampleScanner_Threshold() {
 
 	// Everything significant at the 2% level for a binary alphabet.
 	cv, _ := sigsub.CriticalValue(0.02, 2)
-	hits, _ := sc.Threshold(cv)
-	fmt.Printf("threshold X² > %.2f: %d windows\n", cv, len(hits))
+	hits, _ := sc.Run(sigsub.ThresholdQuery(cv))
+	fmt.Printf("threshold X² > %.2f: %d windows\n", cv, len(hits.Results))
 	// Output:
 	// threshold X² > 5.41: 1 windows
 }

@@ -40,14 +40,14 @@ func main() {
 	}
 
 	// Top disjoint significant periods of at least two trading weeks.
-	periods, err := sc.DisjointTopT(6, 10)
+	periods, err := sc.Run(sigsub.DisjointQuery(6).WithMinLength(10))
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	fmt.Println("most significant periods:")
 	fmt.Printf("%-12s %-12s %9s %10s %9s %s\n", "start", "end", "days", "X²", "p-value", "change")
-	for _, r := range periods {
+	for _, r := range periods.Results {
 		first, last, err := series.Span(r.Start, r.End)
 		if err != nil {
 			log.Fatal(err)

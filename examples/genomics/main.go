@@ -77,14 +77,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	regions, err := sc.DisjointTopT(4, 200)
+	regions, err := sc.Run(sigsub.DisjointQuery(4).WithMinLength(200))
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	fmt.Println("most significant regions (≥ 200 bp):")
 	fmt.Printf("%-16s %8s %9s %7s %27s\n", "region", "len", "X²", "GC%", "composition A/C/G/T")
-	for _, r := range regions {
+	for _, r := range regions.Results {
 		counts := [4]int{}
 		for _, b := range seq[r.Start:r.End] {
 			counts[b]++

@@ -70,7 +70,7 @@ func main() {
 	}
 
 	// Alert on every disjoint window significant far beyond chance.
-	windows, err := sc.DisjointTopT(5, 50)
+	windows, err := sc.Run(sigsub.DisjointQuery(5).WithMinLength(50))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("anomalous windows (alert when X² > %.1f, i.e. p < 1e-6):\n", cv)
-	for _, w := range windows {
+	for _, w := range windows.Results {
 		if w.X2 <= cv {
 			continue
 		}

@@ -51,12 +51,12 @@ func main() {
 	}
 
 	// Problem 2: the top-3 substrings (they typically overlap the MSS).
-	top, err := sc.TopT(3)
+	top, err := sc.Run(sigsub.TopTQuery(3))
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("top-3 substrings by X²:")
-	for i, r := range top {
+	for i, r := range top.Results {
 		fmt.Printf("  %d. %v\n", i+1, r)
 	}
 	fmt.Println()
@@ -66,18 +66,21 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	hits, err := sc.Threshold(cv)
+	hits, err := sc.Run(sigsub.ThresholdQuery(cv))
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("%d substrings are significant at alpha = 0.001 (X² > %.2f)\n\n", len(hits), cv)
+	if hits.Err != nil {
+		log.Fatal(hits.Err) // more hits than the query's result cap
+	}
+	fmt.Printf("%d substrings are significant at alpha = 0.001 (X² > %.2f)\n\n", len(hits.Results), cv)
 
 	// Problem 4: the MSS among windows longer than 50.
-	long, err := sc.MSSMinLength(50)
+	long, err := sc.Run(sigsub.MSSQuery().WithMinLength(51))
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("MSS among windows longer than 50: %v\n", long)
+	fmt.Printf("MSS among windows longer than 50: %v\n", long.Results[0])
 
 	// How much work did the skip algorithm save?
 	var st sigsub.Stats

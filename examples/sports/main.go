@@ -35,13 +35,13 @@ func main() {
 	}
 
 	// Table-3 style: the five most significant disjoint patches.
-	patches, err := sc.DisjointTopT(5, 10)
+	patches, err := sc.Run(sigsub.DisjointQuery(5).WithMinLength(10))
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("most significant patches:")
 	fmt.Printf("%-12s %-12s %8s %6s %5s %7s\n", "start", "end", "X²", "games", "wins", "win%")
-	for _, r := range patches {
+	for _, r := range patches.Results {
 		first, last, err := series.Span(r.Start, r.End)
 		if err != nil {
 			log.Fatal(err)

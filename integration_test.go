@@ -210,8 +210,8 @@ func TestPipelineSportsAllAlgorithms(t *testing.T) {
 	}
 }
 
-// Pipeline 5: core scanner consistency — the public DisjointTopT agrees
-// with repeated internal MSSRange peeling.
+// Pipeline 5: core scanner consistency — the public disjoint query agrees
+// with the internal range-scoped MSS scan its peel starts from.
 func TestPipelineDisjointConsistency(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	m := mustUniform(t, 3)
@@ -220,7 +220,7 @@ func TestPipelineDisjointConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sc.DisjointTopT(3, 4)
+	res, err := runResults(sc, DisjointQuery(3).WithMinLength(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,8 +233,8 @@ func TestPipelineDisjointConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, _ := isc.MSSRange(0, 400, 4)
+	first := isc.RunQuery(core.Engine{Workers: 1}, core.Query{Kind: core.KindMSS, MinLen: 4, Hi: 400}).Best()
 	if len(res) == 0 || math.Abs(res[0].X2-first.X2) > 1e-9 {
-		t.Errorf("public DisjointTopT[0] %v vs internal MSSRange %v", res[0], first)
+		t.Errorf("public disjoint query [0] %v vs internal range MSS %v", res[0], first)
 	}
 }

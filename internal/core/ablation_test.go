@@ -16,7 +16,7 @@ func TestVariantZeroEqualsExact(t *testing.T) {
 		m := alphabet.MustUniform(k)
 		sc := mustScanner(t, randomString(rng, n, k), m)
 		a, stA := sc.MSSWithVariant(SkipVariant{})
-		b, stB := sc.MSS()
+		b, stB := mssOf(sc, sequential, 1)
 		if a != b {
 			t.Fatalf("trial %d: variant %+v vs exact %+v", trial, a, b)
 		}
@@ -52,7 +52,7 @@ func TestVariantAccuracyAndSavings(t *testing.T) {
 			n := 50 + rng.Intn(300)
 			m := alphabet.MustUniform(k)
 			sc := mustScanner(t, randomString(rng, n, k), m)
-			exact, stE := sc.MSS()
+			exact, stE := mssOf(sc, sequential, 1)
 			got, stV := sc.MSSWithVariant(v)
 			evalExact += stE.Evaluated
 			evalVariant += stV.Evaluated
@@ -85,7 +85,7 @@ func TestVariantRoundUpMissRate(t *testing.T) {
 		n := 50 + rng.Intn(300)
 		m := alphabet.MustUniform(k)
 		sc := mustScanner(t, randomString(rng, n, k), m)
-		exact, _ := sc.MSS()
+		exact, _ := mssOf(sc, sequential, 1)
 		got, _ := sc.MSSWithVariant(SkipVariant{RoundUp: true})
 		if !almostEqual(got.X2, exact.X2) {
 			misses++
@@ -114,7 +114,7 @@ func TestVariantSingleCharBinary(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		m := alphabet.MustUniform(2)
 		sc := mustScanner(t, randomString(rng, 200+rng.Intn(200), 2), m)
-		exact, _ := sc.MSS()
+		exact, _ := mssOf(sc, sequential, 1)
 		got, _ := sc.MSSWithVariant(SkipVariant{SingleChar: true})
 		if !almostEqual(got.X2, exact.X2) {
 			misses++

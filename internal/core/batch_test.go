@@ -154,7 +154,7 @@ func TestRunBatchCompositeAndStreaming(t *testing.T) {
 		{Kind: KindMSS, Hi: n},
 	}
 	out := sc.RunBatch(Engine{Workers: 1}, qs)
-	soloDisjoint, _, err := sc.DisjointTopT(2, 5)
+	soloDisjoint, _, err := disjointOf(sc, sequential, 2, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestRunBatchCompositeAndStreaming(t *testing.T) {
 		}
 	}
 	var soloStream []Scored
-	sc.Threshold(6, func(s Scored) { soloStream = append(soloStream, s) })
+	thresholdOf(sc, sequential, 6, 1, func(s Scored) { soloStream = append(soloStream, s) })
 	if len(streamed) != len(soloStream) {
 		t.Fatalf("streamed %d hits, solo %d", len(streamed), len(soloStream))
 	}
@@ -176,7 +176,7 @@ func TestRunBatchCompositeAndStreaming(t *testing.T) {
 			t.Errorf("streamed hit %d diverges", i)
 		}
 	}
-	if best, _ := sc.MSS(); out[2].Best() != best {
+	if best, _ := mssOf(sc, sequential, 1); out[2].Best() != best {
 		t.Error("MSS in mixed batch diverges")
 	}
 }

@@ -25,6 +25,46 @@ func mustScanner(t *testing.T, s []byte, m *alphabet.Model) *Scanner {
 	return sc
 }
 
+// sequential is the paper-faithful one-worker engine.
+var sequential = Engine{Workers: 1}
+
+// mssOf, rangeMSS, topTOf, thresholdOf, collectAbove, countAbove and
+// disjointOf run one query plan through RunQuery, over the whole string
+// unless a range is given — shorthands for the plans the tests check most.
+func mssOf(sc *Scanner, e Engine, minLen int) (Scored, Stats) {
+	return rangeMSS(sc, e, 0, sc.Len(), minLen)
+}
+
+func rangeMSS(sc *Scanner, e Engine, lo, hi, minLen int) (Scored, Stats) {
+	r := sc.RunQuery(e, Query{Kind: KindMSS, MinLen: minLen, Lo: lo, Hi: hi})
+	return r.Best(), r.Stats
+}
+
+func topTOf(sc *Scanner, e Engine, t, minLen int) ([]Scored, Stats, error) {
+	r := sc.RunQuery(e, Query{Kind: KindTopT, T: t, MinLen: minLen, Hi: sc.Len()})
+	return r.Results, r.Stats, r.Err
+}
+
+func thresholdOf(sc *Scanner, e Engine, alpha float64, minLen int, visit func(Scored)) Stats {
+	return sc.RunQuery(e, Query{Kind: KindThreshold, Alpha: alpha, MinLen: minLen, Hi: sc.Len(), Visit: visit}).Stats
+}
+
+func collectAbove(sc *Scanner, e Engine, alpha float64, limit int) ([]Scored, Stats, error) {
+	r := sc.RunQuery(e, Query{Kind: KindThreshold, Alpha: alpha, Hi: sc.Len(), Limit: limit})
+	return r.Results, r.Stats, r.Err
+}
+
+func countAbove(sc *Scanner, alpha float64) (int64, Stats) {
+	var count int64
+	st := thresholdOf(sc, sequential, alpha, 1, func(Scored) { count++ })
+	return count, st
+}
+
+func disjointOf(sc *Scanner, e Engine, t, minLen int) ([]Scored, Stats, error) {
+	r := sc.RunQuery(e, Query{Kind: KindDisjoint, T: t, MinLen: minLen, Hi: sc.Len()})
+	return r.Results, r.Stats, r.Err
+}
+
 func randomString(rng *rand.Rand, n, k int) []byte {
 	s := make([]byte, n)
 	for i := range s {
@@ -67,12 +107,12 @@ func TestIntervalHelpers(t *testing.T) {
 func TestMSSEmptyAndSingle(t *testing.T) {
 	m := alphabet.MustUniform(2)
 	sc := mustScanner(t, nil, m)
-	got, st := sc.MSS()
+	got, st := mssOf(sc, sequential, 1)
 	if got.X2 != 0 || st.Evaluated != 0 {
 		t.Errorf("empty MSS = %+v stats %+v", got, st)
 	}
 	sc = mustScanner(t, []byte{1}, m)
-	got, st = sc.MSS()
+	got, st = mssOf(sc, sequential, 1)
 	// Single character: X² = (1−.5)²/.5 + (0−.5)²/.5 = 1.
 	if !almostEqual(got.X2, 1) || got.Start != 0 || got.End != 1 {
 		t.Errorf("single-char MSS = %+v", got)
@@ -88,7 +128,7 @@ func TestMSSHandComputed(t *testing.T) {
 	// with 3... but "0001" substring "00" has 2, "0" has 1. MSS = [0,3).
 	m := alphabet.MustUniform(2)
 	sc := mustScanner(t, []byte{0, 0, 0, 1}, m)
-	got, _ := sc.MSS()
+	got, _ := mssOf(sc, sequential, 1)
 	if got.Start != 0 || got.End != 3 || !almostEqual(got.X2, 3) {
 		t.Errorf("MSS(0001) = %+v, want [0,3) X²=3", got)
 	}
@@ -102,7 +142,7 @@ func TestMSSMatchesTrivialUniform(t *testing.T) {
 		m := alphabet.MustUniform(k)
 		s := randomString(rng, n, k)
 		sc := mustScanner(t, s, m)
-		exact, _ := sc.MSS()
+		exact, _ := mssOf(sc, sequential, 1)
 		ref, _ := sc.Trivial()
 		if !almostEqual(exact.X2, ref.X2) {
 			t.Fatalf("trial %d (n=%d k=%d): MSS X²=%.10g at %v, trivial %.10g at %v",
@@ -124,7 +164,7 @@ func TestMSSMatchesTrivialSkewedModels(t *testing.T) {
 		n := 1 + rng.Intn(300)
 		s := randomString(rng, n, m.K())
 		sc := mustScanner(t, s, m)
-		exact, _ := sc.MSS()
+		exact, _ := mssOf(sc, sequential, 1)
 		ref, _ := sc.Trivial()
 		if !almostEqual(exact.X2, ref.X2) {
 			t.Fatalf("trial %d (n=%d model=%v): MSS %.10g vs trivial %.10g",
@@ -150,7 +190,7 @@ func TestMSSMatchesTrivialMismatchedData(t *testing.T) {
 		// Deliberately scan under the uniform model even for skewed sources.
 		m := alphabet.MustUniform(g.Model().K())
 		sc := mustScanner(t, s, m)
-		exact, _ := sc.MSS()
+		exact, _ := mssOf(sc, sequential, 1)
 		ref, _ := sc.Trivial()
 		if !almostEqual(exact.X2, ref.X2) {
 			t.Fatalf("trial %d (%s n=%d): MSS %.10g vs trivial %.10g", trial, g.Name(), n, exact.X2, ref.X2)
@@ -178,7 +218,7 @@ func TestMSSSkipsWork(t *testing.T) {
 	m := alphabet.MustUniform(2)
 	s := randomString(rng, 2000, 2)
 	sc := mustScanner(t, s, m)
-	_, st := sc.MSS()
+	_, st := mssOf(sc, sequential, 1)
 	if st.Total() != sc.TotalSubstrings() {
 		t.Errorf("Evaluated+Skipped = %d, want %d", st.Total(), sc.TotalSubstrings())
 	}
@@ -252,7 +292,7 @@ func TestMSSMinLengthMatchesTrivial(t *testing.T) {
 		m := alphabet.MustUniform(k)
 		s := randomString(rng, n, k)
 		sc := mustScanner(t, s, m)
-		a, _ := sc.MSSMinLength(gamma)
+		a, _ := mssOf(sc, sequential, gamma+1)
 		b, _ := sc.TrivialMinLength(gamma)
 		if !almostEqual(a.X2, b.X2) {
 			t.Fatalf("trial %d (n=%d Γ=%d): minlen %.10g vs trivial %.10g", trial, n, gamma, a.X2, b.X2)
@@ -267,13 +307,13 @@ func TestMSSMinLengthEdges(t *testing.T) {
 	m := alphabet.MustUniform(2)
 	sc := mustScanner(t, []byte{0, 1, 0}, m)
 	// Γ ≥ n: no qualifying substring.
-	got, st := sc.MSSMinLength(3)
+	got, st := mssOf(sc, sequential, 4)
 	if got.X2 != 0 || st.Evaluated != 0 {
 		t.Errorf("Γ=n: got %+v stats %+v", got, st)
 	}
 	// Γ negative behaves like plain MSS.
-	a, _ := sc.MSSMinLength(-5)
-	b, _ := sc.MSS()
+	a, _ := mssOf(sc, sequential, -4)
+	b, _ := mssOf(sc, sequential, 1)
 	if a != b {
 		t.Errorf("negative Γ: %+v vs %+v", a, b)
 	}
@@ -297,7 +337,7 @@ func TestTopTMatchesTrivial(t *testing.T) {
 		m := alphabet.MustUniform(k)
 		s := randomString(rng, n, k)
 		sc := mustScanner(t, s, m)
-		a, _, err := sc.TopT(tt)
+		a, _, err := topTOf(sc, sequential, tt, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -322,7 +362,7 @@ func TestTopTDescendingAndSized(t *testing.T) {
 	m := alphabet.MustUniform(2)
 	s := randomString(rng, 100, 2)
 	sc := mustScanner(t, s, m)
-	res, _, err := sc.TopT(25)
+	res, _, err := topTOf(sc, sequential, 25, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,11 +375,11 @@ func TestTopTDescendingAndSized(t *testing.T) {
 		}
 	}
 	// t=1 must agree with MSS.
-	one, _, err := sc.TopT(1)
+	one, _, err := topTOf(sc, sequential, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mss, _ := sc.MSS()
+	mss, _ := mssOf(sc, sequential, 1)
 	if !almostEqual(one[0].X2, mss.X2) {
 		t.Errorf("TopT(1) %.10g vs MSS %.10g", one[0].X2, mss.X2)
 	}
@@ -349,7 +389,7 @@ func TestTopTLargerThanSubstringCount(t *testing.T) {
 	m := alphabet.MustUniform(2)
 	s := []byte{0, 1, 0}
 	sc := mustScanner(t, s, m)
-	res, _, err := sc.TopT(100)
+	res, _, err := topTOf(sc, sequential, 100, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +401,7 @@ func TestTopTLargerThanSubstringCount(t *testing.T) {
 func TestTopTErrors(t *testing.T) {
 	m := alphabet.MustUniform(2)
 	sc := mustScanner(t, []byte{0, 1}, m)
-	if _, _, err := sc.TopT(0); err == nil {
+	if _, _, err := topTOf(sc, sequential, 0, 1); err == nil {
 		t.Error("TopT(0): expected error")
 	}
 	if _, _, err := sc.TrivialTopT(-1); err == nil {
@@ -386,10 +426,10 @@ func TestThresholdMatchesTrivial(t *testing.T) {
 		s := randomString(rng, n, k)
 		sc := mustScanner(t, s, m)
 		// Pick alpha between median and max X² so the output is non-trivial.
-		mss, _ := sc.MSS()
+		mss, _ := mssOf(sc, sequential, 1)
 		alpha := mss.X2 * (0.3 + 0.6*rng.Float64())
 		var ours, ref []Scored
-		sc.Threshold(alpha, func(r Scored) { ours = append(ours, r) })
+		thresholdOf(sc, sequential, alpha, 1, func(r Scored) { ours = append(ours, r) })
 		sc.TrivialThreshold(alpha, func(r Scored) { ref = append(ref, r) })
 		if len(ours) != len(ref) {
 			t.Fatalf("trial %d (n=%d α=%.4g): %d vs %d results", trial, n, alpha, len(ours), len(ref))
@@ -412,7 +452,7 @@ func TestThresholdAllAboveAreReported(t *testing.T) {
 	m := alphabet.MustUniform(2)
 	s := []byte{0, 0, 1, 0, 1, 1, 1, 0}
 	sc := mustScanner(t, s, m)
-	count, st := sc.ThresholdCount(0)
+	count, st := countAbove(sc, 0)
 	var refCount int64
 	sc.TrivialThreshold(0, func(Scored) { refCount++ })
 	if count != refCount {
@@ -428,10 +468,10 @@ func TestThresholdCollectLimit(t *testing.T) {
 	m := alphabet.MustUniform(2)
 	s := randomString(rng, 200, 2)
 	sc := mustScanner(t, s, m)
-	if _, _, err := sc.ThresholdCollect(0, 5); err == nil {
+	if _, _, err := collectAbove(sc, sequential, 0, 5); err == nil {
 		t.Error("expected overflow error with tiny limit")
 	}
-	res, _, err := sc.ThresholdCollect(1e18, 5)
+	res, _, err := collectAbove(sc, sequential, 1e18, 5)
 	if err != nil || len(res) != 0 {
 		t.Errorf("huge alpha: res=%d err=%v", len(res), err)
 	}
@@ -442,13 +482,13 @@ func TestThresholdSkipsWhenAlphaHigh(t *testing.T) {
 	m := alphabet.MustUniform(2)
 	s := randomString(rng, 3000, 2)
 	sc := mustScanner(t, s, m)
-	mss, _ := sc.MSS()
-	_, stHigh := sc.ThresholdCount(mss.X2 + 10)
+	mss, _ := mssOf(sc, sequential, 1)
+	_, stHigh := countAbove(sc, mss.X2+10)
 	if stHigh.Evaluated >= sc.TotalSubstrings()/2 {
 		t.Errorf("high threshold evaluated %d of %d substrings", stHigh.Evaluated, sc.TotalSubstrings())
 	}
 	// Lower thresholds cost at least as many iterations (paper Fig. 6).
-	_, stLow := sc.ThresholdCount(mss.X2 / 2)
+	_, stLow := countAbove(sc, mss.X2/2)
 	if stLow.Evaluated < stHigh.Evaluated {
 		t.Errorf("low threshold %d evaluated fewer than high %d", stLow.Evaluated, stHigh.Evaluated)
 	}
@@ -518,7 +558,7 @@ func TestHeuristicsNeverBeatMSS(t *testing.T) {
 		m := alphabet.MustUniform(k)
 		s := randomString(rng, n, k)
 		sc := mustScanner(t, s, m)
-		mss, _ := sc.MSS()
+		mss, _ := mssOf(sc, sequential, 1)
 		arlm, _ := sc.ARLM()
 		agmm, _ := sc.AGMM()
 		if arlm.X2 > mss.X2+valueTol {
@@ -546,7 +586,7 @@ func TestMSSFindsPlantedAnomaly(t *testing.T) {
 		}
 		s := g.Generate(1000, rng)
 		sc := mustScanner(t, s, base)
-		mss, _ := sc.MSS()
+		mss, _ := mssOf(sc, sequential, 1)
 		// Overlap check: the found interval must intersect the planted one.
 		if mss.End <= start || mss.Start >= start+width {
 			t.Errorf("trial %d: MSS %v misses planted window [%d,%d)", trial, mss.Interval, start, start+width)

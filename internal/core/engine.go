@@ -11,9 +11,9 @@ import (
 )
 
 // Engine configures how a scan executes. Engine{Workers: 1} reproduces the
-// paper-faithful sequential scan exactly (it is what every legacy entry
-// point passes); the zero value resolves Workers to GOMAXPROCS and shards
-// the start positions of the same exact algorithm across a worker pool.
+// paper-faithful sequential scan exactly; the zero value resolves Workers to
+// GOMAXPROCS and shards the start positions of the same exact algorithm
+// across a worker pool.
 //
 // Start positions are independent given a skip budget, so the chain-cover
 // scan parallelizes by partitioning starts into contiguous chunks that
@@ -327,7 +327,12 @@ func (s *sharedHeap) offer(it topheap.Item) {
 }
 
 // engineTopT is the engine entry point for top-t scans: the t largest-X²
-// substrings of s[lo:hi) with length ≥ minLen.
+// substrings of s[lo:hi) with length ≥ minLen. It is the paper's Algorithm
+// 2: the MSS scan with the t-th largest X² seen so far as the skip budget
+// (the minimum of a capacity-t heap, or 0 while the heap still has room).
+// Substrings skipped by the chain-cover bound have X² no greater than the
+// running t-th best and therefore can never displace a heap entry. The
+// result holds min(t, candidates) substrings in descending X² order.
 //
 // The X² value multiset of the result is identical to the sequential scan's:
 // any substring beating the final t-th best is never skipped (every budget
@@ -410,7 +415,7 @@ func (sc *Scanner) engineTopT(e Engine, t, lo, hi, minLen int) ([]Scored, Stats,
 	return itemsToScored(h.Items()), st, nil
 }
 
-// toptSeq is the sequential top-t scan shared by every top-t entry point.
+// toptSeq is the sequential top-t scan.
 func (sc *Scanner) toptSeq(e Engine, t, lo, hi, minLen int) ([]Scored, Stats, error) {
 	h, err := topheap.New(t)
 	if err != nil {
@@ -543,8 +548,7 @@ func (sc *Scanner) engineThreshold(e Engine, alpha float64, lo, hi, minLen, cap 
 	return st
 }
 
-// thresholdSeq is the sequential threshold scan shared by every threshold
-// entry point.
+// thresholdSeq is the sequential threshold scan.
 func (sc *Scanner) thresholdSeq(e Engine, alpha float64, lo, hi, minLen int, visit func(Scored)) Stats {
 	var st Stats
 	cur := sc.newRoll()
@@ -580,9 +584,13 @@ func (sc *Scanner) thresholdSeq(e Engine, alpha float64, lo, hi, minLen int, vis
 
 // --- Disjoint top-t ---
 
-// disjointRange is the greedy peel behind every disjoint top-t entry point:
-// the range's MSS is taken first, its interval removed, and the two
-// remaining segments searched recursively, each sub-scan on the engine.
+// disjointRange is the greedy peel behind KindDisjoint: up to t pairwise
+// non-overlapping substrings in decreasing X² order. The range's MSS is
+// taken first, its interval removed, and the two remaining segments
+// searched recursively, each sub-scan on the engine. This is how the
+// experiment harness reports "top patches" as humans expect them (the
+// paper's Tables 3 and 5 list disjoint periods, whereas the raw top-t set of
+// Problem 2 is dominated by overlapping variants of the strongest window).
 func (sc *Scanner) disjointRange(e Engine, t, rangeLo, rangeHi, minLen int) ([]Scored, Stats, error) {
 	if err := validateT(t); err != nil {
 		return nil, Stats{}, err

@@ -78,9 +78,9 @@ func requireSameTotals(t *testing.T, label string, seq, par Stats) {
 // Problem 1: the parallel MSS must return the identical interval and X².
 func TestParallelMSSGolden(t *testing.T) {
 	for ci, sc := range engineCases(t) {
-		seq, seqSt := sc.MSS()
+		seq, seqSt := mssOf(sc, sequential, 1)
 		for _, e := range engineGrid {
-			par, parSt := sc.MSSWith(e)
+			par, parSt := mssOf(sc, e, 1)
 			label := caseLabel("mss", ci, e)
 			requireSameScored(t, label, seq, par)
 			requireSameTotals(t, label, seqSt, parSt)
@@ -94,18 +94,18 @@ func TestParallelMinLengthAndRangeGolden(t *testing.T) {
 	for ci, sc := range engineCases(t) {
 		n := sc.Len()
 		for _, gamma := range []int{1, 5, n / 3} {
-			seq, seqSt := sc.MSSMinLength(gamma)
+			seq, seqSt := mssOf(sc, sequential, gamma+1)
 			for _, e := range engineGrid {
-				par, parSt := sc.MSSMinLengthWith(e, gamma)
+				par, parSt := mssOf(sc, e, gamma+1)
 				label := caseLabel("minlen", ci, e)
 				requireSameScored(t, label, seq, par)
 				requireSameTotals(t, label, seqSt, parSt)
 			}
 		}
 		lo, hi := n/5, n-n/4
-		seq, _ := sc.MSSRange(lo, hi, 2)
+		seq, _ := rangeMSS(sc, sequential, lo, hi, 2)
 		for _, e := range engineGrid {
-			par, _ := sc.MSSRangeWith(e, lo, hi, 2)
+			par, _ := rangeMSS(sc, e, lo, hi, 2)
 			requireSameScored(t, caseLabel("range", ci, e), seq, par)
 		}
 	}
@@ -117,12 +117,12 @@ func TestParallelMinLengthAndRangeGolden(t *testing.T) {
 func TestParallelTopTGolden(t *testing.T) {
 	for ci, sc := range engineCases(t) {
 		for _, tt := range []int{1, 7, 40} {
-			seq, seqSt, err := sc.TopT(tt)
+			seq, seqSt, err := topTOf(sc, sequential, tt, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, e := range engineGrid {
-				par, parSt, err := sc.TopTWith(e, tt)
+				par, parSt, err := topTOf(sc, e, tt, 1)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -153,13 +153,13 @@ func TestParallelThresholdGolden(t *testing.T) {
 		if sc.Len() < 10 {
 			continue
 		}
-		mss, _ := sc.MSS()
+		mss, _ := mssOf(sc, sequential, 1)
 		for _, alpha := range []float64{mss.X2 * 0.8, mss.X2 * 0.5} {
 			var seq []Scored
-			seqSt := sc.Threshold(alpha, func(s Scored) { seq = append(seq, s) })
+			seqSt := thresholdOf(sc, sequential, alpha, 1, func(s Scored) { seq = append(seq, s) })
 			for _, e := range engineGrid {
 				var par []Scored
-				parSt := sc.ThresholdWith(e, alpha, func(s Scored) { par = append(par, s) })
+				parSt := thresholdOf(sc, e, alpha, 1, func(s Scored) { par = append(par, s) })
 				label := caseLabel("threshold", ci, e)
 				if len(par) != len(seq) {
 					t.Errorf("%s: %d results, sequential %d", label, len(par), len(seq))
@@ -183,15 +183,15 @@ func TestParallelThresholdGolden(t *testing.T) {
 // return exactly the sequential first-limit prefix and the overflow error.
 func TestParallelThresholdCollectLimit(t *testing.T) {
 	sc := mustScanner(t, randomString(rand.New(rand.NewSource(5)), 800, 2), alphabet.MustUniform(2))
-	mss, _ := sc.MSS()
+	mss, _ := mssOf(sc, sequential, 1)
 	alpha := mss.X2 * 0.3 // low threshold: many qualifying substrings
 	const limit = 25
-	seq, _, seqErr := sc.ThresholdCollect(alpha, limit)
+	seq, _, seqErr := collectAbove(sc, sequential, alpha, limit)
 	if seqErr == nil {
 		t.Fatalf("fixture too weak: sequential collect did not overflow (%d results)", len(seq))
 	}
 	for _, e := range engineGrid {
-		par, _, parErr := sc.ThresholdCollectWith(e, alpha, limit)
+		par, _, parErr := collectAbove(sc, e, alpha, limit)
 		label := caseLabel("collect", 0, e)
 		if parErr == nil {
 			t.Errorf("%s: overflow error lost", label)
@@ -213,12 +213,12 @@ func TestParallelThresholdCollectLimit(t *testing.T) {
 // produce the identical disjoint set.
 func TestParallelDisjointTopTGolden(t *testing.T) {
 	for ci, sc := range engineCases(t) {
-		seq, _, err := sc.DisjointTopT(4, 3)
+		seq, _, err := disjointOf(sc, sequential, 4, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, e := range engineGrid {
-			par, _, err := sc.DisjointTopTWith(e, 4, 3)
+			par, _, err := disjointOf(sc, e, 4, 3)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -245,8 +245,8 @@ func TestWarmStartSoundAndHelpful(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc := mustScanner(t, planted.Generate(4000, rand.New(rand.NewSource(11))), base)
-	cold, coldSt := sc.MSS()
-	warm, warmSt := sc.MSSWith(Engine{Workers: 1, WarmStart: true})
+	cold, coldSt := mssOf(sc, sequential, 1)
+	warm, warmSt := mssOf(sc, Engine{Workers: 1, WarmStart: true}, 1)
 	requireSameScored(t, "warm", cold, warm)
 	requireSameTotals(t, "warm", coldSt, warmSt)
 	if warmSt.Evaluated > coldSt.Evaluated {

@@ -6,46 +6,16 @@ import (
 	"repro/internal/chisq"
 )
 
-// This file holds the MSS-family entry points. Each is a thin constructor
-// that lowers its arguments to a Query and hands it to RunQuery — the single
-// dispatch path onto the chain-cover engine (engine.go). The scan itself is
-// the paper's Algorithm 1: start positions are visited right-to-left; for
-// each start, ending positions are scanned left-to-right, and after each
-// evaluated substring the chain-cover bound (Theorem 1, quadratic Eq. 21)
-// yields the longest extension that provably cannot beat the best value seen
-// so far, which the scan skips wholesale. Under the null model the expected
-// skip is ω(√l), giving O(k·n^{3/2}) total work with high probability; on
-// strings that deviate from the null model the skips only grow (§5.1).
-
-// MSS finds the Most Significant Substring — the substring with the maximum
-// chi-square value (Problem 1). For an empty string MSS returns the zero
-// Scored value. MSSWith runs the same scan on the parallel engine.
-func (sc *Scanner) MSS() (Scored, Stats) {
-	return sc.MSSWith(Engine{Workers: 1})
-}
-
-// MSSWith runs the Problem 1 scan under the given engine configuration.
-func (sc *Scanner) MSSWith(e Engine) (Scored, Stats) {
-	r := sc.RunQuery(e, Query{Kind: KindMSS, Hi: len(sc.s)})
-	return r.Best(), r.Stats
-}
-
-// MSSMinLength solves Problem 4: the maximum-X² substring among substrings
-// of length strictly greater than gamma (paper §6.3). gamma < 0 is treated
-// as 0; if no substring is long enough the zero Scored value is returned.
-func (sc *Scanner) MSSMinLength(gamma int) (Scored, Stats) {
-	return sc.MSSMinLengthWith(Engine{Workers: 1}, gamma)
-}
-
-// MSSMinLengthWith runs the Problem 4 scan under the given engine
-// configuration.
-func (sc *Scanner) MSSMinLengthWith(e Engine, gamma int) (Scored, Stats) {
-	if gamma < 0 {
-		gamma = 0
-	}
-	r := sc.RunQuery(e, Query{Kind: KindMSS, MinLen: gamma + 1, Hi: len(sc.s)})
-	return r.Best(), r.Stats
-}
+// This file holds the sequential scan behind KindMSS queries (RunQuery and
+// the engine reach it through engineMSSRange). The scan is the paper's
+// Algorithm 1: start positions are visited right-to-left; for each start,
+// ending positions are scanned left-to-right, and after each evaluated
+// substring the chain-cover bound (Theorem 1, quadratic Eq. 21) yields the
+// longest extension that provably cannot beat the best value seen so far,
+// which the scan skips wholesale. Under the null model the expected skip is
+// ω(√l), giving O(k·n^{3/2}) total work with high probability; on strings
+// that deviate from the null model the skips only grow (§5.1). A length
+// floor (Problem 4, §6.3) only shrinks the scanned range.
 
 // mssRangeWarm is the sequential MSS scan with an optional warm-start skip
 // budget: warm < 0 disables it, warm ≥ 0 must be the X² of an actual
@@ -145,22 +115,4 @@ func validateT(t int) error {
 		return fmt.Errorf("core: top-t requires t >= 1, got %d", t)
 	}
 	return nil
-}
-
-// DisjointTopT returns up to t pairwise non-overlapping substrings in
-// decreasing X² order, greedily: the MSS is taken first, its interval is
-// removed, and the two remaining segments are searched recursively. This is
-// how the experiment harness reports "top patches" as humans expect them
-// (the paper's Tables 3 and 5 list disjoint periods, whereas the raw top-t
-// set of Problem 2 is dominated by overlapping variants of the strongest
-// window). minLen ≥ 1 restricts candidate lengths.
-func (sc *Scanner) DisjointTopT(t, minLen int) ([]Scored, Stats, error) {
-	return sc.DisjointTopTWith(Engine{Workers: 1}, t, minLen)
-}
-
-// DisjointTopTWith is DisjointTopT under an engine configuration: each
-// segment's MSS sub-scan runs on the engine.
-func (sc *Scanner) DisjointTopTWith(e Engine, t, minLen int) ([]Scored, Stats, error) {
-	r := sc.RunQuery(e, Query{Kind: KindDisjoint, T: t, MinLen: minLen, Hi: len(sc.s)})
-	return r.Results, r.Stats, r.Err
 }

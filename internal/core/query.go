@@ -18,7 +18,7 @@ const (
 	// KindThreshold asks for every substring with X² > Alpha (Problem 3).
 	KindThreshold
 	// KindDisjoint asks for up to T pairwise non-overlapping substrings in
-	// decreasing X² order (the greedy peel of DisjointTopT). It is a
+	// decreasing X² order (the greedy peel of disjointRange). It is a
 	// composite of KindMSS sub-queries rather than a single engine pass.
 	KindDisjoint
 )
@@ -39,8 +39,8 @@ func (k Kind) String() string {
 	}
 }
 
-// Query is the unified plan every mining entry point lowers to: one problem
-// kind plus the knobs that compose with it. The zero values of the knobs
+// Query is the plan RunQuery and RunBatch execute: one problem kind plus
+// the knobs that compose with it. The zero values of the knobs
 // mean "unrestricted" except for Lo/Hi, which are literal — callers that
 // want the whole string pass Lo: 0, Hi: Len() (the public API's sentinel
 // translation happens above this layer, so core semantics stay exact).
@@ -57,7 +57,7 @@ type Query struct {
 	MinLen int
 	// Lo, Hi restrict candidates to the segment s[Lo:Hi). Lo is clamped to
 	// 0 and Hi to Len(); Hi < Lo yields an empty candidate set, not an
-	// error, matching the legacy MSSRange semantics.
+	// error.
 	Lo, Hi int
 	// Limit caps the collected result count for KindThreshold (≤ 0 means
 	// unlimited). Exceeding it sets QueryResult.Err while still returning
@@ -65,7 +65,13 @@ type Query struct {
 	Limit int
 	// Visit, when non-nil on a KindThreshold query, streams each
 	// qualifying substring instead of collecting into Results. Limit is
-	// ignored in that case. Other kinds ignore Visit.
+	// ignored in that case. Other kinds ignore Visit. Visit is always
+	// invoked from the calling goroutine in the sequential scan's (start
+	// desc, end asc) order; under parallelism the qualifying substrings are
+	// buffered per chunk and replayed in order after the workers finish, so
+	// visitors that need streaming delivery (or scans whose result sets are
+	// too large to buffer) should use Workers: 1 or collect with a Limit,
+	// which also bounds the parallel buffering.
 	Visit func(Scored)
 }
 
@@ -137,8 +143,8 @@ func (q Query) candidates() int64 {
 	return r * (r + 1) / 2
 }
 
-// RunQuery plans q onto the chain-cover engine: the single dispatch path
-// behind every public problem variant. Invalid queries report their error
+// RunQuery plans q onto the chain-cover engine: the single-query dispatch
+// path behind every problem variant. Invalid queries report their error
 // in QueryResult.Err; valid queries with empty candidate sets (range
 // smaller than the length floor) return empty Results and zero Stats.
 func (sc *Scanner) RunQuery(e Engine, q Query) QueryResult {

@@ -48,10 +48,10 @@ func bruteMSSRange(sc *Scanner, lo, hi, minLen int) Scored {
 	return best
 }
 
-// TestRunQueryGolden checks the unified Query dispatch against independent
-// brute-force oracles and against the legacy entry points, for each of the
-// paper's Problems 1–4 plus the range/min-length combinations, sequentially
-// and on the 8-worker engine (CI runs this under -race).
+// TestRunQueryGolden checks the unified Query dispatch on the parallel
+// engines against the sequential one, for each of the paper's Problems 1–4
+// plus the range/min-length combinations (CI runs this under -race);
+// TestRunQueryOracles checks it against brute force.
 func TestRunQueryGolden(t *testing.T) {
 	sc := queryFixture(t, 900, 3, 7)
 	n := sc.Len()
@@ -147,46 +147,6 @@ func TestRunQueryOracles(t *testing.T) {
 						seed, c.lo, c.hi, c.minLen, e.Workers, got, want)
 				}
 			}
-		}
-	}
-}
-
-// TestRunQueryMatchesLegacy locks the thin legacy constructors to the Query
-// path they lower to.
-func TestRunQueryMatchesLegacy(t *testing.T) {
-	sc := queryFixture(t, 500, 4, 11)
-	n := sc.Len()
-
-	if legacy, _ := sc.MSS(); legacy != sc.RunQuery(Engine{Workers: 1}, Query{Kind: KindMSS, Hi: n}).Best() {
-		t.Error("MSS diverges from its Query plan")
-	}
-	if legacy, _ := sc.MSSMinLength(30); legacy != sc.RunQuery(Engine{Workers: 1}, Query{Kind: KindMSS, MinLen: 31, Hi: n}).Best() {
-		t.Error("MSSMinLength diverges from its Query plan")
-	}
-	if legacy, _ := sc.MSSRange(40, 400, 8); legacy != sc.RunQuery(Engine{Workers: 1}, Query{Kind: KindMSS, Lo: 40, Hi: 400, MinLen: 8}).Best() {
-		t.Error("MSSRange diverges from its Query plan")
-	}
-	legacyTop, _, err := sc.TopT(12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	planTop := sc.RunQuery(Engine{Workers: 1}, Query{Kind: KindTopT, T: 12, Hi: n})
-	if planTop.Err != nil {
-		t.Fatal(planTop.Err)
-	}
-	for i := range legacyTop {
-		if legacyTop[i] != planTop.Results[i] {
-			t.Errorf("TopT result %d diverges: %+v vs %+v", i, legacyTop[i], planTop.Results[i])
-		}
-	}
-	legacyTh, _, err := sc.ThresholdCollect(9, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	planTh := sc.RunQuery(Engine{Workers: 1}, Query{Kind: KindThreshold, Alpha: 9, Hi: n})
-	for i := range legacyTh {
-		if legacyTh[i] != planTh.Results[i] {
-			t.Errorf("Threshold result %d diverges", i)
 		}
 	}
 }

@@ -2,74 +2,14 @@ package core
 
 import "fmt"
 
-// Threshold solves Problem 3 with the paper's Algorithm 3: report every
-// substring whose X² strictly exceeds alpha. The skip budget is the constant
-// alpha itself; substrings bounded below alpha by the chain cover are
-// excluded wholesale. When the current substring's X² already exceeds alpha
-// no skip is possible (the chain-cover bound dominates the current value),
-// so the scan advances one position, matching the paper's O(k·n²) worst case
-// for small alpha and O(k·n·√(n/alpha)) behaviour for large alpha.
-//
-// visit is invoked once per qualifying substring, in (start desc, end asc)
-// order. The visitor must not retain the Scored value's interval beyond the
-// call if it mutates it. ThresholdWith runs the same scan on the parallel
-// engine (engine.go); every entry point here is a thin constructor lowering
-// to a Query on the single RunQuery dispatch path.
-func (sc *Scanner) Threshold(alpha float64, visit func(Scored)) Stats {
-	return sc.ThresholdWith(Engine{Workers: 1}, alpha, visit)
-}
-
-// ThresholdWith runs the Problem 3 scan under the given engine
-// configuration. The visitor is always invoked from the calling goroutine in
-// the sequential scan's (start desc, end asc) order; under parallelism the
-// qualifying substrings are buffered per chunk and replayed in order after
-// the workers finish, so visitors that need streaming delivery (or scans
-// whose result sets are too large to buffer) should use Workers: 1 or the
-// Collect forms, whose limit also bounds the parallel buffering.
-func (sc *Scanner) ThresholdWith(e Engine, alpha float64, visit func(Scored)) Stats {
-	return sc.RunQuery(e, Query{Kind: KindThreshold, Alpha: alpha, Hi: len(sc.s), Visit: visit}).Stats
-}
-
-// ThresholdMinLength solves Problem 3 restricted to substrings of length
-// strictly greater than gamma: visit is invoked for every such substring
-// with X² > alpha.
-func (sc *Scanner) ThresholdMinLength(alpha float64, gamma int, visit func(Scored)) Stats {
-	return sc.ThresholdMinLengthWith(Engine{Workers: 1}, alpha, gamma, visit)
-}
-
-// ThresholdMinLengthWith runs the combined Problem 3+4 scan under the given
-// engine configuration. See ThresholdWith for the parallel buffering note.
-func (sc *Scanner) ThresholdMinLengthWith(e Engine, alpha float64, gamma int, visit func(Scored)) Stats {
-	if gamma < 0 {
-		gamma = 0
-	}
-	return sc.RunQuery(e, Query{Kind: KindThreshold, Alpha: alpha, MinLen: gamma + 1, Hi: len(sc.s), Visit: visit}).Stats
-}
-
-// ThresholdCollect runs Threshold and collects up to limit qualifying
-// substrings (limit ≤ 0 means no limit). It returns an error if the limit is
-// exceeded, protecting callers against the O(n²)-sized outputs low
-// thresholds can produce.
-func (sc *Scanner) ThresholdCollect(alpha float64, limit int) ([]Scored, Stats, error) {
-	return sc.ThresholdCollectWith(Engine{Workers: 1}, alpha, limit)
-}
-
-// ThresholdCollectWith is ThresholdCollect under an engine configuration.
-func (sc *Scanner) ThresholdCollectWith(e Engine, alpha float64, limit int) ([]Scored, Stats, error) {
-	r := sc.RunQuery(e, Query{Kind: KindThreshold, Alpha: alpha, Hi: len(sc.s), Limit: limit})
-	return r.Results, r.Stats, r.Err
-}
-
-// ThresholdMinLengthCollectWith collects the combined Problem 3+4 scan's
-// results under an engine configuration, with the same limit semantics as
-// ThresholdCollect.
-func (sc *Scanner) ThresholdMinLengthCollectWith(e Engine, alpha float64, gamma, limit int) ([]Scored, Stats, error) {
-	if gamma < 0 {
-		gamma = 0
-	}
-	r := sc.RunQuery(e, Query{Kind: KindThreshold, Alpha: alpha, MinLen: gamma + 1, Hi: len(sc.s), Limit: limit})
-	return r.Results, r.Stats, r.Err
-}
+// KindThreshold queries solve Problem 3 with the paper's Algorithm 3:
+// report every substring whose X² strictly exceeds alpha. The skip budget is
+// the constant alpha itself; substrings bounded below alpha by the
+// chain-cover are excluded wholesale. When the current substring's X²
+// already exceeds alpha no skip is possible (the chain-cover bound dominates
+// the current value), so the scan advances one position, matching the
+// paper's O(k·n²) worst case for small alpha and O(k·n·√(n/alpha))
+// behaviour for large alpha. The scans themselves live in engine.go.
 
 // thresholdCollect runs the threshold scan under the engine configuration
 // and collects up to limit qualifying substrings (limit ≤ 0 means no
@@ -96,11 +36,4 @@ func (sc *Scanner) thresholdCollect(e Engine, alpha float64, lo, hi, minLen, lim
 // batch collect paths.
 func overflowErr(limit int, alpha float64) error {
 	return fmt.Errorf("core: more than %d substrings exceed threshold %g", limit, alpha)
-}
-
-// ThresholdCount runs Threshold counting matches only.
-func (sc *Scanner) ThresholdCount(alpha float64) (int64, Stats) {
-	var count int64
-	st := sc.Threshold(alpha, func(Scored) { count++ })
-	return count, st
 }

@@ -17,7 +17,7 @@ func TestTopTMinLengthMatchesTrivial(t *testing.T) {
 		tt := 1 + rng.Intn(10)
 		m := alphabet.MustUniform(k)
 		sc := mustScanner(t, randomString(rng, n, k), m)
-		got, _, err := sc.TopTMinLength(tt, gamma)
+		got, _, err := topTOf(sc, sequential, tt, gamma+1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,17 +71,17 @@ func x2For(yv []int, probs []float64) float64 {
 func TestTopTMinLengthErrors(t *testing.T) {
 	m := alphabet.MustUniform(2)
 	sc := mustScanner(t, []byte{0, 1, 0}, m)
-	if _, _, err := sc.TopTMinLength(0, 0); err == nil {
+	if _, _, err := topTOf(sc, sequential, 0, 1); err == nil {
 		t.Error("t=0 accepted")
 	}
 	// Gamma beyond the string: no results, no error.
-	res, _, err := sc.TopTMinLength(3, 10)
+	res, _, err := topTOf(sc, sequential, 3, 11)
 	if err != nil || len(res) != 0 {
 		t.Errorf("oversized gamma: res=%v err=%v", res, err)
 	}
 	// Negative gamma behaves like plain top-t.
-	a, _, _ := sc.TopTMinLength(3, -4)
-	b, _, _ := sc.TopT(3)
+	a, _, _ := topTOf(sc, sequential, 3, -3)
+	b, _, _ := topTOf(sc, sequential, 3, 1)
 	if len(a) != len(b) {
 		t.Errorf("negative gamma differs from plain top-t")
 	}
@@ -95,10 +95,10 @@ func TestThresholdMinLengthMatchesTrivial(t *testing.T) {
 		gamma := rng.Intn(n / 2)
 		m := alphabet.MustUniform(k)
 		sc := mustScanner(t, randomString(rng, n, k), m)
-		mss, _ := sc.MSS()
+		mss, _ := mssOf(sc, sequential, 1)
 		alpha := mss.X2 * (0.2 + 0.6*rng.Float64())
 		got := map[Interval]float64{}
-		sc.ThresholdMinLength(alpha, gamma, func(r Scored) { got[r.Interval] = r.X2 })
+		thresholdOf(sc, sequential, alpha, gamma+1, func(r Scored) { got[r.Interval] = r.X2 })
 		// Reference.
 		w := make([]int, k)
 		want := map[Interval]float64{}
@@ -127,13 +127,13 @@ func TestMSSRange(t *testing.T) {
 	s := randomString(rng, 200, 2)
 	sc := mustScanner(t, s, m)
 	// Full range equals MSS.
-	full, _ := sc.MSSRange(0, 200, 1)
-	mss, _ := sc.MSS()
+	full, _ := rangeMSS(sc, sequential, 0, 200, 1)
+	mss, _ := mssOf(sc, sequential, 1)
 	if full != mss {
 		t.Errorf("full-range scan %+v differs from MSS %+v", full, mss)
 	}
 	// Restricted range stays inside.
-	r, _ := sc.MSSRange(50, 120, 5)
+	r, _ := rangeMSS(sc, sequential, 50, 120, 5)
 	if r.Start < 50 || r.End > 120 || r.Len() < 5 {
 		t.Errorf("restricted result %+v escapes [50,120) or minLen", r)
 	}
@@ -152,10 +152,10 @@ func TestMSSRange(t *testing.T) {
 		t.Errorf("restricted %.9g vs trivial %.9g", r.X2, best.X2)
 	}
 	// Degenerate ranges.
-	if z, _ := sc.MSSRange(100, 100, 1); z.X2 != 0 {
+	if z, _ := rangeMSS(sc, sequential, 100, 100, 1); z.X2 != 0 {
 		t.Errorf("empty range returned %+v", z)
 	}
-	if z, _ := sc.MSSRange(-5, 3, 10); z.X2 != 0 {
+	if z, _ := rangeMSS(sc, sequential, -5, 3, 10); z.X2 != 0 {
 		t.Errorf("too-small range returned %+v", z)
 	}
 }
@@ -169,7 +169,7 @@ func TestDisjointTopTProperties(t *testing.T) {
 		sc := mustScanner(t, randomString(rng, n, k), m)
 		tt := 1 + rng.Intn(6)
 		minLen := 1 + rng.Intn(8)
-		res, _, err := sc.DisjointTopT(tt, minLen)
+		res, _, err := disjointOf(sc, sequential, tt, minLen)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,7 +189,7 @@ func TestDisjointTopTProperties(t *testing.T) {
 			}
 		}
 		if len(res) > 0 {
-			ref, _ := sc.MSSMinLength(minLen - 1)
+			ref, _ := mssOf(sc, sequential, minLen)
 			if !almostEqual(res[0].X2, ref.X2) {
 				t.Fatalf("first disjoint result %.9g differs from MSS %.9g", res[0].X2, ref.X2)
 			}
@@ -200,11 +200,11 @@ func TestDisjointTopTProperties(t *testing.T) {
 func TestDisjointTopTErrors(t *testing.T) {
 	m := alphabet.MustUniform(2)
 	sc := mustScanner(t, []byte{0, 1}, m)
-	if _, _, err := sc.DisjointTopT(0, 1); err == nil {
+	if _, _, err := disjointOf(sc, sequential, 0, 1); err == nil {
 		t.Error("t=0 accepted")
 	}
 	// Requesting more disjoint intervals than fit just returns fewer.
-	res, _, err := sc.DisjointTopT(10, 1)
+	res, _, err := disjointOf(sc, sequential, 10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -99,7 +99,7 @@ func TestBaseballMSSFindsDominantEra(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mss, _ := sc.MSS()
+	mss := sc.RunQuery(core.Engine{Workers: 1}, core.Query{Kind: core.KindMSS, Hi: sc.Len()}).Best()
 	era := b.Eras[2] // 1924–33
 	lo, hi := b.IndexRange(era.Start, era.End)
 	// Generous overlap: the found window must be mostly inside the era.

@@ -23,7 +23,7 @@ func Fig1a(cfg Config) *Table {
 		n := cfg.scaledN(baseN, 64)
 		s, m := nullString(n, 2, rng)
 		sc := mustScanner(s, m)
-		_, st := sc.MSSWith(cfg.engine())
+		st := sc.RunQuery(cfg.engine(), core.Query{Kind: core.KindMSS, Hi: sc.Len()}).Stats
 		triv := sc.TotalSubstrings()
 		lnN = append(lnN, math.Log(float64(n)))
 		lnOurs = append(lnOurs, math.Log(float64(st.Evaluated)))
@@ -57,7 +57,7 @@ func Fig1b(cfg Config) *Table {
 		for _, k := range ks {
 			s, m := nullString(n, k, rng)
 			sc := mustScanner(s, m)
-			_, st := sc.MSSWith(cfg.engine())
+			st := sc.RunQuery(cfg.engine(), core.Query{Kind: core.KindMSS, Hi: sc.Len()}).Stats
 			row = append(row, fmtI(st.Evaluated))
 			slopes[k] = append(slopes[k], math.Log(float64(st.Evaluated)))
 		}
@@ -88,7 +88,7 @@ func Fig2(cfg Config) *Table {
 		for r := 0; r < reps; r++ {
 			s, m := nullString(n, 2, rng)
 			sc := mustScanner(s, m)
-			best, _ := sc.MSSWith(cfg.engine())
+			best := sc.RunQuery(cfg.engine(), core.Query{Kind: core.KindMSS, Hi: sc.Len()}).Best()
 			sum += best.X2
 		}
 		avg := sum / reps
@@ -133,10 +133,10 @@ func Fig3(cfg Config) *Table {
 		g2 := strgen.NewMultinomial(m2)
 		sc1 := mustScanner(g1.Generate(n, rng), m1)
 		sc2 := mustScanner(g2.Generate(n, rng), m2)
-		b1, st1 := sc1.MSS()
-		b2, st2 := sc2.MSS()
-		itersS1 = append(itersS1, float64(st1.Evaluated))
-		t.AddRow(fmtF(p0), fmtF(b1.X2), fmtI(st1.Evaluated), fmtF(b2.X2), fmtI(st2.Evaluated))
+		r1 := sc1.RunQuery(core.Engine{Workers: 1}, core.Query{Kind: core.KindMSS, Hi: sc1.Len()})
+		r2 := sc2.RunQuery(core.Engine{Workers: 1}, core.Query{Kind: core.KindMSS, Hi: sc2.Len()})
+		itersS1 = append(itersS1, float64(r1.Stats.Evaluated))
+		t.AddRow(fmtF(p0), fmtF(r1.Best().X2), fmtI(r1.Stats.Evaluated), fmtF(r2.Best().X2), fmtI(r2.Stats.Evaluated))
 	}
 	lo, hi := itersS1[0], itersS1[0]
 	for _, v := range itersS1 {
@@ -184,7 +184,7 @@ func Fig4a(cfg Config) *Table {
 		row := []string{fmtI(int64(n))}
 		for _, g := range fig4Generators(k) {
 			sc := mustScanner(g.Generate(n, rng), scan)
-			_, st := sc.MSSWith(cfg.engine())
+			st := sc.RunQuery(cfg.engine(), core.Query{Kind: core.KindMSS, Hi: sc.Len()}).Stats
 			row = append(row, fmtI(st.Evaluated))
 		}
 		t.AddRow(row...)
@@ -208,7 +208,7 @@ func Fig4b(cfg Config) *Table {
 		row := []string{fmtI(int64(k))}
 		for _, g := range fig4Generators(k) {
 			sc := mustScanner(g.Generate(n, rng), scan)
-			_, st := sc.MSSWith(cfg.engine())
+			st := sc.RunQuery(cfg.engine(), core.Query{Kind: core.KindMSS, Hi: sc.Len()}).Stats
 			row = append(row, fmtI(st.Evaluated))
 		}
 		t.AddRow(row...)
@@ -237,12 +237,12 @@ func Fig5a(cfg Config) *Table {
 		row := []string{fmtI(int64(n))}
 		lnN = append(lnN, math.Log(float64(n)))
 		for _, tt := range ts {
-			_, st, err := sc.TopTWith(cfg.engine(), tt)
-			if err != nil {
-				panic(err)
+			r := sc.RunQuery(cfg.engine(), core.Query{Kind: core.KindTopT, T: tt, Hi: sc.Len()})
+			if r.Err != nil {
+				panic(r.Err)
 			}
-			row = append(row, fmtI(st.Evaluated))
-			slopes[tt] = append(slopes[tt], math.Log(float64(st.Evaluated)))
+			row = append(row, fmtI(r.Stats.Evaluated))
+			slopes[tt] = append(slopes[tt], math.Log(float64(r.Stats.Evaluated)))
 		}
 		t.AddRow(row...)
 	}
@@ -271,11 +271,11 @@ func Fig5b(cfg Config) *Table {
 	for _, tt := range []int{1, 4, 16, 64, 256, 1024, 4096, 16384} {
 		row := []string{fmtI(int64(tt))}
 		for _, sc := range scanners {
-			_, st, err := sc.TopTWith(cfg.engine(), tt)
-			if err != nil {
-				panic(err)
+			r := sc.RunQuery(cfg.engine(), core.Query{Kind: core.KindTopT, T: tt, Hi: sc.Len()})
+			if r.Err != nil {
+				panic(r.Err)
 			}
-			row = append(row, fmtI(st.Evaluated))
+			row = append(row, fmtI(r.Stats.Evaluated))
 		}
 		t.AddRow(row...)
 	}
@@ -299,7 +299,9 @@ func Fig6(cfg Config) *Table {
 	sc := mustScanner(s, m)
 	triv := sc.TotalSubstrings()
 	for _, alpha := range []float64{0, 2, 5, 10, 15, 20, 25, 30, 40, 50} {
-		count, st := sc.ThresholdCount(alpha)
+		var count int64
+		st := sc.RunQuery(core.Engine{Workers: 1}, core.Query{Kind: core.KindThreshold, Alpha: alpha, Hi: sc.Len(),
+			Visit: func(core.Scored) { count++ }}).Stats
 		t.AddRow(fmtF(alpha), fmtI(st.Evaluated), fmtF(math.Log(float64(st.Evaluated))), fmtI(count), fmtI(triv))
 	}
 	t.AddNote("n = %d; trivial always scans n(n+1)/2 substrings", n)
@@ -321,7 +323,7 @@ func Fig7(cfg Config) *Table {
 	sc := mustScanner(s, m)
 	for _, frac := range []float64{0.2, 0.4, 0.6, 0.75, 0.85, 0.92, 0.96, 0.98, 0.995} {
 		gamma := int(frac * float64(n))
-		_, st := sc.MSSMinLengthWith(cfg.engine(), gamma)
+		st := sc.RunQuery(cfg.engine(), core.Query{Kind: core.KindMSS, MinLen: gamma + 1, Hi: sc.Len()}).Stats
 		// Trivial must still evaluate every substring longer than Γ₀:
 		// (n−Γ)(n−Γ+1)/2 of them.
 		rem := int64(n - gamma)

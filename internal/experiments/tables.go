@@ -24,7 +24,7 @@ func runComparison(sc *core.Scanner, eng core.Engine) []algoResult {
 	var best core.Scored
 	d := timed(func() { best, _ = sc.Trivial() })
 	out = append(out, algoResult{"Trivial", best, d})
-	d = timed(func() { best, _ = sc.MSSWith(eng) })
+	d = timed(func() { best = sc.RunQuery(eng, core.Query{Kind: core.KindMSS, Hi: sc.Len()}).Best() })
 	out = append(out, algoResult{"Our", best, d})
 	d = timed(func() { best, _ = sc.ARLM() })
 	out = append(out, algoResult{"ARLM", best, d})
@@ -95,7 +95,7 @@ func Table2(cfg Config) *Table {
 			sum := 0.0
 			for r := 0; r < reps; r++ {
 				sc := mustScanner(g.Generate(n, rng), scan)
-				best, _ := sc.MSSWith(cfg.engine())
+				best := sc.RunQuery(cfg.engine(), core.Query{Kind: core.KindMSS, Hi: sc.Len()}).Best()
 				sum += best.X2
 			}
 			row = append(row, fmtF(sum/reps))
@@ -131,11 +131,11 @@ func Table3(cfg Config) *Table {
 		Columns: []string{"Start", "End", "X² val", "Games", "Wins", "Win%"},
 	}
 	b, sc := sportsScanner(cfg)
-	top, _, err := sc.DisjointTopT(5, 10)
-	if err != nil {
-		panic(err)
+	top := sc.RunQuery(core.Engine{Workers: 1}, core.Query{Kind: core.KindDisjoint, T: 5, MinLen: 10, Hi: sc.Len()})
+	if top.Err != nil {
+		panic(top.Err)
 	}
-	for _, r := range top {
+	for _, r := range top.Results {
 		first, last, err := b.Series.Span(r.Start, r.End)
 		if err != nil {
 			panic(err)
@@ -197,12 +197,12 @@ func Table5(cfg Config) *Table {
 	var good, bad []rowT
 	for _, s := range datasets.NewStocks(cfg.Seed + 67) {
 		sc := stockScanner(s)
-		top, _, err := sc.DisjointTopT(10, 10)
-		if err != nil {
-			panic(err)
+		top := sc.RunQuery(core.Engine{Workers: 1}, core.Query{Kind: core.KindDisjoint, T: 10, MinLen: 10, Hi: sc.Len()})
+		if top.Err != nil {
+			panic(top.Err)
 		}
 		g, bcount := 0, 0
-		for _, r := range top {
+		for _, r := range top.Results {
 			change := s.Change(r.Start, r.End)
 			first, last, err := s.Series.Span(r.Start, r.End)
 			if err != nil {

@@ -84,8 +84,7 @@ func Calibrate(n int, m *alphabet.Model, samples int, seed int64) (*Calibration,
 					mu.Unlock()
 					return
 				}
-				best, _ := sc.MSS()
-				out[i] = best.X2
+				out[i] = sc.RunQuery(core.Engine{Workers: 1}, core.Query{Kind: core.KindMSS, Hi: sc.Len()}).Best().X2
 			}
 		}()
 	}

@@ -93,19 +93,21 @@ func (sc *Scanner) Len() int { return sc.inner.Len() }
 // deviates most from independence, via the exact O(n^{3/2}) MSS scan on the
 // product string.
 func (sc *Scanner) MostCorrelatedPeriod() (core.Scored, core.Stats) {
-	return sc.inner.MSS()
+	r := sc.inner.RunQuery(core.Engine{Workers: 1}, core.Query{Kind: core.KindMSS, Hi: sc.inner.Len()})
+	return r.Best(), r.Stats
 }
 
 // TopPeriods returns up to t pairwise disjoint correlation windows of
 // length ≥ minLen, strongest first.
 func (sc *Scanner) TopPeriods(t, minLen int) ([]core.Scored, core.Stats, error) {
-	return sc.inner.DisjointTopT(t, minLen)
+	r := sc.inner.RunQuery(core.Engine{Workers: 1}, core.Query{Kind: core.KindDisjoint, T: t, MinLen: minLen, Hi: sc.inner.Len()})
+	return r.Results, r.Stats, r.Err
 }
 
 // PeriodsAbove reports every window with independence chi-square above
 // alpha.
 func (sc *Scanner) PeriodsAbove(alpha float64, visit func(core.Scored)) core.Stats {
-	return sc.inner.Threshold(alpha, visit)
+	return sc.inner.RunQuery(core.Engine{Workers: 1}, core.Query{Kind: core.KindThreshold, Alpha: alpha, Hi: sc.inner.Len(), Visit: visit}).Stats
 }
 
 // X2 returns the window's independence chi-square.

@@ -59,13 +59,13 @@ func FindRecurring(sc *core.Scanner, t, minLen, minCount int) ([]Recurrence, err
 	if minCount < 1 {
 		minCount = 1
 	}
-	tops, _, err := sc.DisjointTopT(t, minLen)
-	if err != nil {
-		return nil, err
+	tops := sc.RunQuery(core.Engine{Workers: 1}, core.Query{Kind: core.KindDisjoint, T: t, MinLen: minLen, Hi: sc.Len()})
+	if tops.Err != nil {
+		return nil, tops.Err
 	}
 	ix := New(sc.Symbols())
 	var out []Recurrence
-	for _, w := range tops {
+	for _, w := range tops.Results {
 		occ, err := ix.Occurrences(w.Interval)
 		if err != nil {
 			return nil, err

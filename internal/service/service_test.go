@@ -2,6 +2,7 @@ package service
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -346,21 +347,21 @@ func TestExecuteMatchesLibrary(t *testing.T) {
 	if want := testText[mss.Start:mss.End]; got.Text != want {
 		t.Errorf("snippet %q, want %q", got.Text, want)
 	}
-	top, err := corpus.Scanner.TopT(3)
+	top, err := corpus.Scanner.Run(sigsub.TopTQuery(3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, r := range resp.Results[1].Results {
-		if r.X2 != top[i].X2 {
-			t.Errorf("top-t %d: %v vs %v", i, r.X2, top[i].X2)
+		if r.X2 != top.Results[i].X2 {
+			t.Errorf("top-t %d: %v vs %v", i, r.X2, top.Results[i].X2)
 		}
 	}
-	th, err := corpus.Scanner.Threshold(8)
+	th, err := corpus.Scanner.Run(sigsub.ThresholdQuery(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(resp.Results[2].Results) != len(th) {
-		t.Errorf("threshold sizes %d vs %d", len(resp.Results[2].Results), len(th))
+	if len(resp.Results[2].Results) != len(th.Results) {
+		t.Errorf("threshold sizes %d vs %d", len(resp.Results[2].Results), len(th.Results))
 	}
 	var sum Stats
 	for _, qr := range resp.Results {
@@ -431,6 +432,35 @@ func TestExecuteInlineTextAndErrors(t *testing.T) {
 	}
 	if _, err := e.Execute(BatchRequest{Corpus: "missing", Queries: []Query{{Kind: "mss"}}}); !IsNotFound(err) {
 		t.Errorf("missing corpus error: %v", err)
+	}
+}
+
+// TestExecuteHugeT: a client-chosen t far past the candidate count answers
+// exactly as t = candidate count does, alone and beside a disjoint query,
+// instead of allocating t heap slots up front (an out-of-memory error no
+// recover can catch).
+func TestExecuteHugeT(t *testing.T) {
+	e := testExecutor(t)
+	text := testText[:20]
+	cands := len(text) * (len(text) + 1) / 2
+	for _, kinds := range [][]string{{"topt"}, {"topt", "disjoint"}} {
+		huge := make([]Query, len(kinds))
+		exact := make([]Query, len(kinds))
+		for i, k := range kinds {
+			huge[i] = Query{Kind: k, T: 1 << 40}
+			exact[i] = Query{Kind: k, T: cands}
+		}
+		got, err := e.Execute(BatchRequest{Text: text, Queries: huge})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := e.Execute(BatchRequest{Text: text, Queries: exact})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Results, want.Results) {
+			t.Errorf("%v: t = 2^40 answered %+v, t = %d answered %+v", kinds, got.Results, cands, want.Results)
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"sort"
+	"strings"
 	"testing"
 
 	sigsub "repro"
@@ -291,5 +292,35 @@ func TestExecuteShardSegmentIndex(t *testing.T) {
 	}
 	if len(resp.Partials) != 1 {
 		t.Fatalf("%d partials, want 1", len(resp.Partials))
+	}
+}
+
+// TestShardExecHandlerRowRange: POST /v1/shards/exec answers a split
+// subquery whose rows are not starts of its own candidates with 400 — rows
+// past the last start crashed the node, rows before the first answered
+// outside the query — and keeps serving well-formed subplans.
+func TestShardExecHandlerRowRange(t *testing.T) {
+	e := &Executor{Cache: NewCache(4)}
+	corpus, err := BuildCorpus("twenty", testText[:20], ModelSpec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Cache.Put(corpus)
+	mux := http.NewServeMux()
+	(&ShardAPI{Exec: e}).Routes(mux)
+	for _, c := range []struct {
+		query  string
+		status int
+	}{
+		{`{"kind":"threshold","alpha":1,"lo":0,"hi":20,"row_lo":0,"row_hi":20}`, http.StatusBadRequest},
+		{`{"kind":"mss","lo":10,"hi":20,"row_lo":0,"row_hi":19}`, http.StatusBadRequest},
+		{`{"kind":"mss","lo":10,"hi":20,"row_lo":10,"row_hi":19}`, http.StatusOK},
+	} {
+		body := `{"corpus":"twenty","shard":0,"queries":[` + c.query + `]}`
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/shards/exec", strings.NewReader(body)))
+		if rec.Code != c.status {
+			t.Errorf("%s: status %d (%s), want %d", c.query, rec.Code, strings.TrimSpace(rec.Body.String()), c.status)
+		}
 	}
 }

@@ -19,12 +19,18 @@ type Heap struct {
 	items []Item
 }
 
+// maxPrealloc bounds the items New allocates up front. t can arrive from
+// outside the program (a daemon request's "t") and exceed the number of
+// candidates the heap will ever be offered by orders of magnitude; past
+// this size the heap grows by append as items arrive.
+const maxPrealloc = 1024
+
 // New returns an empty heap of capacity t ≥ 1.
 func New(t int) (*Heap, error) {
 	if t < 1 {
 		return nil, fmt.Errorf("topheap: capacity must be >= 1, got %d", t)
 	}
-	return &Heap{cap: t, items: make([]Item, 0, t)}, nil
+	return &Heap{cap: t, items: make([]Item, 0, min(t, maxPrealloc))}, nil
 }
 
 // Cap returns the heap capacity t.

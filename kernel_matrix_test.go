@@ -188,7 +188,7 @@ func TestKernelMatrixLiveEpochs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantTop, err := ref.TopT(5)
+			wantTop, err := runResults(ref, TopTQuery(5))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -209,7 +209,7 @@ func TestKernelMatrixLiveEpochs(t *testing.T) {
 				if gotMSS != wantMSS {
 					t.Fatalf("k=%d epoch n=%d %v: MSS %+v want %+v", k, done, tier, gotMSS, wantMSS)
 				}
-				gotTop, err := view.TopT(5)
+				gotTop, err := runResults(view, TopTQuery(5))
 				if err != nil {
 					t.Fatal(err)
 				}

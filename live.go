@@ -10,7 +10,7 @@ import (
 // after Ye & Chen's chi-square monitoring) to a live Corpus: every observed
 // event is appended to the corpus AND fed to the window monitor, and the
 // moment an alert episode closes, the episode's exact most significant
-// substring is computed by a range-scoped scan (MSSRange) against the
+// substring is computed by a range-scoped MSS query against the
 // corpus — the cheap O(1)-per-event detector decides WHEN to look, the
 // exact chain-cover scanner decides precisely WHERE the anomaly is.
 //
@@ -134,17 +134,21 @@ func (lm *LiveMonitor) takeClosed() (*Episode, error) {
 func (lm *LiveMonitor) analyze(a stream.Alert) (*Episode, error) {
 	lo := lm.offset + a.Start
 	hi := lm.offset + a.End
-	res, err := lm.corpus.View().MSSRange(lo, hi, lm.minLen, lm.opts...)
+	qr, err := lm.corpus.View().Run(MSSQuery().WithRange(lo, hi).WithMinLength(lm.minLen), lm.opts...)
 	if err != nil {
 		return nil, fmt.Errorf("sigsub: scanning alert episode [%d, %d): %w", lo, hi, err)
 	}
-	return &Episode{
+	ep := &Episode{
 		Start:  lo,
 		End:    hi,
 		PeakX2: a.PeakX2,
 		PeakAt: lm.offset + a.PeakAt,
-		MSS:    res,
-	}, nil
+		MSS:    Result{PValue: 1}, // an episode shorter than minLen holds no candidate
+	}
+	if len(qr.Results) > 0 {
+		ep.MSS = qr.Results[0]
+	}
+	return ep, nil
 }
 
 // Flush closes any open episode as of the current event (the stream is

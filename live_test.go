@@ -19,8 +19,8 @@ func liveStream(rng *rand.Rand, n, k, lo, hi int) []byte {
 }
 
 // TestLiveMonitorEpisode: a planted anomaly raises exactly one episode, and
-// the triggered range-scoped MSS equals a direct MSSRange over the same
-// episode on a from-scratch scanner — the detector only chooses WHEN, the
+// the triggered range-scoped MSS equals a direct range-scoped MSS query
+// over the same episode on a from-scratch scanner — the detector only chooses WHEN, the
 // exact engine answers WHERE.
 func TestLiveMonitorEpisode(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
@@ -72,7 +72,7 @@ func TestLiveMonitorEpisode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ref.MSSRange(ep.Start, ep.End, 4)
+	want, err := runBest(ref, MSSQuery().WithRange(ep.Start, ep.End).WithMinLength(4))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,7 +65,7 @@ func TestScannerMinLengthVariantsAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sc.TopTMinLength(5, 20)
+	res, err := runResults(sc, TopTQuery(5).WithMinLength(21))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,15 +74,15 @@ func TestScannerMinLengthVariantsAPI(t *testing.T) {
 			t.Errorf("top-t-min-length result %v too short", r)
 		}
 	}
-	mss, err := sc.MSSMinLength(20)
+	mss, err := runBest(sc, MSSQuery().WithMinLength(21))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res) == 0 || res[0].X2 != mss.X2 {
-		t.Errorf("TopTMinLength[0] %v disagrees with MSSMinLength %v", res[0], mss)
+		t.Errorf("min-length top-t[0] %v disagrees with min-length MSS %v", res[0], mss)
 	}
 
-	th, err := sc.ThresholdMinLength(mss.X2*0.8, 20)
+	th, err := runResults(sc, ThresholdQuery(mss.X2*0.8).WithMinLength(21))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,18 +91,18 @@ func TestScannerMinLengthVariantsAPI(t *testing.T) {
 			t.Errorf("threshold-min-length result %v violates constraints", r)
 		}
 	}
-	if _, err := sc.ThresholdMinLength(0, 0, WithLimit(2)); err == nil {
+	if _, err := runResults(sc, ThresholdQuery(0).WithResultLimit(2)); err == nil {
 		t.Error("limit overflow not reported")
 	}
 
-	rr, err := sc.MSSRange(100, 200, 10)
+	rr, err := runBest(sc, MSSQuery().WithRange(100, 200).WithMinLength(10))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rr.Start < 100 || rr.End > 200 || rr.Length < 10 {
-		t.Errorf("MSSRange result %v out of bounds", rr)
+		t.Errorf("range MSS result %v out of bounds", rr)
 	}
-	if _, err := sc.TopTMinLength(0, 5); err == nil {
+	if _, err := runResults(sc, TopTQuery(0).WithMinLength(6)); err == nil {
 		t.Error("t=0 accepted")
 	}
 }

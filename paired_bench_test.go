@@ -51,7 +51,7 @@ func TestPairedKernelPenalty(t *testing.T) {
 			}
 			scan := func(sc *core.Scanner) time.Duration {
 				start := time.Now()
-				sc.MSSWith(core.Engine{Workers: 1})
+				sc.RunQuery(core.Engine{Workers: 1}, core.Query{Kind: core.KindMSS, Hi: sc.Len()})
 				return time.Since(start)
 			}
 			// Warm every path (page-in, branch predictors) before timing.

@@ -34,7 +34,7 @@ func BenchmarkSeqMSS(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("checkpointed/n=100k/k=%d", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				sc.MSSWith(core.Engine{Workers: 1})
+				sc.RunQuery(core.Engine{Workers: 1}, core.Query{Kind: core.KindMSS, Hi: sc.Len()})
 			}
 		})
 	}
@@ -48,7 +48,7 @@ func BenchmarkParallelMSS(b *testing.B) {
 		b.Run(fmt.Sprintf("n=100k/k=4/w=%d", w), func(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sc.MSSWith(core.Engine{Workers: w})
+				sc.RunQuery(core.Engine{Workers: w}, core.Query{Kind: core.KindMSS, Hi: sc.Len()})
 			}
 		})
 	}
@@ -61,7 +61,7 @@ func BenchmarkParallelMSSBinary(b *testing.B) {
 		b.Run(fmt.Sprintf("n=100k/k=2/w=%d", w), func(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sc.MSSWith(core.Engine{Workers: w})
+				sc.RunQuery(core.Engine{Workers: w}, core.Query{Kind: core.KindMSS, Hi: sc.Len()})
 			}
 		})
 	}
@@ -90,7 +90,7 @@ func BenchmarkParallelMSSWarmStart(b *testing.B) {
 			var st core.Stats
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_, st = sc.MSSWith(core.Engine{Workers: 1, WarmStart: warm})
+				st = sc.RunQuery(core.Engine{Workers: 1, WarmStart: warm}, core.Query{Kind: core.KindMSS, Hi: sc.Len()}).Stats
 			}
 			b.ReportMetric(float64(st.Evaluated), "substrings-evaluated")
 		})
@@ -105,8 +105,8 @@ func BenchmarkParallelTopT(b *testing.B) {
 		b.Run(fmt.Sprintf("n=50k/k=4/t=100/w=%d", w), func(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := sc.TopTWith(core.Engine{Workers: w}, 100); err != nil {
-					b.Fatal(err)
+				if r := sc.RunQuery(core.Engine{Workers: w}, core.Query{Kind: core.KindTopT, T: 100, Hi: sc.Len()}); r.Err != nil {
+					b.Fatal(r.Err)
 				}
 			}
 		})
@@ -117,13 +117,13 @@ func BenchmarkParallelTopT(b *testing.B) {
 // shared state at all).
 func BenchmarkParallelThreshold(b *testing.B) {
 	sc := benchScanner(b, 50_000, 4)
-	mss, _ := sc.MSS()
+	mss := sc.RunQuery(core.Engine{Workers: 1}, core.Query{Kind: core.KindMSS, Hi: sc.Len()}).Best()
 	alpha := mss.X2 * 0.9
 	for _, w := range parallelWorkerGrid {
 		b.Run(fmt.Sprintf("n=50k/k=4/w=%d", w), func(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sc.ThresholdWith(core.Engine{Workers: w}, alpha, func(core.Scored) {})
+				sc.RunQuery(core.Engine{Workers: w}, core.Query{Kind: core.KindThreshold, Alpha: alpha, Hi: sc.Len(), Visit: func(core.Scored) {}})
 			}
 		})
 	}

@@ -57,11 +57,11 @@ func TestWithWorkersGolden(t *testing.T) {
 			}
 		}
 
-		seqTop, err := sc.TopT(25)
+		seqTop, err := runResults(sc, TopTQuery(25))
 		if err != nil {
 			t.Fatal(err)
 		}
-		parTop, err := sc.TopT(25, WithWorkers(8))
+		parTop, err := runResults(sc, TopTQuery(25), WithWorkers(8))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,11 +75,11 @@ func TestWithWorkersGolden(t *testing.T) {
 		}
 
 		alpha := seq.X2 * 0.6
-		seqTh, err := sc.Threshold(alpha)
+		seqTh, err := runResults(sc, ThresholdQuery(alpha))
 		if err != nil {
 			t.Fatal(err)
 		}
-		parTh, err := sc.Threshold(alpha, WithWorkers(8))
+		parTh, err := runResults(sc, ThresholdQuery(alpha), WithWorkers(8))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,11 +93,11 @@ func TestWithWorkersGolden(t *testing.T) {
 			}
 		}
 
-		seqMin, err := sc.MSSMinLength(50)
+		seqMin, err := runBest(sc, MSSQuery().WithMinLength(51))
 		if err != nil {
 			t.Fatal(err)
 		}
-		parMin, err := sc.MSSMinLength(50, WithWorkers(8), WithWarmStart(true))
+		parMin, err := runBest(sc, MSSQuery().WithMinLength(51), WithWorkers(8), WithWarmStart(true))
 		if err != nil {
 			t.Fatal(err)
 		}

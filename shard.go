@@ -106,6 +106,12 @@ func (sq ShardQuery) toCore() (core.ShardQuery, error) {
 	if q.Lo < 0 || q.Hi < q.Lo {
 		return core.ShardQuery{}, fmt.Errorf("sigsub: shard query slot %d: bad range [%d, %d)", sq.Slot, sq.Lo, sq.Hi)
 	}
+	// A split subquery scans its rows verbatim, so they must be starts of
+	// the query's own candidates; an empty row range scans nothing.
+	if !sq.Composite && sq.RowLo <= sq.RowHi && (sq.RowLo < q.Lo || sq.RowHi > q.Hi-q.MinLen) {
+		return core.ShardQuery{}, fmt.Errorf("sigsub: shard query slot %d: rows [%d, %d] outside the starts [%d, %d] of range [%d, %d) with length floor %d",
+			sq.Slot, sq.RowLo, sq.RowHi, q.Lo, q.Hi-q.MinLen, q.Lo, q.Hi, q.MinLen)
+	}
 	return core.ShardQuery{Slot: sq.Slot, Q: q, RowLo: sq.RowLo, RowHi: sq.RowHi, Composite: sq.Composite}, nil
 }
 
@@ -217,26 +223,16 @@ type ShardPlan struct {
 // PlanShardBatch plans a batch of Queries across the suffix segments of an
 // n-symbol corpus cut at the given starts (ascending, first 0; nil plans a
 // single full-corpus shard). Queries are lowered exactly as RunBatch lowers
-// them — the Hi == 0 sentinel resolves to n, threshold limits default from
-// WithResultLimit — so a sharded run answers the same question a solo run
+// them — the Hi == 0 sentinel resolves to n, a zero threshold Limit to the
+// default cap — so a sharded run answers the same question a solo run
 // would. Per-query validation failures (t < 1, unknown kind) are recorded
 // in the plan and surface as that slot's error at Merge; a malformed cut
 // list fails the whole plan.
-func PlanShardBatch(n int, starts []int, qs []Query, opts ...Option) (*ShardPlan, error) {
+func PlanShardBatch(n int, starts []int, qs []Query) (*ShardPlan, error) {
 	if n <= 0 {
 		return nil, errors.New("sigsub: cannot plan over an empty corpus")
 	}
-	o := buildOptions(opts)
-	cqs := make([]core.Query, len(qs))
-	lowerErrs := make([]error, len(qs))
-	for i, q := range qs {
-		cq, err := lowerQuery(q, n, o)
-		if err != nil {
-			lowerErrs[i] = err
-			cq = core.Query{Kind: core.Kind(-1)}
-		}
-		cqs[i] = cq
-	}
+	cqs, lowerErrs := lowerBatch(qs, n)
 	plan, err := core.PlanBatch(n, cqs, segmentRanges(n, starts))
 	if err != nil {
 		return nil, fmt.Errorf("sigsub: %w", err)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"math"
+	"reflect"
 	"sort"
 	"testing"
 )
@@ -184,5 +185,68 @@ func TestExecShardRejectsBadSubplans(t *testing.T) {
 	}
 	if _, err := seg.ExecShard(ctx, 1, 100, []ShardQuery{{Kind: "mss", Lo: 0, Hi: 400, RowLo: 50, RowHi: 399}}); err == nil {
 		t.Error("rows before the segment offset accepted")
+	}
+
+	// A split subquery's rows must be starts of its own candidates: rows
+	// past Hi − floor crashed a scan worker goroutine, rows before Lo
+	// answered outside the query. An empty row range stays legal.
+	small, err := NewScanner(sc.Symbols()[:20], mustUniform(t, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		sq ShardQuery
+		ok bool
+	}{
+		{ShardQuery{Kind: "threshold", Alpha: 1, Lo: 0, Hi: 20, RowLo: 0, RowHi: 20}, false},
+		{ShardQuery{Kind: "mss", Lo: 10, Hi: 20, RowLo: 0, RowHi: 19}, false},
+		{ShardQuery{Kind: "topt", T: 3, MinLength: 5, Lo: 0, Hi: 20, RowLo: 0, RowHi: 16}, false},
+		{ShardQuery{Kind: "topt", T: 3, MinLength: 5, Lo: 0, Hi: 20, RowLo: 0, RowHi: 15}, true},
+		{ShardQuery{Kind: "mss", Lo: 10, Hi: 20, RowLo: 10, RowHi: 19}, true},
+		{ShardQuery{Kind: "mss", Lo: 10, Hi: 20, RowLo: 15, RowHi: 3}, true},
+	} {
+		_, err := small.ExecShard(ctx, 0, 0, []ShardQuery{c.sq})
+		if (err == nil) != c.ok {
+			t.Errorf("%+v: err %v, want accepted=%v", c.sq, err, c.ok)
+		}
+	}
+}
+
+// TestExecShardHugeT: a top-t or disjoint t far past the candidate count,
+// as an untrusted peer may send, answers exactly as t = candidate count
+// does, alone and in a batch, instead of allocating t heap slots up front.
+func TestExecShardHugeT(t *testing.T) {
+	const n, huge = 20, 1 << 40
+	sc, _ := parallelFixture(t, n, 2, 3)
+	cands := n * (n + 1) / 2
+	exec := func(batch []Query) []QueryResult {
+		t.Helper()
+		plan, err := PlanShardBatch(n, nil, batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts, err := sc.ExecShard(context.Background(), 0, 0, plan.Subplan(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := plan.Merge([][]ShardPartial{parts}, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	for _, batch := range [][]Query{
+		{TopTQuery(huge)},
+		{TopTQuery(huge), DisjointQuery(huge)},
+	} {
+		want := make([]Query, len(batch))
+		for i, q := range batch {
+			q.T = cands
+			want[i] = q
+		}
+		got, ref := exec(batch), exec(want)
+		if !reflect.DeepEqual(got, ref) {
+			t.Errorf("%d-query batch: t = 2^40 answered %+v, t = %d answered %+v", len(batch), got, cands, ref)
+		}
 	}
 }

@@ -13,10 +13,14 @@
 //   - all substrings above a chi-square threshold (Problem 3),
 //   - the MSS among substrings longer than a minimum length (Problem 4).
 //
-// The default algorithm is the paper's chain-cover skip scan, which runs in
-// O(k·n^{3/2}) time with high probability while remaining exact; the trivial
-// O(k·n²) scan and the ARLM/AGMM heuristics of prior work are available for
-// comparison via WithAlgorithm.
+// Every problem variant is a Query — MSSQuery, TopTQuery, ThresholdQuery or
+// DisjointQuery, narrowed by WithMinLength, WithRange and WithResultLimit —
+// that Scanner.Run executes on the paper's chain-cover skip scan, which runs
+// in O(k·n^{3/2}) time with high probability while remaining exact.
+// Scanner.RunBatch answers many Queries in one shared traversal. The trivial
+// O(k·n²) scans, the heap-pruned scan and the ARLM/AGMM heuristics of prior
+// work are available for comparison on Problem 1 via Scanner.MSS and
+// WithAlgorithm.
 //
 // Quick start:
 //
@@ -28,6 +32,7 @@
 package sigsub
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -169,11 +174,10 @@ func ParseAlgorithm(name string) (Algorithm, error) {
 	return 0, fmt.Errorf("sigsub: unknown algorithm %q", name)
 }
 
-// options collects the functional options of the Find functions.
+// options collects the functional options of a scan.
 type options struct {
 	algo    Algorithm
 	stats   *Stats
-	limit   int
 	workers int
 	warm    bool
 }
@@ -186,9 +190,9 @@ func (o options) engine() core.Engine {
 // Option configures a scan.
 type Option func(*options)
 
-// WithAlgorithm selects the scanning strategy (default AlgoExact). The
-// heuristic algorithms apply only to MSS-style scans; top-t, threshold, and
-// min-length scans always use the exact machinery.
+// WithAlgorithm selects the scanning strategy of Scanner.MSS (default
+// AlgoExact). Run, RunBatch and the shard paths always use the exact
+// engine.
 func WithAlgorithm(a Algorithm) Option {
 	return func(o *options) { o.algo = a }
 }
@@ -196,13 +200,6 @@ func WithAlgorithm(a Algorithm) Option {
 // WithStats records work counters into st.
 func WithStats(st *Stats) Option {
 	return func(o *options) { o.stats = st }
-}
-
-// WithLimit caps the number of results a threshold scan may collect
-// (default 1,000,000). Exceeding the cap returns an error, since low
-// thresholds can produce O(n²) results.
-func WithLimit(n int) Option {
-	return func(o *options) { o.limit = n }
 }
 
 // WithWorkers shards the exact scans across n parallel workers (default 1:
@@ -240,7 +237,7 @@ func WithWarmStart(enabled bool) Option {
 }
 
 func buildOptions(opts []Option) options {
-	o := options{algo: AlgoExact, limit: 1_000_000, workers: 1}
+	o := options{algo: AlgoExact, workers: 1}
 	for _, fn := range opts {
 		fn(&o)
 	}
@@ -377,7 +374,9 @@ const (
 	// QueryThreshold asks for every substring with X² > Alpha (Problem 3).
 	QueryThreshold
 	// QueryDisjoint asks for up to T pairwise non-overlapping substrings in
-	// decreasing X² order (the greedy peel behind DisjointTopT).
+	// decreasing X² order, greedily: the MSS first, then the best in the
+	// remaining segments. It is how "top periods" tables are produced from
+	// temporal data.
 	QueryDisjoint
 )
 
@@ -407,12 +406,10 @@ func ParseQueryKind(name string) (QueryKind, error) {
 	return 0, fmt.Errorf("sigsub: unknown query kind %q", name)
 }
 
-// Query is the unified plan every problem variant lowers to: one kind plus
-// the knobs that compose with it. The legacy methods (MSS, TopT, Threshold,
-// MSSMinLength, …) are thin constructors over Run with the matching Query;
-// building Queries directly unlocks the combinations the methods do not
-// enumerate (top-t within a range, threshold above a length floor, …) and
-// batch execution via RunBatch.
+// Query is the plan every problem variant is asked as: one kind plus the
+// knobs that compose with it, so every combination (top-t within a range,
+// threshold above a length floor, …) is one value. Run executes one Query,
+// RunBatch many in a shared traversal.
 type Query struct {
 	// Kind selects the problem variant.
 	Kind QueryKind
@@ -422,16 +419,17 @@ type Query struct {
 	Alpha float64
 	// MinLength restricts candidates to substrings of length ≥ MinLength
 	// (0 and 1 are equivalent: no floor). Problem 4's "strictly longer
-	// than γ" is MinLength: γ+1, which is what MSSMinLength passes.
+	// than γ" is MinLength: γ+1.
 	MinLength int
 	// Lo, Hi restrict candidates to the segment [Lo, Hi) of the scanned
 	// string. The zero value Hi == 0 means Len() — the whole string — so
 	// the zero Query scans everything; out-of-range bounds are clamped and
 	// a range smaller than MinLength yields zero results, not an error.
 	Lo, Hi int
-	// Limit caps the collected results of a QueryThreshold (0 means the
-	// scan option's limit, default 1,000,000; negative means unlimited).
-	// Exceeding it returns the first Limit results plus an error.
+	// Limit caps the collected results of a QueryThreshold (0 means
+	// 1,000,000; negative means unlimited), since low thresholds can produce
+	// O(n²) results. Exceeding it returns the first Limit results plus an
+	// error in QueryResult.Err.
 	Limit int
 }
 
@@ -467,17 +465,15 @@ type QueryResult struct {
 	Err     error
 }
 
-// lower translates a public Query to its core plan, resolving the Hi == 0
-// sentinel and the option-level threshold limit.
-func (s *Scanner) lower(q Query, o options) (core.Query, error) {
-	return lowerQuery(q, s.sc.Len(), o)
-}
+// defaultThresholdLimit is the result cap of a QueryThreshold whose Limit
+// is 0.
+const defaultThresholdLimit = 1_000_000
 
-// lowerQuery is the scanner-free form of lower: it resolves the Hi == 0
-// sentinel against an explicit corpus length, so a shard coordinator can
-// lower queries knowing only n (the catalog's corpus length), without
-// holding any symbols locally.
-func lowerQuery(q Query, n int, o options) (core.Query, error) {
+// lowerQuery translates a public Query to its core plan over an n-symbol
+// corpus, resolving the Hi == 0 sentinel and the default threshold limit.
+// It needs only n, so a shard coordinator can lower queries without holding
+// any symbols locally.
+func lowerQuery(q Query, n int) (core.Query, error) {
 	kind, err := q.Kind.core()
 	if err != nil {
 		return core.Query{}, err
@@ -488,7 +484,7 @@ func lowerQuery(q Query, n int, o options) (core.Query, error) {
 	}
 	limit := q.Limit
 	if q.Kind == QueryThreshold && limit == 0 {
-		limit = o.limit
+		limit = defaultThresholdLimit
 	}
 	return core.Query{
 		Kind:   kind,
@@ -499,6 +495,23 @@ func lowerQuery(q Query, n int, o options) (core.Query, error) {
 		Hi:     hi,
 		Limit:  limit,
 	}, nil
+}
+
+// lowerBatch lowers every query of a batch. A query that fails to lower
+// gets a sentinel kind core rejects, and its public error in errs[i], which
+// wins over core's error for that slot.
+func lowerBatch(qs []Query, n int) (cqs []core.Query, errs []error) {
+	cqs = make([]core.Query, len(qs))
+	errs = make([]error, len(qs))
+	for i, q := range qs {
+		cq, err := lowerQuery(q, n)
+		if err != nil {
+			errs[i] = err
+			cq = core.Query{Kind: core.Kind(-1)}
+		}
+		cqs[i] = cq
+	}
+	return cqs, errs
 }
 
 // core maps the public kind to its core counterpart.
@@ -525,23 +538,10 @@ func (s *Scanner) queryResult(r core.QueryResult) QueryResult {
 // Run executes one Query on the exact engine. Validation problems (unknown
 // kind, t < 1) are returned as the error; scan-level problems that still
 // produce partial output (a threshold limit overflow) are reported in
-// QueryResult.Err alongside the partial Results. Options configure the
-// engine exactly as they do for the legacy methods.
+// QueryResult.Err alongside the partial Results. WithWorkers, WithWarmStart
+// and WithStats configure the scan.
 func (s *Scanner) Run(q Query, opts ...Option) (QueryResult, error) {
-	if s.sc.Len() == 0 {
-		return QueryResult{}, errors.New("sigsub: cannot scan an empty string")
-	}
-	o := buildOptions(opts)
-	cq, err := s.lower(q, o)
-	if err != nil {
-		return QueryResult{}, err
-	}
-	r := s.sc.RunQuery(o.engine(), cq)
-	if r.Err != nil && len(r.Results) == 0 {
-		return QueryResult{}, r.Err
-	}
-	record(o, r.Stats)
-	return s.queryResult(r), nil
+	return s.RunContext(context.Background(), q, opts...)
 }
 
 // RunBatch executes a batch of Queries in as few engine passes as possible:
@@ -555,47 +555,18 @@ func (s *Scanner) Run(q Query, opts ...Option) (QueryResult, error) {
 // slot's Err. WithStats records the summed counters of the whole batch;
 // WithWorkers parallelizes the shared traversal itself.
 //
-// Result equivalence with the individual methods: MSS-kind and
-// threshold-kind queries return bit-identical results; top-t queries return
-// the identical X² value multiset (intervals exactly tied at the t-th-best
-// value may resolve differently, as the problem statement permits).
+// Result equivalence with Run: MSS-kind and threshold-kind queries return
+// bit-identical results; top-t queries return the identical X² value
+// multiset (intervals exactly tied at the t-th-best value may resolve
+// differently, as the problem statement permits).
 func (s *Scanner) RunBatch(qs []Query, opts ...Option) ([]QueryResult, error) {
-	if s.sc.Len() == 0 {
-		return nil, errors.New("sigsub: cannot scan an empty string")
-	}
-	o := buildOptions(opts)
-	cqs := make([]core.Query, len(qs))
-	lowerErrs := make([]error, len(qs))
-	for i, q := range qs {
-		cq, err := s.lower(q, o)
-		if err != nil {
-			// Mark the slot invalid; core rejects the sentinel kind again,
-			// but the clearer public error wins below.
-			lowerErrs[i] = err
-			cq = core.Query{Kind: core.Kind(-1)}
-		}
-		cqs[i] = cq
-	}
-	rs := s.sc.RunBatch(o.engine(), cqs)
-	out := make([]QueryResult, len(rs))
-	var sum core.Stats
-	for i, r := range rs {
-		out[i] = s.queryResult(r)
-		if lowerErrs[i] != nil {
-			out[i].Err = lowerErrs[i]
-		}
-		sum.Evaluated += r.Stats.Evaluated
-		sum.Skipped += r.Stats.Skipped
-		sum.Starts += r.Stats.Starts
-	}
-	record(o, sum)
-	return out, nil
+	return s.RunBatchContext(context.Background(), qs, opts...)
 }
 
-// MSS solves Problem 1: the substring with the maximum chi-square value.
-// An empty string yields an error. With the default AlgoExact the call is a
-// thin constructor over Run(MSSQuery()); the baseline and heuristic
-// algorithms keep their dedicated scanners.
+// MSS solves Problem 1: the substring with the maximum chi-square value,
+// under the algorithm WithAlgorithm selects. It is the entry point of the
+// baseline and heuristic algorithms; with the default AlgoExact it answers
+// Run(MSSQuery()). An empty string yields an error.
 func (s *Scanner) MSS(opts ...Option) (Result, error) {
 	if s.sc.Len() == 0 {
 		return Result{}, errors.New("sigsub: cannot scan an empty string")
@@ -609,7 +580,7 @@ func (s *Scanner) MSS(opts ...Option) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		return firstOr(qr), nil
+		return qr.Results[0], nil
 	case AlgoTrivial:
 		best, st = s.sc.Trivial()
 	case AlgoTrivialIncremental:
@@ -627,172 +598,6 @@ func (s *Scanner) MSS(opts ...Option) (Result, error) {
 	return s.result(best), nil
 }
 
-// firstOr unwraps an MSS-style QueryResult: its single result, or the zero
-// Result (with the conservative p-value 1) when the candidate set was
-// empty.
-func firstOr(qr QueryResult) Result {
-	if len(qr.Results) > 0 {
-		return qr.Results[0]
-	}
-	return Result{PValue: 1}
-}
-
-// TopT solves Problem 2: the t substrings with the largest chi-square
-// values, in descending order. Fewer than t results are returned only when
-// the string has fewer than t substrings.
-func (s *Scanner) TopT(t int, opts ...Option) ([]Result, error) {
-	if s.sc.Len() == 0 {
-		return nil, errors.New("sigsub: cannot scan an empty string")
-	}
-	o := buildOptions(opts)
-	if o.algo != AlgoExact && o.algo != AlgoTrivial {
-		return nil, fmt.Errorf("sigsub: top-t supports the exact and trivial algorithms, not %v", o.algo)
-	}
-	if o.algo == AlgoTrivial {
-		rs, st, err := s.sc.TrivialTopT(t)
-		if err != nil {
-			return nil, err
-		}
-		record(o, st)
-		return s.results(rs), nil
-	}
-	qr, err := s.Run(TopTQuery(t), opts...)
-	if err != nil {
-		return nil, err
-	}
-	return qr.Results, nil
-}
-
-// DisjointTopT returns up to t pairwise non-overlapping substrings in
-// decreasing X² order (greedy peeling: MSS first, then the best in the
-// remaining segments). minLen ≥ 1 restricts candidates to that length or
-// longer; it is how "top periods" tables are produced from temporal data.
-func (s *Scanner) DisjointTopT(t, minLen int, opts ...Option) ([]Result, error) {
-	if s.sc.Len() == 0 {
-		return nil, errors.New("sigsub: cannot scan an empty string")
-	}
-	qr, err := s.Run(DisjointQuery(t).WithMinLength(minLen), opts...)
-	if err != nil {
-		return nil, err
-	}
-	return qr.Results, nil
-}
-
-// Threshold solves Problem 3: every substring with X² strictly above alpha,
-// in (start, end) scan order. The result set is capped by WithLimit.
-func (s *Scanner) Threshold(alpha float64, opts ...Option) ([]Result, error) {
-	if s.sc.Len() == 0 {
-		return nil, errors.New("sigsub: cannot scan an empty string")
-	}
-	qr, err := s.Run(ThresholdQuery(alpha), opts...)
-	if err != nil {
-		return nil, err
-	}
-	if qr.Err != nil {
-		return nil, qr.Err
-	}
-	return qr.Results, nil
-}
-
-// ThresholdFunc streams every substring with X² > alpha to visit without
-// materializing the result set. Streaming requires the sequential scan:
-// with WithWorkers above 1 the qualifying substrings are buffered per chunk
-// (potentially O(n²) of them for a low alpha — WithLimit does not apply
-// here) and replayed in order only after the scan finishes; keep the
-// default workers, or use Threshold whose limit also bounds the parallel
-// buffering.
-func (s *Scanner) ThresholdFunc(alpha float64, visit func(Result), opts ...Option) error {
-	if s.sc.Len() == 0 {
-		return errors.New("sigsub: cannot scan an empty string")
-	}
-	o := buildOptions(opts)
-	cq, err := s.lower(ThresholdQuery(alpha), o)
-	if err != nil {
-		return err
-	}
-	cq.Limit = 0 // streaming delivery: the collect limit does not apply
-	cq.Visit = func(r core.Scored) { visit(s.result(r)) }
-	r := s.sc.RunQuery(o.engine(), cq)
-	record(o, r.Stats)
-	return r.Err
-}
-
-// TopTMinLength combines Problems 2 and 4: the t largest-X² substrings
-// among substrings of length strictly greater than gamma.
-func (s *Scanner) TopTMinLength(t, gamma int, opts ...Option) ([]Result, error) {
-	if s.sc.Len() == 0 {
-		return nil, errors.New("sigsub: cannot scan an empty string")
-	}
-	if gamma < 0 {
-		gamma = 0
-	}
-	qr, err := s.Run(TopTQuery(t).WithMinLength(gamma+1), opts...)
-	if err != nil {
-		return nil, err
-	}
-	return qr.Results, nil
-}
-
-// ThresholdMinLength combines Problems 3 and 4: every substring longer than
-// gamma with X² strictly above alpha.
-func (s *Scanner) ThresholdMinLength(alpha float64, gamma int, opts ...Option) ([]Result, error) {
-	if s.sc.Len() == 0 {
-		return nil, errors.New("sigsub: cannot scan an empty string")
-	}
-	if gamma < 0 {
-		gamma = 0
-	}
-	o := buildOptions(opts)
-	qr, err := s.Run(ThresholdQuery(alpha).WithMinLength(gamma+1), opts...)
-	if err != nil {
-		return nil, err
-	}
-	if qr.Err != nil {
-		return qr.Results, fmt.Errorf("sigsub: more than %d substrings exceed threshold %g", o.limit, alpha)
-	}
-	return qr.Results, nil
-}
-
-// MSSRange finds the maximum-X² substring confined to [lo, hi) with length
-// ≥ minLen — useful when natural boundaries (sessions, seasons,
-// chromosomes) delimit the search.
-func (s *Scanner) MSSRange(lo, hi, minLen int, opts ...Option) (Result, error) {
-	if s.sc.Len() == 0 {
-		return Result{}, errors.New("sigsub: cannot scan an empty string")
-	}
-	if hi <= 0 {
-		// An explicitly empty (or inverted) range has no candidates; handle
-		// it here because a Query's Hi == 0 means "to the end".
-		o := buildOptions(opts)
-		record(o, core.Stats{})
-		return Result{PValue: 1}, nil
-	}
-	qr, err := s.Run(MSSQuery().WithRange(lo, hi).WithMinLength(minLen), opts...)
-	if err != nil {
-		return Result{}, err
-	}
-	return firstOr(qr), nil
-}
-
-// MSSMinLength solves Problem 4: the maximum-X² substring among substrings
-// of length strictly greater than gamma.
-func (s *Scanner) MSSMinLength(gamma int, opts ...Option) (Result, error) {
-	if s.sc.Len() == 0 {
-		return Result{}, errors.New("sigsub: cannot scan an empty string")
-	}
-	if gamma >= s.sc.Len() {
-		return Result{}, fmt.Errorf("sigsub: no substring of length > %d in a string of length %d", gamma, s.sc.Len())
-	}
-	if gamma < 0 {
-		gamma = 0
-	}
-	qr, err := s.Run(MSSQuery().WithMinLength(gamma+1), opts...)
-	if err != nil {
-		return Result{}, err
-	}
-	return firstOr(qr), nil
-}
-
 // FindMSS is the one-shot form of Scanner.MSS.
 func FindMSS(s []byte, m *Model, opts ...Option) (Result, error) {
 	sc, err := NewScanner(s, m)
@@ -800,33 +605,6 @@ func FindMSS(s []byte, m *Model, opts ...Option) (Result, error) {
 		return Result{}, err
 	}
 	return sc.MSS(opts...)
-}
-
-// FindTopT is the one-shot form of Scanner.TopT.
-func FindTopT(s []byte, m *Model, t int, opts ...Option) ([]Result, error) {
-	sc, err := NewScanner(s, m)
-	if err != nil {
-		return nil, err
-	}
-	return sc.TopT(t, opts...)
-}
-
-// FindAboveThreshold is the one-shot form of Scanner.Threshold.
-func FindAboveThreshold(s []byte, m *Model, alpha float64, opts ...Option) ([]Result, error) {
-	sc, err := NewScanner(s, m)
-	if err != nil {
-		return nil, err
-	}
-	return sc.Threshold(alpha, opts...)
-}
-
-// FindMSSMinLength is the one-shot form of Scanner.MSSMinLength.
-func FindMSSMinLength(s []byte, m *Model, gamma int, opts ...Option) (Result, error) {
-	sc, err := NewScanner(s, m)
-	if err != nil {
-		return Result{}, err
-	}
-	return sc.MSSMinLength(gamma, opts...)
 }
 
 // ChiSquare returns the chi-square statistic of the whole string under the
@@ -868,7 +646,8 @@ func PValue(x2 float64, k int) float64 {
 
 // CriticalValue returns the chi-square threshold at significance level
 // alpha for a k-symbol alphabet: substrings with X² above it have p-value
-// below alpha. Typical use: FindAboveThreshold(s, m, CriticalValue(0.001, k)).
+// below alpha. Typical use: sc.Run(ThresholdQuery(cv)) with
+// cv = CriticalValue(0.001, k).
 func CriticalValue(alpha float64, k int) (float64, error) {
 	if k < 2 {
 		return 0, fmt.Errorf("sigsub: alphabet size must be at least 2, got %d", k)

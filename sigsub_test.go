@@ -26,6 +26,26 @@ func randString(rng *rand.Rand, n, k int) []byte {
 	return s
 }
 
+// runResults runs q and folds the slot's own error (a threshold overflow)
+// into the call's.
+func runResults(sc *Scanner, q Query, opts ...Option) ([]Result, error) {
+	qr, err := sc.Run(q, opts...)
+	if err == nil {
+		err = qr.Err
+	}
+	return qr.Results, err
+}
+
+// runBest runs an MSS-kind q and returns its single result, or the zero
+// Result (p-value 1) when no candidate fits the query.
+func runBest(sc *Scanner, q Query, opts ...Option) (Result, error) {
+	rs, err := runResults(sc, q, opts...)
+	if len(rs) == 0 {
+		return Result{PValue: 1}, err
+	}
+	return rs[0], err
+}
+
 func TestModelConstruction(t *testing.T) {
 	m, err := NewModel([]float64{0.3, 0.7})
 	if err != nil {
@@ -173,7 +193,7 @@ func TestTopTAPI(t *testing.T) {
 	m := mustUniform(t, 2)
 	s := randString(rng, 200, 2)
 	sc, _ := NewScanner(s, m)
-	res, err := sc.TopT(10)
+	res, err := runResults(sc, TopTQuery(10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +203,7 @@ func TestTopTAPI(t *testing.T) {
 	if !sort.SliceIsSorted(res, func(i, j int) bool { return res[i].X2 > res[j].X2 }) {
 		t.Error("top-t not descending")
 	}
-	ref, err := sc.TopT(10, WithAlgorithm(AlgoTrivial))
+	ref, _, err := sc.sc.TrivialTopT(10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,11 +212,8 @@ func TestTopTAPI(t *testing.T) {
 			t.Errorf("rank %d: %.8g vs trivial %.8g", i, res[i].X2, ref[i].X2)
 		}
 	}
-	if _, err := sc.TopT(0); err == nil {
+	if _, err := runResults(sc, TopTQuery(0)); err == nil {
 		t.Error("t=0 accepted")
-	}
-	if _, err := sc.TopT(5, WithAlgorithm(AlgoAGMM)); err == nil {
-		t.Error("top-t with heuristic algorithm accepted")
 	}
 }
 
@@ -205,7 +222,7 @@ func TestDisjointTopTAPI(t *testing.T) {
 	m := mustUniform(t, 2)
 	s := randString(rng, 300, 2)
 	sc, _ := NewScanner(s, m)
-	res, err := sc.DisjointTopT(4, 5)
+	res, err := runResults(sc, DisjointQuery(4).WithMinLength(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +250,7 @@ func TestThresholdAPI(t *testing.T) {
 	sc, _ := NewScanner(s, m)
 	mss, _ := sc.MSS()
 	alpha := mss.X2 * 0.7
-	res, err := sc.Threshold(alpha)
+	res, err := runResults(sc, ThresholdQuery(alpha))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,17 +262,14 @@ func TestThresholdAPI(t *testing.T) {
 			t.Errorf("result %v below threshold %g", r, alpha)
 		}
 	}
-	// Streaming variant agrees.
-	var streamed int
-	if err := sc.ThresholdFunc(alpha, func(Result) { streamed++ }); err != nil {
+	// Overflowing the result limit keeps the first Limit results and
+	// reports the overflow in the slot's error.
+	qr, err := sc.Run(ThresholdQuery(0).WithResultLimit(3))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if streamed != len(res) {
-		t.Errorf("streamed %d vs collected %d", streamed, len(res))
-	}
-	// Limit errors out.
-	if _, err := sc.Threshold(0, WithLimit(3)); err == nil {
-		t.Error("limit overflow not reported")
+	if qr.Err == nil || len(qr.Results) != 3 {
+		t.Errorf("limit overflow: %d results, err %v", len(qr.Results), qr.Err)
 	}
 }
 
@@ -264,19 +278,29 @@ func TestMSSMinLengthAPI(t *testing.T) {
 	m := mustUniform(t, 2)
 	s := randString(rng, 150, 2)
 	sc, _ := NewScanner(s, m)
-	res, err := sc.MSSMinLength(20)
+	res, err := runBest(sc, MSSQuery().WithMinLength(21))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Length <= 20 {
 		t.Errorf("length %d not > 20", res.Length)
 	}
-	if _, err := sc.MSSMinLength(150); err == nil {
-		t.Error("gamma = n accepted")
+	want := -1.0
+	for i := 0; i < len(s); i++ {
+		for j := i + 21; j <= len(s); j++ {
+			if x2, _ := sc.X2(i, j); x2 > want {
+				want = x2
+			}
+		}
 	}
-	one, err := FindMSSMinLength(s, m, 20)
-	if err != nil || one != res {
-		t.Errorf("one-shot mismatch: %+v vs %+v (%v)", one, res, err)
+	if math.Abs(res.X2-want) > 1e-7 {
+		t.Errorf("min-length MSS X² %.8g, brute force %.8g", res.X2, want)
+	}
+	// A floor longer than the string leaves no candidate: no result, no
+	// error.
+	qr, err := sc.Run(MSSQuery().WithMinLength(151))
+	if err != nil || len(qr.Results) != 0 {
+		t.Errorf("floor past the string: %v, err %v", qr.Results, err)
 	}
 }
 
