@@ -50,10 +50,12 @@ func benchBatchQueries() []Query {
 }
 
 // BenchmarkBatchVsSequential quantifies the multi-query executor: the same
-// four mixed queries answered by one shared engine pass (batch), by four
-// independent passes over one prebuilt Scanner (sequential), and by four
+// seven mixed queries answered by one RunBatch (batch: four scans once the
+// planner merges the top-t pair and the threshold triple), by seven
+// independent Run calls over one prebuilt Scanner (sequential), and by seven
 // one-shot calls that each rebuild the O(nk) prefix counts (cold — the
-// pre-daemon workflow). BENCH_2.json records the measured ratios.
+// pre-daemon workflow). README's "Batch execution" records the measured
+// ratios.
 func BenchmarkBatchVsSequential(b *testing.B) {
 	const n = 20000
 	s, m, sc := benchBatchFixture(b, n)

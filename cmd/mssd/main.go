@@ -1,8 +1,8 @@
 // Command mssd is a long-lived HTTP/JSON daemon serving chi-square
 // substring-significance queries. It caches corpora — each upload pays the
 // O(n·k) encode + prefix-count cost once — and answers single or batched
-// queries against them; a batch executes in a single shared pass of the
-// chain-cover engine over the corpus's prefix counts.
+// queries against them; a batch merges its subsumable queries and runs each
+// resulting scan on the chain-cover engine over the corpus's prefix counts.
 //
 // Endpoints:
 //

@@ -35,13 +35,13 @@ func (s *Scanner) RunContext(ctx context.Context, q Query, opts ...Option) (Quer
 	return s.queryResult(r), nil
 }
 
-// RunBatchContext is RunBatch with cooperative cancellation: the batch's
-// shared traversal and follow-up passes poll one flag at chain-cover-start
-// granularity, so a fired context stops the whole batch within one row per
-// worker. On cancellation the partial per-query answers are discarded, every
-// slot's Err reports the cancellation, and ctx.Err() is returned as the
-// function error (the returned slice stays parallel to qs so callers can
-// still read the per-slot work counters).
+// RunBatchContext is RunBatch with cooperative cancellation: every engine
+// pass of the batch polls one flag at chain-cover-start granularity, so a
+// fired context stops the whole batch within one row per worker. On
+// cancellation the partial per-query answers are discarded, every slot's Err
+// reports the cancellation, and ctx.Err() is returned as the function error
+// (the returned slice stays parallel to qs so callers can still read the
+// per-slot work counters).
 func (s *Scanner) RunBatchContext(ctx context.Context, qs []Query, opts ...Option) ([]QueryResult, error) {
 	if s.sc.Len() == 0 {
 		return nil, errors.New("sigsub: cannot scan an empty string")

@@ -57,9 +57,8 @@ func ExampleScanner_RunBatch() {
 	model, _ := sigsub.UniformModel(2)
 	sc, _ := sigsub.NewScanner(s, model)
 
-	// One engine pass answers all three problems: the prefix counts are
-	// built once, each window's X² is evaluated once, and every query keeps
-	// its own skip budget and exact stats.
+	// One batch answers all three problems: the prefix counts are built
+	// once, and every query keeps its own skip budget and exact stats.
 	batch, _ := sc.RunBatch([]sigsub.Query{
 		sigsub.MSSQuery(),
 		sigsub.TopTQuery(3),

@@ -1,71 +1,44 @@
 package core
 
-import (
-	"math"
-	"sort"
-	"sync"
-	"sync/atomic"
-
-	"repro/internal/chisq"
-	"repro/internal/topheap"
-)
+import "slices"
 
 // This file implements the local shard executor: a set of ShardQueries (one
 // shard's subplan — possibly the trivial single-shard plan RunBatch cuts)
-// served by ONE traversal of the chain-cover scan instead of one engine
-// pass per query. Three layers of sharing stack up:
+// answered by the chain-cover engines RunQuery runs, one engine pass per
+// scan group. The prefix counts are built once per Scanner and read by every
+// pass, whatever the batch size.
 //
-//  1. The prefix counts are built once per Scanner and read once per
-//     traversal, whatever the batch size.
-//  2. Queries whose answers subsume each other merge into one scan group
-//     before the pass: threshold queries over the same (range, length
-//     floor) collapse into a single scan at their minimum α — a window
-//     with X² above a member's cutoff is above the group's, so each
-//     member's result set is an exact filter of the group scan — and top-t
-//     queries over the same (range, floor) collapse into one scan at the
-//     maximum t, each member taking the leading t entries of the shared
-//     heap. Identical queries dedup to one scan for free. MSS-kind queries
-//     keep individual cursors (their bit-identical tie-breaking contract
-//     is cheap to honour: their scans evaluate little).
-//  3. The surviving groups share one traversal: each evaluated window's
-//     count vector and X² are computed once and served to every group that
-//     needs that position, while each group keeps its own skip budget,
-//     sinks, and exact work counters.
+// Queries whose answers subsume each other merge into one scan group first:
+// threshold queries over the same (range, length floor) collapse into a
+// single scan at their minimum α — a window with X² above a member's cutoff
+// is above the group's, so each member's result set is an exact filter of
+// the group scan — and top-t queries over the same (range, floor) collapse
+// into one scan at the maximum t, each member taking the leading t entries
+// of the group's heap. Identical queries dedup to one scan for free. MSS-kind
+// queries keep a scan each (their first-discovered-max tie-breaking is
+// per-query state). The groups then run one after another, each on the
+// request's worker count.
 //
-// The key mechanism of layer 3 is a per-group skip cursor. Each group g
-// maintains the next ending position its own chain-cover bound — computed
-// from the window at g's previous consumed position, exactly as its solo
-// scan would — requires evaluated; everything before that position is
-// proven irrelevant to g. The traversal always advances to the minimum over
-// the groups' next needed positions, so each group consumes exactly the
-// position sequence its solo scan would evaluate (with the engine's
-// softened budgets), and a position evaluated for one group costs the
-// others one integer compare (a fused consume-and-find-minimum pass, which
-// profiling showed beats a heap at realistic batch widths).
-//
-// Sharding: each group scans only the start rows [rowLo, rowHi] its
+// Sharding: each group scans only the start rows [RowLo, RowHi] its
 // ShardQuery assigned it — the planner's clip of the query's start range
 // against the shard's StartRange — while windows still extend to the
-// query's own hi. Shard row ranges partition the candidate set, so
+// query's own Hi. Shard row ranges partition the candidate set, so
 // per-shard Stats sum to the solo totals and the merge layer (partial.go)
 // reassembles exact results. The executor returns Partials, not final
 // QueryResults: a shard cannot decide threshold overflow or cut a top-t
 // boundary on its own.
 //
-// Per-query Stats stay exact in the accounting sense: Evaluated + Skipped
-// equals the query's candidate-substring count (summed across its shards)
-// for every engine configuration — the invariant the single-query engine
-// maintains. A query's Evaluated is the evaluation count of the scan that
-// served it, so it can exceed the query's solo figure (a subsumed threshold
-// rides a lower-α scan; a shared traversal wakes a cursor where another
-// group forced an evaluation it could not skip past).
+// Every member of a group reports the Stats of the pass that served it, so
+// Evaluated + Skipped equals the query's candidate-substring count (summed
+// across its shards) for every engine configuration. A query alone in its
+// group reports exactly its solo RunQuery Stats at one worker; a subsumed
+// threshold reports the lower-α scan it rode.
 //
 // Result equivalence with the single-query paths is argued per kind in
-// partial.go (the merge layer); composite kinds (KindDisjoint and
-// streaming-Visit thresholds) cannot join a shared pass — the peel
-// re-scans segments; streaming needs its own delivery — so the executor
-// runs them as ordinary RunQuery calls over the same shared Scanner after
-// the pass, whole on their single assigned shard.
+// partial.go (the merge layer). Composite kinds (KindDisjoint and
+// streaming-Visit thresholds) re-scan segments or need their own delivery,
+// so the executor runs them as ordinary RunQuery calls over the same
+// Scanner after the groups, whole on their single assigned shard.
 
 // groupKey identifies the scan a query can ride: same kind, same segment,
 // same length floor. Every ShardQuery of one executor call shares the same
@@ -76,49 +49,23 @@ type groupKey struct {
 	minLen int
 }
 
-// sink is one threshold query's collection point within its group.
-type sink struct {
-	slot  int     // index into the batch results
-	alpha float64 // the member's own cutoff (≥ the group's scan budget)
-	limit int     // the member's result cap (≤ 0: unlimited)
-}
-
-// scanGroup is one cursor of the shared traversal: a scan that answers one
-// or more subsumable queries.
+// scanGroup is one engine pass answering one or more subsumable queries.
 type scanGroup struct {
-	kind   Kind
-	lo, hi int // the query's candidate range (windows extend to hi)
-	minLen int
-	// rowLo, rowHi bound the start rows this shard scans for the group
-	// (inclusive): the planner's clip of [lo, hi−minLen] against the
-	// shard's start range.
-	rowLo, rowHi int
-
-	// KindMSS: the single member's slot and the shared skip budget.
-	slot   int
-	budget atomicBudget
-
-	// KindTopT: the member slots with their capacities, served by one heap
-	// of capacity max(t).
-	topts []sink // sink.limit carries the member's t
-	heap  *sharedHeap
-
-	// KindThreshold: the scan budget (the minimum member α) and the member
-	// sinks, indexed into the global sink arrays.
-	alpha float64
-	sinks []int
+	sq    ShardQuery // the first member: the pass's range, floor and rows
+	slots []int      // every member's batch slot
+	ts    []int      // KindTopT: each member's t
+	sinks []sink     // KindThreshold: each member's cutoff and limit
 }
 
 // RunBatch executes every query against the scanner in as few engine passes
 // as possible. It is the planned query path specialised to one shard: plan
 // the batch over the full start range, execute the single subplan on the
-// local engine, merge the partials — all MSS/top-t/threshold-collect
-// queries merge into scan groups sharing one chain-cover traversal of the
-// union of their candidate ranges; disjoint and streaming queries follow as
-// individual passes over the same shared prefix counts. The returned slice
-// is parallel to qs: Results[i] answers qs[i], with any per-query
-// validation or overflow error in its Err field, so one bad query never
-// poisons the rest of the batch.
+// local engines, merge the partials — subsumable MSS/top-t/threshold-collect
+// queries merge into scan groups of one pass each; disjoint and streaming
+// queries follow as individual passes over the same prefix counts. The
+// returned slice is parallel to qs: Results[i] answers qs[i], with any
+// per-query validation or overflow error in its Err field, so one bad query
+// never poisons the rest of the batch.
 func (sc *Scanner) RunBatch(e Engine, qs []Query) []QueryResult {
 	plan, err := PlanBatch(len(sc.s), qs, nil)
 	if err != nil {
@@ -130,19 +77,18 @@ func (sc *Scanner) RunBatch(e Engine, qs []Query) []QueryResult {
 		}
 		return out
 	}
-	parts := sc.execShard(e, plan.Shards[0], nil)
+	parts := sc.execShard(e, plan.Shards[0])
 	return plan.Merge([][]Partial{parts})
 }
 
 // execShard is the local executor's core: group one shard's subplan by
-// subsumption, run the shared traversal over the groups' row ranges, and
-// return the per-slot partials. Composite subqueries run as individual
-// RunQuery passes after the shared one. Coordinates are scanner-local;
-// LocalExec translates absolute plans through its segment offset.
-func (sc *Scanner) execShard(e Engine, sqs []ShardQuery, exch *Exchange) []Partial {
+// subsumption, run each group's engine pass over its row range, and return
+// the per-slot partials. Composite subqueries run as individual RunQuery
+// passes after the groups. Coordinates are scanner-local; LocalExec
+// translates absolute plans through its segment offset.
+func (sc *Scanner) execShard(e Engine, sqs []ShardQuery) []Partial {
 	var groups []*scanGroup
 	index := make(map[groupKey]*scanGroup)
-	var allSinks []sink
 	var composite []ShardQuery
 	for _, sq := range sqs {
 		if sq.Composite {
@@ -153,27 +99,24 @@ func (sc *Scanner) execShard(e Engine, sqs []ShardQuery, exch *Exchange) []Parti
 		key := groupKey{kind: q.Kind, lo: q.Lo, hi: q.Hi, minLen: q.MinLen}
 		g := index[key]
 		if g == nil || q.Kind == KindMSS {
-			// MSS queries never share a cursor: their first-discovered-max
-			// tie-breaking is per-query state. (Identical MSS queries could
-			// share; the scans are cheap enough not to special-case.)
-			g = &scanGroup{kind: q.Kind, lo: q.Lo, hi: q.Hi, minLen: q.MinLen, rowLo: sq.RowLo, rowHi: sq.RowHi, slot: sq.Slot}
+			g = &scanGroup{sq: sq}
 			groups = append(groups, g)
 			if q.Kind != KindMSS {
 				index[key] = g
 			}
 		}
+		g.slots = append(g.slots, sq.Slot)
 		switch q.Kind {
 		case KindTopT:
-			g.topts = append(g.topts, sink{slot: sq.Slot, limit: q.T})
+			g.ts = append(g.ts, q.T)
 		case KindThreshold:
-			if len(g.sinks) == 0 || q.Alpha < g.alpha {
-				g.alpha = q.Alpha
-			}
-			g.sinks = append(g.sinks, len(allSinks))
-			allSinks = append(allSinks, sink{slot: sq.Slot, alpha: q.Alpha, limit: q.Limit})
+			g.sinks = append(g.sinks, sink{alpha: q.Alpha, limit: q.Limit})
 		}
 	}
-	parts := sc.runSharedPass(e, groups, allSinks, exch)
+	var parts []Partial
+	for _, g := range groups {
+		parts = append(parts, sc.runGroup(e, g)...)
+	}
 	for _, sq := range composite {
 		r := sc.RunQuery(e, sq.Q)
 		parts = append(parts, Partial{Slot: sq.Slot, Cands: r.Results, Stats: r.Stats, Err: r.Err})
@@ -181,391 +124,37 @@ func (sc *Scanner) execShard(e Engine, sqs []ShardQuery, exch *Exchange) []Parti
 	return parts
 }
 
-// mergedStartRanges returns the union of the groups' [rowLo, rowHi] start
-// intervals as {hi, lo} pairs ordered by descending start — the order the
-// sequential scan (and the chunk replay) visits rows in. Empty candidate
-// sets contribute nothing.
-func mergedStartRanges(groups []*scanGroup) [][2]int {
-	var spans [][2]int // {rowLo, rowHi}, ascending
-	for _, g := range groups {
-		if g.rowHi >= g.rowLo {
-			spans = append(spans, [2]int{g.rowLo, g.rowHi})
+// runGroup runs one scan group's engine pass and returns each member's
+// Partial: the MSS candidate, the leading t entries of the max-t heap, or
+// the member's hits in scan order, at most limit+1 of them (limit+1 is
+// enough for the merge layer, which owns limits and overflow, to decide).
+func (sc *Scanner) runGroup(e Engine, g *scanGroup) []Partial {
+	q, rowLo, rowHi := g.sq.Q, g.sq.RowLo, g.sq.RowHi
+	parts := make([]Partial, len(g.slots))
+	switch q.Kind {
+	case KindMSS:
+		best, st := sc.engineMSSRange(e, q.Lo, q.Hi, q.MinLen, rowLo, rowHi)
+		parts[0] = Partial{Slot: g.slots[0], Stats: st}
+		if best.End > best.Start {
+			parts[0].Cands = []Scored{best}
 		}
-	}
-	sort.Slice(spans, func(a, b int) bool { return spans[a][0] < spans[b][0] })
-	var merged [][2]int
-	for _, s := range spans {
-		if n := len(merged); n > 0 && s[0] <= merged[n-1][1]+1 {
-			if s[1] > merged[n-1][1] {
-				merged[n-1][1] = s[1]
-			}
-			continue
+	case KindTopT:
+		items, st, err := sc.engineTopT(e, slices.Max(g.ts), q.Hi, q.MinLen, rowLo, rowHi)
+		for i, t := range g.ts {
+			// A copy per member: executors translate candidates in place.
+			lead := slices.Clone(items[:min(t, len(items))])
+			parts[i] = Partial{Slot: g.slots[i], Cands: lead, Stats: st, Err: err}
 		}
-		merged = append(merged, s)
-	}
-	out := make([][2]int, len(merged))
-	for i, m := range merged {
-		out[len(merged)-1-i] = [2]int{m[1], m[0]}
-	}
-	return out
-}
-
-// exchangeFold folds the batch-wide exchange into the groups' local budgets
-// and publishes the local high-water marks back — one round of the
-// two-level budget protocol, run at chunk-claim granularity. Every value
-// that crosses is the X² of an actual candidate substring, so folding can
-// only enlarge provably-sound skips.
-func exchangeFold(exch *Exchange, groups []*scanGroup) {
-	for _, g := range groups {
-		switch g.kind {
-		case KindMSS:
-			g.budget.raise(exch.Load(g.slot))
-			exch.Raise(g.slot, g.budget.load())
-		case KindTopT:
-			for _, m := range g.topts {
-				g.heap.skip.raise(exch.Load(m.slot))
+	case KindThreshold:
+		found := make([][]Scored, len(g.sinks))
+		st := sc.engineThreshold(e, g.sinks, q.Hi, q.MinLen, rowLo, rowHi, func(si int, s Scored) {
+			if lim := g.sinks[si].limit; lim <= 0 || len(found[si]) <= lim {
+				found[si] = append(found[si], s)
 			}
-			if g.heap.full.Load() {
-				// Publish the heap's own running t-th best, not the folded
-				// skip boundary, so exchanged values always originate from
-				// some shard's actual heap.
-				b := g.heap.budget.load()
-				for _, m := range g.topts {
-					exch.Raise(m.slot, b)
-				}
-			}
+		})
+		for i := range parts {
+			parts[i] = Partial{Slot: g.slots[i], Cands: found[i], Stats: st}
 		}
-	}
-}
-
-// runSharedPass runs the shared chain-cover traversal for the scan groups
-// and returns each member query's Partial.
-func (sc *Scanner) runSharedPass(e Engine, groups []*scanGroup, allSinks []sink, exch *Exchange) []Partial {
-	if len(groups) == 0 {
-		return nil
-	}
-	// Union of the row ranges — not their bounding box, so a batch of
-	// narrow queries at opposite ends of a large corpus never pays per-row
-	// scheduling over the uncovered middle. Rows outside every group are
-	// never visited.
-	ranges := mergedStartRanges(groups)
-	if len(ranges) == 0 {
-		return nil
-	}
-	totalStarts := 0
-	for _, r := range ranges {
-		totalStarts += r[0] - r[1] + 1
-	}
-
-	// Per-group shared state: budgets (and heaps) visible to all workers.
-	var parts []Partial
-	for _, g := range groups {
-		switch g.kind {
-		case KindMSS:
-			warm := -1.0
-			if e.WarmStart {
-				warm = sc.warmSeed(g.lo, g.hi, g.minLen)
-			}
-			g.budget.store(warm)
-		case KindTopT:
-			tMax := 0
-			for _, m := range g.topts {
-				if m.limit > tMax {
-					tMax = m.limit
-				}
-			}
-			h, err := topheap.New(tMax)
-			if err != nil {
-				for _, m := range g.topts {
-					parts = append(parts, Partial{Slot: m.slot, Err: err})
-				}
-				return parts // unreachable: the planner validated every t
-			}
-			g.heap = &sharedHeap{h: h}
-		}
-	}
-	if exch != nil {
-		exchangeFold(exch, groups)
-	}
-
-	w := e.workerCount(totalStarts)
-	targetParts := w * chunksPerWorker
-	var chunks [][2]int
-	for _, r := range ranges {
-		size := r[0] - r[1] + 1
-		pc := targetParts * size / totalStarts
-		if pc < 1 {
-			pc = 1
-		}
-		chunks = append(chunks, splitStarts(r[1], r[0], pc)...)
-	}
-	ng, ns := len(groups), len(allSinks)
-	// found[c][si] buffers chunk c's hits for threshold sink si; chunks
-	// replay in order after the pass, reproducing sequential visit order
-	// exactly (chunks are ordered by descending start, scanned start-desc
-	// within).
-	found := make([][][]Scored, len(chunks))
-	bests := make([][]Scored, w) // [worker][group]
-	statss := make([][]Stats, w) // [worker][group]
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for wid := 0; wid < w; wid++ {
-		wg.Add(1)
-		go func(wid int) {
-			defer wg.Done()
-			cur := sc.newRoll()
-			defer sc.putRoll(cur)
-			nextPos := make([]int, ng)
-			lastConsumed := make([]int, ng)
-			best := make([]Scored, ng)
-			for gi := range best {
-				best[gi] = Scored{X2: -1}
-			}
-			stats := make([]Stats, ng)
-			stored := make([]int, ns)    // per-worker threshold buffering caps
-			hits := make([][]Scored, ns) // per-chunk sink buffers, reset each chunk
-		claim:
-			for {
-				c := int(next.Add(1)) - 1
-				if c >= len(chunks) {
-					break
-				}
-				if exch != nil {
-					exchangeFold(exch, groups)
-				}
-				for i := chunks[c][0]; i >= chunks[c][1]; i-- {
-					if e.stopped() {
-						break claim
-					}
-					sc.batchRow(cur, i, groups, allSinks, nextPos, lastConsumed, best, stats, hits, stored)
-				}
-				for _, h := range hits {
-					if h != nil {
-						// Hand the populated buffer to the replay structure
-						// and start a fresh one; hitless chunks (the common
-						// case away from the anomaly) allocate nothing and
-						// leave found[c] nil, which the replay skips.
-						found[c] = hits
-						hits = make([][]Scored, ns)
-						break
-					}
-				}
-			}
-			bests[wid] = best
-			statss[wid] = stats
-		}(wid)
-	}
-	wg.Wait()
-
-	// Per-shard fragment assembly. Every member of a group reports the
-	// stats of the scan that served it; MSS candidates fold in the
-	// sequential scan's discovery order (better); each top-t member takes
-	// the leading t entries of the shared heap; each threshold sink replays
-	// its chunk buffers in scan order, uncut — the merge layer owns limits
-	// and overflow. A final exchange publish hands the pass's high-water
-	// marks to shards still scanning.
-	for gi, g := range groups {
-		var st Stats
-		best := Scored{X2: -1}
-		for wid := 0; wid < w; wid++ {
-			s := statss[wid][gi]
-			st.Evaluated += s.Evaluated
-			st.Skipped += s.Skipped
-			st.Starts += s.Starts
-			if b := bests[wid][gi]; b.X2 >= 0 && better(b.X2, b.Start, b.End, best) {
-				best = b
-			}
-		}
-		switch g.kind {
-		case KindMSS:
-			pt := Partial{Slot: g.slot, Stats: st}
-			if best.X2 >= 0 {
-				pt.Cands = []Scored{best}
-			}
-			parts = append(parts, pt)
-		case KindTopT:
-			items := itemsToScored(g.heap.h.Items())
-			for _, m := range g.topts {
-				t := m.limit
-				if t > len(items) {
-					t = len(items)
-				}
-				c := make([]Scored, t)
-				copy(c, items[:t])
-				parts = append(parts, Partial{Slot: m.slot, Cands: c, Stats: st})
-			}
-		case KindThreshold:
-			for _, si := range g.sinks {
-				m := allSinks[si]
-				total := 0
-				for _, hits := range found {
-					if hits != nil {
-						total += len(hits[si])
-					}
-				}
-				c := make([]Scored, 0, total)
-				for _, hits := range found {
-					if hits != nil {
-						c = append(c, hits[si]...)
-					}
-				}
-				parts = append(parts, Partial{Slot: m.slot, Cands: c, Stats: st})
-			}
-		}
-	}
-	if exch != nil {
-		exchangeFold(exch, groups)
 	}
 	return parts
-}
-
-// batchRow advances the shared traversal across one start row: every
-// evaluation is shared, and every group consumes exactly the positions its
-// own chain-cover scan needs. nextPos[gi] schedules group gi's next needed
-// ending position (maxInt once the row is proven irrelevant to it); each
-// evaluated position costs the non-consuming groups one integer compare in
-// the fused consume-and-find-minimum pass, and once a single group remains
-// live in the row — the common tail, since the loosest budget outlives the
-// rest — the traversal degrades to the same guarded rolling loop the
-// single-query engine runs.
-//
-// While several groups are live, every evaluation is re-synced to the exact
-// value (cur.Exact) before it is served: a shared evaluation feeds sinks
-// with different boundaries, so the per-boundary guard-band reasoning of
-// the solo loops does not apply.
-func (sc *Scanner) batchRow(cur *chisq.Roll, i int, groups []*scanGroup, allSinks []sink, nextPos, lastConsumed []int, best []Scored, stats []Stats, hits [][]Scored, stored []int) {
-	j := math.MaxInt
-	live := 0
-	for gi, g := range groups {
-		if i < g.rowLo || i > g.rowHi {
-			nextPos[gi] = math.MaxInt
-			continue
-		}
-		jStart := i + g.minLen
-		nextPos[gi] = jStart
-		lastConsumed[gi] = jStart - 1
-		stats[gi].Starts++
-		live++
-		if jStart < j {
-			j = jStart
-		}
-	}
-	if j == math.MaxInt {
-		return
-	}
-	cur.Begin(i, j)
-	for {
-		if live == 1 {
-			for gi, p := range nextPos {
-				if p != math.MaxInt {
-					sc.finishRowSolo(cur, groups[gi], gi, allSinks, lastConsumed, best, stats, hits, stored)
-					return
-				}
-			}
-			return
-		}
-		x2 := cur.Exact()
-		next := math.MaxInt
-		for gi, p := range nextPos {
-			if p == j {
-				p = sc.consumeAt(cur, groups[gi], gi, i, j, x2, true, allSinks, lastConsumed, best, stats, hits, stored)
-				nextPos[gi] = p
-				if p == math.MaxInt {
-					live--
-				}
-			}
-			if p < next {
-				next = p
-			}
-		}
-		if next == math.MaxInt {
-			return
-		}
-		cur.Advance(next)
-		j = next
-	}
-}
-
-// groupBoundary is the decision boundary the guard band of a rolled value
-// must clear for the group: the running best for MSS, the mirrored t-th
-// best (folded with exchanged marks) for top-t, the fixed cutoff for
-// threshold.
-func groupBoundary(g *scanGroup, gi int, best []Scored) float64 {
-	switch g.kind {
-	case KindTopT:
-		return g.heap.skip.load()
-	case KindThreshold:
-		return g.alpha
-	default:
-		return best[gi].X2
-	}
-}
-
-// finishRowSolo drains the row for the single remaining group at full
-// single-query scan speed: the guarded rolling loop of the solo engines.
-// The cursor is already positioned at the group's next needed position.
-func (sc *Scanner) finishRowSolo(cur *chisq.Roll, g *scanGroup, gi int, allSinks []sink, lastConsumed []int, best []Scored, stats []Stats, hits [][]Scored, stored []int) {
-	i := cur.Start()
-	for {
-		j := cur.End()
-		x2, exact := 0.0, false
-		if cur.Passes(groupBoundary(g, gi, best)) {
-			x2, exact = cur.Exact(), true
-		}
-		next := sc.consumeAt(cur, g, gi, i, j, x2, exact, allSinks, lastConsumed, best, stats, hits, stored)
-		if next == math.MaxInt {
-			return
-		}
-		cur.Advance(next)
-	}
-}
-
-// consumeAt feeds one evaluated window to a group — its own next
-// evaluation in the shared traversal: account the chain-cover skip since
-// the previous one, feed the sinks, and return the next position the group
-// needs (maxInt when the rest of the row is proven irrelevant to it).
-//
-// exact reports whether x2 is the canonical value; a rolled (inexact) x2 is
-// guaranteed by the caller's guard check to lie strictly below the group's
-// decision boundary, so sinks only ever publish exact values.
-func (sc *Scanner) consumeAt(cur *chisq.Roll, g *scanGroup, gi, i, j int, x2 float64, exact bool, allSinks []sink, lastConsumed []int, best []Scored, stats []Stats, hits [][]Scored, stored []int) int {
-	stats[gi].Skipped += int64(j - lastConsumed[gi] - 1)
-	stats[gi].Evaluated++
-	lastConsumed[gi] = j
-	d := 0
-	switch g.kind {
-	case KindMSS:
-		if exact && better(x2, i, j, best[gi]) {
-			best[gi] = Scored{Interval{i, j}, x2}
-			g.budget.raise(x2)
-		}
-		if j < g.hi {
-			d = cur.MaxSkip(soften(g.budget.load()))
-		}
-	case KindTopT:
-		if exact {
-			g.heap.offer(topheap.Item{Start: i, End: j, Score: x2})
-		}
-		if j < g.hi {
-			d = cur.MaxSkip(g.heap.skip.load())
-		}
-	case KindThreshold:
-		if exact {
-			for _, si := range g.sinks {
-				if x2 > allSinks[si].alpha && (allSinks[si].limit <= 0 || stored[si] <= allSinks[si].limit) {
-					hits[si] = append(hits[si], Scored{Interval{i, j}, x2})
-					stored[si]++
-				}
-			}
-		}
-		if j < g.hi {
-			d = cur.MaxSkip(g.alpha)
-		}
-	}
-	if j+d >= g.hi {
-		// The rest of the row is proven irrelevant to the group.
-		stats[gi].Skipped += int64(g.hi - j)
-		return math.MaxInt
-	}
-	return j + d + 1
 }

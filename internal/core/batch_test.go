@@ -1,8 +1,15 @@
 package core
 
 import (
+	"context"
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/alphabet"
 )
 
 // batchQueries is the mixed workload used by the batch golden tests: every
@@ -75,37 +82,39 @@ func TestRunBatchGolden(t *testing.T) {
 	}
 }
 
-// TestRunBatchSharesEvaluations: the shared pass must not evaluate more
-// windows in total than the sum of the individual scans — sharing can only
-// remove duplicated Vector/Value work, never add scans of its own.
-// (Per-query Evaluated can exceed its solo value, because the shared
-// traversal wakes a query at positions its solo skip would have jumped
-// past; the global number of X² evaluations is what sharing reduces.)
+// TestRunBatchSharesEvaluations: a batch shares the prefix counts and the
+// subsumable scans, never a traversal — each scan group runs the engine its
+// solo query runs — so at one worker every slot of a batch with no
+// subsumable pair reports exactly its solo RunQuery Stats, the
+// evaluated/skipped split and the row count included. The batches have the
+// daemon's window shape: MSS, top-10 and a limited threshold on one window
+// of uniform k=4 text.
 func TestRunBatchSharesEvaluations(t *testing.T) {
-	sc := queryFixture(t, 600, 3, 29)
-	n := sc.Len()
-	qs := []Query{
-		{Kind: KindMSS, Hi: n},
-		{Kind: KindTopT, T: 10, Hi: n},
-		{Kind: KindThreshold, Alpha: 10, Hi: n},
+	const n, batches = 30000, 60
+	rng := rand.New(rand.NewSource(61))
+	m, err := alphabet.Uniform(4)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var soloSum int64
-	for _, q := range qs {
-		soloSum += sc.RunQuery(Engine{Workers: 1}, q).Stats.Evaluated
+	sc, err := NewScanner(randomString(rng, n, 4), m)
+	if err != nil {
+		t.Fatal(err)
 	}
-	batch := sc.RunBatch(Engine{Workers: 1}, qs)
-	var batchMax int64
-	for _, r := range batch {
-		// Each query's Evaluated counts the shared evaluations it consumed;
-		// the pass's true evaluation count is at most the max consumer plus
-		// positions consumed only by others — bounded above by the sum, and
-		// the threshold query (which can never skip past a hit) dominates.
-		if r.Stats.Evaluated > batchMax {
-			batchMax = r.Stats.Evaluated
+	windows := []int{250, 354, 500, 707, 1000}
+	for b := 0; b < batches; b++ {
+		w := windows[b%len(windows)]
+		lo := rng.Intn(n - w + 1)
+		qs := []Query{
+			{Kind: KindMSS, Lo: lo, Hi: lo + w},
+			{Kind: KindTopT, T: 10, Lo: lo, Hi: lo + w},
+			{Kind: KindThreshold, Alpha: 19 + 9*math.Log10(float64(w)/1000), Limit: 500, Lo: lo, Hi: lo + w},
 		}
-	}
-	if batchMax > soloSum {
-		t.Errorf("shared pass max per-query evaluations %d exceeds solo sum %d", batchMax, soloSum)
+		batch := sc.RunBatch(sequential, qs)
+		for i, q := range qs {
+			if solo := sc.RunQuery(sequential, q); batch[i].Stats != solo.Stats {
+				t.Errorf("batch %d slot %d (%s, [%d, %d)): stats %+v, solo %+v", b, i, q.Kind, q.Lo, q.Hi, batch[i].Stats, solo.Stats)
+			}
+		}
 	}
 }
 
@@ -181,21 +190,26 @@ func TestRunBatchCompositeAndStreaming(t *testing.T) {
 	}
 }
 
-// TestRunBatchScatteredRanges: queries confined to far-apart segments must
-// stay golden under the union-of-ranges traversal (the scan never visits
-// the uncovered middle, but every covered row is answered exactly).
-func TestRunBatchScatteredRanges(t *testing.T) {
-	sc := queryFixture(t, 2000, 3, 31)
-	n := sc.Len()
-	qs := []Query{
+// scatteredQueries is a batch of queries confined to far-apart segments of
+// an n-symbol corpus, with an empty and an inverted range among them.
+func scatteredQueries(n int) []Query {
+	return []Query{
 		{Kind: KindMSS, Lo: 0, Hi: 120, MinLen: 3},
 		{Kind: KindMSS, Lo: n - 130, Hi: n, MinLen: 5},
 		{Kind: KindTopT, T: 5, Lo: 40, Hi: 100},
 		{Kind: KindThreshold, Alpha: 4, Lo: n - 100, Hi: n - 20},
-		{Kind: KindMSS, Lo: 900, Hi: 960},                // isolated middle island
-		{Kind: KindMSS, Lo: 500, Hi: 200},                // inverted: empty
-		{Kind: KindThreshold, Alpha: 2, Lo: 60, Hi: 160}, // bridges the first two spans
+		{Kind: KindMSS, Lo: 900, Hi: 960},                   // isolated middle island
+		{Kind: KindMSS, Lo: 500, Hi: 200},                   // inverted: empty
+		{Kind: KindThreshold, Alpha: 2, Lo: 60, Hi: 160},    // overlaps the first two
+		{Kind: KindTopT, T: 3, Lo: 700, Hi: 704, MinLen: 9}, // floor past the span: empty
 	}
+}
+
+// TestRunBatchScatteredRanges: queries confined to far-apart segments must
+// stay golden (every covered row is answered exactly).
+func TestRunBatchScatteredRanges(t *testing.T) {
+	sc := queryFixture(t, 2000, 3, 31)
+	qs := scatteredQueries(sc.Len())
 	for _, e := range []Engine{{Workers: 1}, {Workers: 8}} {
 		batch := sc.RunBatch(e, qs)
 		for i, q := range qs {
@@ -226,26 +240,93 @@ func TestRunBatchScatteredRanges(t *testing.T) {
 	}
 }
 
-// TestMergedStartRanges pins the interval union used to lay out chunks.
+// TestMergedStartRanges pins that each scan group visits exactly its own
+// start rows — never another group's, never the gaps between them: a
+// slot's Starts is RowHi − RowLo + 1 (0 for inverted or empty ranges), for
+// RunBatch's single shard and for every fragment of a three-shard plan. Two
+// queries spanning the shard cuts make the plan clip their rows.
 func TestMergedStartRanges(t *testing.T) {
-	mk := func(lo, hi, minLen int) *scanGroup {
-		return &scanGroup{lo: lo, hi: hi, minLen: minLen, rowLo: lo, rowHi: hi - minLen}
+	sc := queryFixture(t, 2000, 3, 31)
+	n := sc.Len()
+	qs := append(scatteredQueries(n),
+		Query{Kind: KindMSS, Lo: 500, Hi: 1500, MinLen: 4},
+		Query{Kind: KindTopT, T: 4, Lo: 100, Hi: n})
+	for _, e := range []Engine{{Workers: 1}, {Workers: 8}} {
+		for i, r := range sc.RunBatch(e, qs) {
+			nq := qs[i].mustNormalize(t, sc)
+			if rows := int64(max(nq.Hi-nq.MinLen-nq.Lo+1, 0)); r.Stats.Starts != rows {
+				t.Errorf("workers=%d slot %d: %d starts, range holds %d rows", e.Workers, i, r.Stats.Starts, rows)
+			}
+		}
+		plan, err := PlanBatch(n, qs, EvenCuts(n, 3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s, sqs := range plan.Shards {
+			parts, err := LocalExec{Sc: sc}.ExecShard(context.Background(), e, s, sqs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(parts) != len(sqs) {
+				t.Fatalf("shard %d: %d fragments for %d subqueries", s, len(parts), len(sqs))
+			}
+			bySlot := make(map[int]ShardQuery)
+			for _, sq := range sqs {
+				bySlot[sq.Slot] = sq
+			}
+			for _, p := range parts {
+				sq := bySlot[p.Slot]
+				if rows := int64(sq.RowHi - sq.RowLo + 1); p.Stats.Starts != rows {
+					t.Errorf("workers=%d shard %d slot %d: %d starts, rows [%d, %d]", e.Workers, s, sq.Slot, p.Stats.Starts, sq.RowLo, sq.RowHi)
+				}
+			}
+		}
 	}
-	got := mergedStartRanges([]*scanGroup{
-		mk(0, 100, 1),    // starts [0, 99]
-		mk(50, 200, 10),  // starts [50, 190] — overlaps
-		mk(191, 300, 1),  // starts [191, 299] — adjacent: merges
-		mk(800, 900, 1),  // starts [800, 899] — separate
-		mk(400, 380, 1),  // inverted: empty, dropped
-		mk(500, 505, 50), // floor exceeds span: empty, dropped
-	})
-	want := [][2]int{{899, 800}, {299, 0}}
-	if len(got) != len(want) {
-		t.Fatalf("ranges %v, want %v", got, want)
+}
+
+// TestRunBatchThresholdSinks: threshold queries on one (range, floor) ride
+// one scan at their lowest α, yet each keeps its own cutoff and limit. The
+// low-α hits far outnumber the high-α ones, so a cap shared by the group
+// would drop hits a higher-α member needs; every slot must still equal its
+// solo RunQuery — the same hits in the same order, the same overflow error —
+// and account for its whole candidate set.
+func TestRunBatchThresholdSinks(t *testing.T) {
+	const n = 800
+	m, err := alphabet.Uniform(2)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("ranges %v, want %v", got, want)
+	sc, err := NewScanner(randomString(rand.New(rand.NewSource(43)), n, 2), m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs := []Query{
+		{Kind: KindThreshold, Alpha: 5, Limit: 3, Hi: n},
+		{Kind: KindThreshold, Alpha: 8, Limit: 2, Hi: n},
+		{Kind: KindThreshold, Alpha: 6, Hi: n},
+		{Kind: KindThreshold, Alpha: 12, Limit: 40, Hi: n},
+	}
+	solo := make([]QueryResult, len(qs))
+	for i, q := range qs {
+		solo[i] = sc.RunQuery(sequential, q)
+	}
+	low := 0
+	sc.RunQuery(sequential, Query{Kind: KindThreshold, Alpha: 5, Hi: n, Visit: func(Scored) { low++ }})
+	if high := len(solo[3].Results); solo[1].Err == nil || solo[3].Err != nil || high == 0 || low < 10*high {
+		t.Fatalf("fixture too tame: %d hits above α=5, %d above α=12, α=8 overflow %v", low, high, solo[1].Err)
+	}
+	for _, workers := range []int{1, 8} {
+		for i, got := range sc.RunBatch(Engine{Workers: workers}, qs) {
+			want := solo[i]
+			if fmt.Sprint(got.Err) != fmt.Sprint(want.Err) {
+				t.Errorf("workers=%d slot %d: err %v, solo %v", workers, i, got.Err, want.Err)
+			}
+			if !slices.Equal(got.Results, want.Results) {
+				t.Errorf("workers=%d slot %d: %d hits %v, solo %d hits %v", workers, i, len(got.Results), got.Results, len(want.Results), want.Results)
+			}
+			if cands := qs[i].mustNormalize(t, sc).candidates(); got.Stats.Total() != cands {
+				t.Errorf("workers=%d slot %d: accounts for %d, candidates %d", workers, i, got.Stats.Total(), cands)
+			}
 		}
 	}
 }

@@ -46,11 +46,11 @@ func (sc *Scanner) RunQueryContext(ctx context.Context, e Engine, q Query) Query
 	return r
 }
 
-// RunBatchContext is RunBatch with cooperative cancellation: the shared
-// traversal and any composite passes poll one flag, so a fired context stops
-// the whole batch within one preemption quantum per worker. On cancellation
-// every slot reports ctx.Err() (with its partial counters); otherwise the
-// answers are bit-identical to RunBatch.
+// RunBatchContext is RunBatch with cooperative cancellation: every engine
+// pass of the batch polls one flag, so a fired context stops the whole batch
+// within one preemption quantum per worker. On cancellation every slot
+// reports ctx.Err() (with its partial counters); otherwise the answers are
+// bit-identical to RunBatch.
 func (sc *Scanner) RunBatchContext(ctx context.Context, e Engine, qs []Query) []QueryResult {
 	if ctx.Done() == nil {
 		return sc.RunBatch(e, qs)

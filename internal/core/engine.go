@@ -198,22 +198,24 @@ func (sc *Scanner) warmSeed(lo, hi, minLen int) float64 {
 // --- MSS family ---
 
 // engineMSSRange is the engine entry point shared by every MSS-style scan:
-// the maximum-X² substring of s[lo:hi) with length ≥ minLen.
-func (sc *Scanner) engineMSSRange(e Engine, lo, hi, minLen int) (Scored, Stats) {
-	hiStart := hi - minLen
-	if hiStart < lo {
+// the maximum-X² substring of s[lo:hi) with length ≥ minLen among the
+// start rows [rowLo, rowHi] — the whole range [lo, hi−minLen] for a solo
+// query, a shard's clip of it for a batch group. lo only bounds the warm
+// start's candidates.
+func (sc *Scanner) engineMSSRange(e Engine, lo, hi, minLen, rowLo, rowHi int) (Scored, Stats) {
+	if rowHi < rowLo {
 		return Scored{}, Stats{}
 	}
 	warm := -1.0
 	if e.WarmStart {
 		warm = sc.warmSeed(lo, hi, minLen)
 	}
-	w := e.workerCount(hiStart - lo + 1)
+	w := e.workerCount(rowHi - rowLo + 1)
 	if w == 1 {
-		return sc.mssRangeWarm(e, lo, hi, minLen, warm)
+		return sc.mssRangeWarm(e, hi, minLen, rowLo, rowHi, warm)
 	}
 
-	chunks := splitStarts(lo, hiStart, w*chunksPerWorker)
+	chunks := splitStarts(rowLo, rowHi, w*chunksPerWorker)
 	var budget atomicBudget
 	budget.store(warm) // −1 when no warm start: below every X², so inert
 
@@ -294,17 +296,11 @@ func (sc *Scanner) engineMSSRange(e Engine, lo, hi, minLen int) (Scored, Stats) 
 // sharedHeap wraps the top-t min-heap for concurrent offers. The heap's
 // minimum (the running t-th best) is mirrored into an atomic so workers
 // read their skip budget without taking the lock; it only grows, so a stale
-// read under-prunes but never over-prunes. skip is the boundary the batch
-// executor prunes against: the heap's own mirrored minimum folded with any
-// high-water marks exchanged from other shards (exec.go) — exchanged values
-// are some shard's actual running t-th best, which subsets of the candidate
-// set can only understate, so pruning on skip never loses a window that
-// could enter the merged global top-t.
+// read under-prunes but never over-prunes.
 type sharedHeap struct {
 	mu     sync.Mutex
 	h      *topheap.Heap
 	budget atomicBudget // mirror of the heap's own minimum when full
-	skip   atomicBudget // max(budget, exchanged marks): the prune boundary
 	full   atomic.Bool
 }
 
@@ -318,18 +314,17 @@ func (s *sharedHeap) offer(it topheap.Item) {
 	s.mu.Lock()
 	s.h.Offer(it)
 	if s.h.Full() {
-		b := s.h.Budget()
-		s.budget.store(b)
-		s.skip.raise(b)
+		s.budget.store(s.h.Budget())
 		s.full.Store(true)
 	}
 	s.mu.Unlock()
 }
 
 // engineTopT is the engine entry point for top-t scans: the t largest-X²
-// substrings of s[lo:hi) with length ≥ minLen. It is the paper's Algorithm
-// 2: the MSS scan with the t-th largest X² seen so far as the skip budget
-// (the minimum of a capacity-t heap, or 0 while the heap still has room).
+// substrings of s[:hi) with length ≥ minLen starting in the rows [rowLo,
+// rowHi]. It is the paper's Algorithm 2: the MSS scan with the t-th largest
+// X² seen so far as the skip budget (the minimum of a capacity-t heap, or 0
+// while the heap still has room).
 // Substrings skipped by the chain-cover bound have X² no greater than the
 // running t-th best and therefore can never displace a heap entry. The
 // result holds min(t, candidates) substrings in descending X² order.
@@ -338,17 +333,16 @@ func (s *sharedHeap) offer(it topheap.Item) {
 // any substring beating the final t-th best is never skipped (every budget
 // used is at most that value), and substrings tied with the boundary are
 // interchangeable, which the problem statement already permits.
-func (sc *Scanner) engineTopT(e Engine, t, lo, hi, minLen int) ([]Scored, Stats, error) {
+func (sc *Scanner) engineTopT(e Engine, t, hi, minLen, rowLo, rowHi int) ([]Scored, Stats, error) {
 	if err := validateT(t); err != nil {
 		return nil, Stats{}, err
 	}
-	hiStart := hi - minLen
 	w := 1
-	if hiStart >= lo {
-		w = e.workerCount(hiStart - lo + 1)
+	if rowHi >= rowLo {
+		w = e.workerCount(rowHi - rowLo + 1)
 	}
 	if w == 1 {
-		return sc.toptSeq(e, t, lo, hi, minLen)
+		return sc.toptSeq(e, t, hi, minLen, rowLo, rowHi)
 	}
 
 	h, err := topheap.New(t)
@@ -356,7 +350,7 @@ func (sc *Scanner) engineTopT(e Engine, t, lo, hi, minLen int) ([]Scored, Stats,
 		return nil, Stats{}, err
 	}
 	shared := &sharedHeap{h: h}
-	chunks := splitStarts(lo, hiStart, w*chunksPerWorker)
+	chunks := splitStarts(rowLo, rowHi, w*chunksPerWorker)
 	stats := make([]Stats, w)
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -416,7 +410,7 @@ func (sc *Scanner) engineTopT(e Engine, t, lo, hi, minLen int) ([]Scored, Stats,
 }
 
 // toptSeq is the sequential top-t scan.
-func (sc *Scanner) toptSeq(e Engine, t, lo, hi, minLen int) ([]Scored, Stats, error) {
+func (sc *Scanner) toptSeq(e Engine, t, hi, minLen, rowLo, rowHi int) ([]Scored, Stats, error) {
 	h, err := topheap.New(t)
 	if err != nil {
 		return nil, Stats{}, err
@@ -424,7 +418,7 @@ func (sc *Scanner) toptSeq(e Engine, t, lo, hi, minLen int) ([]Scored, Stats, er
 	var st Stats
 	cur := sc.newRoll()
 	defer sc.putRoll(cur)
-	for i := hi - minLen; i >= lo; i-- {
+	for i := rowHi; i >= rowLo; i-- {
 		if e.stopped() {
 			break
 		}
@@ -453,32 +447,43 @@ func (sc *Scanner) toptSeq(e Engine, t, lo, hi, minLen int) ([]Scored, Stats, er
 
 // --- Threshold family ---
 
-// engineThreshold reports every substring of s[lo:hi) of length ≥ minLen
-// with X² > alpha.
-// The budget is the constant alpha, so workers share nothing but the string
-// and the scan parallelizes embarrassingly; the evaluated/skipped pattern is
-// identical to the sequential scan's.
+// sink is one threshold query's collection point in a threshold scan.
+type sink struct {
+	alpha float64 // the query's cutoff: it collects windows with X² > alpha
+	limit int     // the query's result cap (≤ 0: unlimited)
+}
+
+// engineThreshold reports, for each sink, every substring of s[:hi) of
+// length ≥ minLen starting in the rows [rowLo, rowHi] with X² above the
+// sink's alpha, as visit(sink index, hit). The scan runs at the lowest sink
+// alpha — every sink's hits are a filter of that scan — and the budget is
+// that constant, so workers share nothing but the string and the scan
+// parallelizes embarrassingly; the evaluated/skipped pattern is identical
+// to the sequential scan's.
 //
-// cap > 0 bounds the buffering of the parallel path: each worker stores at
-// most cap+1 hits, keeping memory at O(workers·cap) instead of the O(n²) a
-// low alpha can produce. This loses no hit a limit-capped visitor would
-// accept: a worker's chunks are claimed in increasing replay order, so by
-// the time it drops a hit it has already stored cap+1 hits that all precede
-// the dropped one in replay order — the dropped hit could only ever be
-// replayed at position cap+2 or later, which the visitor's overflow check
-// has already fired on.
-func (sc *Scanner) engineThreshold(e Engine, alpha float64, lo, hi, minLen, cap int, visit func(Scored)) Stats {
-	hiStart := hi - minLen
+// A sink's limit > 0 bounds the buffering of the parallel path: each worker
+// stores at most limit+1 of that sink's hits, keeping memory at
+// O(workers·limit) instead of the O(n²) a low alpha can produce. This loses
+// no hit a limit-capped visitor would accept: a worker's chunks are claimed
+// in increasing replay order, so by the time it drops a hit it has already
+// stored limit+1 of the sink's hits that all precede the dropped one in
+// replay order — the dropped hit could only ever be replayed at position
+// limit+2 or later, which the visitor's overflow check has already fired on.
+func (sc *Scanner) engineThreshold(e Engine, sinks []sink, hi, minLen, rowLo, rowHi int, visit func(int, Scored)) Stats {
+	alpha := sinks[0].alpha
+	for _, sk := range sinks[1:] {
+		alpha = min(alpha, sk.alpha)
+	}
 	w := 1
-	if hiStart >= lo {
-		w = e.workerCount(hiStart - lo + 1)
+	if rowHi >= rowLo {
+		w = e.workerCount(rowHi - rowLo + 1)
 	}
 	if w == 1 {
-		return sc.thresholdSeq(e, alpha, lo, hi, minLen, visit)
+		return sc.thresholdSeq(e, alpha, sinks, hi, minLen, rowLo, rowHi, visit)
 	}
 
-	chunks := splitStarts(lo, hiStart, w*chunksPerWorker)
-	found := make([][]Scored, len(chunks))
+	chunks := splitStarts(rowLo, rowHi, w*chunksPerWorker)
+	found := make([][][]Scored, len(chunks)) // [chunk][sink]; nil for hitless chunks
 	stats := make([]Stats, w)
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -489,14 +494,14 @@ func (sc *Scanner) engineThreshold(e Engine, alpha float64, lo, hi, minLen, cap 
 			cur := sc.newRoll()
 			defer sc.putRoll(cur)
 			var st Stats
-			stored := 0
+			stored := make([]int, len(sinks))
 		claim:
 			for {
 				c := int(next.Add(1)) - 1
 				if c >= len(chunks) {
 					break
 				}
-				var hits []Scored
+				var hits [][]Scored
 				for i := chunks[c][0]; i >= chunks[c][1]; i-- {
 					if e.stopped() {
 						break claim
@@ -507,9 +512,16 @@ func (sc *Scanner) engineThreshold(e Engine, alpha float64, lo, hi, minLen, cap 
 						j := cur.End()
 						st.Evaluated++
 						if cur.Passes(alpha) {
-							if x2 := cur.Exact(); x2 > alpha && (cap <= 0 || stored <= cap) {
-								hits = append(hits, Scored{Interval{i, j}, x2})
-								stored++
+							if x2 := cur.Exact(); x2 > alpha {
+								for si, sk := range sinks {
+									if x2 > sk.alpha && (sk.limit <= 0 || stored[si] <= sk.limit) {
+										if hits == nil {
+											hits = make([][]Scored, len(sinks))
+										}
+										hits[si] = append(hits[si], Scored{Interval{i, j}, x2})
+										stored[si]++
+									}
+								}
 							}
 						}
 						if j == hi {
@@ -539,21 +551,24 @@ func (sc *Scanner) engineThreshold(e Engine, alpha float64, lo, hi, minLen, cap 
 	}
 	// Chunks are ordered by descending start range and scanned start-desc
 	// within, so replaying them in chunk order reproduces the sequential
-	// visit order exactly.
+	// visit order exactly, sink by sink.
 	for _, hits := range found {
-		for _, r := range hits {
-			visit(r)
+		for si, hs := range hits {
+			for _, r := range hs {
+				visit(si, r)
+			}
 		}
 	}
 	return st
 }
 
-// thresholdSeq is the sequential threshold scan.
-func (sc *Scanner) thresholdSeq(e Engine, alpha float64, lo, hi, minLen int, visit func(Scored)) Stats {
+// thresholdSeq is the sequential threshold scan at budget alpha, the lowest
+// sink alpha.
+func (sc *Scanner) thresholdSeq(e Engine, alpha float64, sinks []sink, hi, minLen, rowLo, rowHi int, visit func(int, Scored)) Stats {
 	var st Stats
 	cur := sc.newRoll()
 	defer sc.putRoll(cur)
-	for i := hi - minLen; i >= lo; i-- {
+	for i := rowHi; i >= rowLo; i-- {
 		if e.stopped() {
 			break
 		}
@@ -564,7 +579,11 @@ func (sc *Scanner) thresholdSeq(e Engine, alpha float64, lo, hi, minLen int, vis
 			st.Evaluated++
 			if cur.Passes(alpha) {
 				if x2 := cur.Exact(); x2 > alpha {
-					visit(Scored{Interval{i, j}, x2})
+					for si, sk := range sinks {
+						if x2 > sk.alpha {
+							visit(si, Scored{Interval{i, j}, x2})
+						}
+					}
 				}
 			}
 			if j == hi {
@@ -608,7 +627,7 @@ func (sc *Scanner) disjointRange(e Engine, t, rangeLo, rangeHi, minLen int) ([]S
 		if hi-lo < minLen {
 			return segment{lo: lo, hi: hi}
 		}
-		best, s := sc.engineMSSRange(e, lo, hi, minLen)
+		best, s := sc.engineMSSRange(e, lo, hi, minLen, lo, hi-minLen)
 		st.Evaluated += s.Evaluated
 		st.Skipped += s.Skipped
 		st.Starts += s.Starts

@@ -7,24 +7,17 @@ import (
 )
 
 // This file is the executor layer of the planned query path: a ShardExec
-// turns one shard's subplan into Partials. LocalExec is today's engine
-// extracted behind the interface — the shared chain-cover traversal of
-// batch.go running against an in-process Scanner, optionally offset when
-// the Scanner holds a suffix segment of a larger corpus. The remote
-// implementation (HTTP scatter to mssd peers serving segment snapshots)
-// lives in internal/service, above this package's dependency horizon.
+// turns one shard's subplan into Partials. LocalExec runs the batch.go
+// executor — one chain-cover engine pass per scan group — against an
+// in-process Scanner, optionally offset when the Scanner holds a suffix
+// segment of a larger corpus. The remote implementation (HTTP scatter to
+// mssd peers serving segment snapshots) lives in internal/service, above
+// this package's dependency horizon.
 //
-// The shared atomic budget becomes a two-level protocol here: each shard
-// scans against its own local budgets (scanGroup.budget, sharedHeap.skip)
-// exactly as before, and an optional Exchange carries periodic high-water
-// marks between shards at chunk-claim granularity. Every exchanged value is
-// the X² of an actual candidate substring (an MSS group's running best, a
-// full top-t heap's running t-th best), hence a sound lower bound on the
-// final answer it prunes against — exchange can only enlarge skips, never
-// change results. Remote shards simply run with no mid-scan exchange (their
-// Exchange is nil), which preserves exactness at the cost of pruning power;
-// the merge layer's determinism argument (partial.go) never depends on
-// which budgets were exchanged when.
+// Each shard prunes against its own budgets only; nothing crosses shards
+// mid-scan. Every budget is the X² of an actual candidate of the query, so
+// each shard's fragment is exact, and the merge layer's determinism
+// argument (partial.go) never depends on how the shards were scheduled.
 
 // ShardExec executes one shard's subplan of a Plan. Implementations return
 // one Partial per (slot, shard) fragment; a non-nil error poisons the whole
@@ -32,41 +25,6 @@ import (
 // failure — partial results are never silently wrong).
 type ShardExec interface {
 	ExecShard(ctx context.Context, e Engine, shard int, sqs []ShardQuery) ([]Partial, error)
-}
-
-// Exchange is the second level of the two-level budget protocol: per-slot
-// high-water X² marks shared between the shards of one planned batch.
-// Shards fold the exchanged value into their local budget and publish their
-// local high-water back at chunk-claim granularity. All methods are safe
-// for concurrent use; a nil *Exchange disables exchange entirely.
-type Exchange struct {
-	budgets []atomicBudget
-}
-
-// NewExchange returns an exchange for a batch of `slots` queries.
-func NewExchange(slots int) *Exchange {
-	x := &Exchange{budgets: make([]atomicBudget, slots)}
-	for i := range x.budgets {
-		// −1 sits below every X², so an unexchanged slot folds as a no-op.
-		x.budgets[i].store(-1)
-	}
-	return x
-}
-
-// Raise lifts slot's exchanged high-water mark to at least v.
-func (x *Exchange) Raise(slot int, v float64) {
-	if x == nil || slot < 0 || slot >= len(x.budgets) {
-		return
-	}
-	x.budgets[slot].raise(v)
-}
-
-// Load returns slot's exchanged high-water mark (−1 when never raised).
-func (x *Exchange) Load(slot int) float64 {
-	if x == nil || slot < 0 || slot >= len(x.budgets) {
-		return -1
-	}
-	return x.budgets[slot].load()
 }
 
 // LocalExec executes shard subplans against an in-process Scanner — the
@@ -78,8 +36,6 @@ type LocalExec struct {
 	// Offset is the absolute corpus position of Sc's local position 0.
 	// ShardQuery coordinates are absolute; results are translated back.
 	Offset int
-	// Exch, when non-nil, joins this shard to a batch-wide budget exchange.
-	Exch *Exchange
 }
 
 // ExecShard runs the subplan on the local scanner. Queries must lie inside
@@ -122,7 +78,7 @@ func (l LocalExec) ExecShard(ctx context.Context, e Engine, shard int, sqs []Sha
 		e, release = e.withStop(ctx)
 		defer release()
 	}
-	parts := l.Sc.execShard(e, loc, l.Exch)
+	parts := l.Sc.execShard(e, loc)
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
 			// A cancelled scan's partials are unusable by construction;

@@ -17,12 +17,14 @@ import (
 // that deviate from the null model the skips only grow (§5.1). A length
 // floor (Problem 4, §6.3) only shrinks the scanned range.
 
-// mssRangeWarm is the sequential MSS scan with an optional warm-start skip
-// budget: warm < 0 disables it, warm ≥ 0 must be the X² of an actual
-// candidate substring (same range, same length floor), which lower-bounds
-// the answer and therefore only removes substrings that cannot win. The
-// warm budget is softened by one ulp so exact X² ties with it are still
-// evaluated, keeping the reported interval independent of the warm start.
+// mssRangeWarm is the sequential MSS scan of the start rows [rowLo, rowHi]
+// (windows of length ≥ minLen ending at most at hi) with an optional
+// warm-start skip budget: warm < 0 disables it, warm ≥ 0 must be the X² of
+// an actual candidate substring (same range, same length floor), which
+// lower-bounds the answer and therefore only removes substrings that cannot
+// win. The warm budget is softened by one ulp so exact X² ties with it are
+// still evaluated, keeping the reported interval independent of the warm
+// start.
 //
 // The loop runs gangSize rolling cursors working that many start rows at
 // once. Each evaluation is a serial dependency chain — rolled sum → skip
@@ -40,7 +42,7 @@ import (
 // flag stops new start rows from being claimed, and the at-most-gangSize
 // rows already in flight drain normally — the scan stops within one
 // preemption quantum (a chain-cover row) without any per-position check.
-func (sc *Scanner) mssRangeWarm(e Engine, lo, hi, minLen int, warm float64) (Scored, Stats) {
+func (sc *Scanner) mssRangeWarm(e Engine, hi, minLen, rowLo, rowHi int, warm float64) (Scored, Stats) {
 	best := Scored{X2: -1}
 	var st Stats
 	floor := soften(warm)
@@ -55,12 +57,12 @@ func (sc *Scanner) mssRangeWarm(e Engine, lo, hi, minLen int, warm float64) (Sco
 			sc.putRoll(cur)
 		}
 	}()
-	nextRow := hi - minLen
+	nextRow := rowHi
 	for {
 		live := 0
 		for g := range curs {
 			if rows[g] < 0 {
-				if nextRow < lo || e.stopped() {
+				if nextRow < rowLo || e.stopped() {
 					continue
 				}
 				rows[g] = nextRow

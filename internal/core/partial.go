@@ -25,11 +25,11 @@ import (
 //     collects at most limit+1 hits, which keeps the overflow decision
 //     exact: the concatenation overflows iff the solo scan's does.
 //   - KindTopT: each partial carries the shard's top-t items. Every window
-//     beating the final global t-th best is never skipped (exchanged
-//     budgets are some shard's running t-th best, which subsets can only
-//     understate) and never evicted from its shard's heap, so the merged
-//     pool sorted by the canonical output order (score desc, start asc,
-//     end asc) and cut at t has the identical X² multiset; intervals
+//     beating the final global t-th best is never skipped (a shard's budget
+//     is its own running t-th best, which a subset of the candidates can
+//     only understate) and never evicted from its shard's heap, so the
+//     merged pool sorted by the canonical output order (score desc, start
+//     asc, end asc) and cut at t has the identical X² multiset; intervals
 //     exactly tied at the boundary may resolve differently, as the problem
 //     statement permits (the same contract the parallel engine already
 //     carries).

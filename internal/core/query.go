@@ -153,23 +153,25 @@ func (sc *Scanner) RunQuery(e Engine, q Query) QueryResult {
 		return QueryResult{Err: err}
 	}
 	q = nq
+	// A solo query scans every start row of its range.
+	rowLo, rowHi := q.Lo, q.Hi-q.MinLen
 	switch q.Kind {
 	case KindMSS:
-		best, st := sc.engineMSSRange(e, q.Lo, q.Hi, q.MinLen)
+		best, st := sc.engineMSSRange(e, q.Lo, q.Hi, q.MinLen, rowLo, rowHi)
 		res := QueryResult{Stats: st}
 		if best.End > best.Start {
 			res.Results = []Scored{best}
 		}
 		return res
 	case KindTopT:
-		rs, st, err := sc.engineTopT(e, q.T, q.Lo, q.Hi, q.MinLen)
+		rs, st, err := sc.engineTopT(e, q.T, q.Hi, q.MinLen, rowLo, rowHi)
 		return QueryResult{Results: rs, Stats: st, Err: err}
 	case KindThreshold:
 		if q.Visit != nil {
-			st := sc.engineThreshold(e, q.Alpha, q.Lo, q.Hi, q.MinLen, 0, q.Visit)
+			st := sc.engineThreshold(e, []sink{{alpha: q.Alpha}}, q.Hi, q.MinLen, rowLo, rowHi, func(_ int, s Scored) { q.Visit(s) })
 			return QueryResult{Stats: st}
 		}
-		rs, st, err := sc.thresholdCollect(e, q.Alpha, q.Lo, q.Hi, q.MinLen, q.Limit)
+		rs, st, err := sc.thresholdCollect(e, q.Alpha, q.Hi, q.MinLen, rowLo, rowHi, q.Limit)
 		return QueryResult{Results: rs, Stats: st, Err: err}
 	case KindDisjoint:
 		rs, st, err := sc.disjointRange(e, q.T, q.Lo, q.Hi, q.MinLen)

@@ -264,8 +264,8 @@ func TestLayoutsGoldenProblems(t *testing.T) {
 }
 
 // TestLayoutsGoldenBatch is the same golden table answered together
-// (RunBatch) on each checkpointed index layout at workers 1 and 8, so the
-// shared pass must give every query the answer the oracle gives it alone.
+// (RunBatch) on each checkpointed index layout at workers 1 and 8, so every
+// query must get the answer the oracle gives it alone.
 func TestLayoutsGoldenBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(123))
 	for trial := 0; trial < 8; trial++ {

@@ -106,11 +106,10 @@ func sameScoreMultiset(a, b []Scored) bool {
 
 // TestShardedGoldenVsSolo is the merge-determinism golden test: for S ∈
 // {1, 2, 3, 7} shards × W ∈ {1, 8} workers, a planned scatter-gather run
-// over shard-clipped row ranges (all shards sharing one scanner and a live
-// budget exchange) must reproduce the solo sequential scan — bit-identical
+// over shard-clipped row ranges (all shards scanning one shared scanner at
+// once) must reproduce the solo sequential scan — bit-identical
 // MSS/threshold/disjoint results, identical top-t X² multisets, and exact
-// per-slot candidate accounting. CI runs this under -race, which also
-// exercises the exchange's concurrent fold/publish.
+// per-slot candidate accounting.
 func TestShardedGoldenVsSolo(t *testing.T) {
 	const n = 2400
 	sc := queryFixture(t, n, 3, 41)
@@ -123,10 +122,9 @@ func TestShardedGoldenVsSolo(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: plan: %v", label, err)
 			}
-			exch := NewExchange(len(qs))
 			execs := make([]LocalExec, shards)
 			for s := range execs {
-				execs[s] = LocalExec{Sc: sc, Exch: exch}
+				execs[s] = LocalExec{Sc: sc}
 			}
 			got, err := RunPlan(context.Background(), Engine{Workers: workers}, plan, fanExec{execs})
 			if err != nil {

@@ -11,15 +11,15 @@ import "fmt"
 // paper's O(k·n²) worst case for small alpha and O(k·n·√(n/alpha))
 // behaviour for large alpha. The scans themselves live in engine.go.
 
-// thresholdCollect runs the threshold scan under the engine configuration
-// and collects up to limit qualifying substrings (limit ≤ 0 means no
-// limit). The limit is passed down as the parallel path's buffering cap, so
-// a low alpha cannot balloon memory past O(workers·limit) before the
-// overflow error fires.
-func (sc *Scanner) thresholdCollect(e Engine, alpha float64, lo, hi, minLen, limit int) ([]Scored, Stats, error) {
+// thresholdCollect is the one-sink threshold scan of the start rows
+// [rowLo, rowHi]: it collects up to limit qualifying substrings (limit ≤ 0
+// means no limit). The limit rides in the sink, so the parallel path's
+// buffering stays O(workers·limit) however low alpha is, and the overflow
+// error still fires exactly when more than limit substrings qualify.
+func (sc *Scanner) thresholdCollect(e Engine, alpha float64, hi, minLen, rowLo, rowHi, limit int) ([]Scored, Stats, error) {
 	var out []Scored
 	overflow := false
-	st := sc.engineThreshold(e, alpha, lo, hi, minLen, limit, func(s Scored) {
+	st := sc.engineThreshold(e, []sink{{alpha, limit}}, hi, minLen, rowLo, rowHi, func(_ int, s Scored) {
 		if limit > 0 && len(out) >= limit {
 			overflow = true
 			return

@@ -6,10 +6,9 @@
 //
 // The daemon's value proposition is amortization: a corpus uploaded once is
 // encoded and prefix-counted once (an O(n·k) Scanner build), and every
-// subsequent query — or batch of queries sharing one engine pass — reuses
-// it. Scanners are read-only after construction, so the cache serves
-// concurrent requests against one corpus without locking around the scans
-// themselves.
+// subsequent query — or batch of queries — reuses it. Scanners are
+// read-only after construction, so the cache serves concurrent requests
+// against one corpus without locking around the scans themselves.
 package service
 
 import (
@@ -1025,8 +1024,7 @@ func (e *Executor) LoadCatalog(logf func(format string, args ...any)) int {
 
 // Execute runs a batch request: every query is validated and lowered to the
 // library's Query plan, and the whole batch executes over the corpus
-// scanner's shared prefix counts in a single engine pass
-// (sigsub.Scanner.RunBatch). Per-query failures surface in their result
+// scanner's shared prefix counts (sigsub.Scanner.RunBatch). Per-query failures surface in their result
 // slot; only request-level problems return an error.
 func (e *Executor) Execute(req BatchRequest) (BatchResponse, error) {
 	return e.ExecuteContext(context.Background(), req)

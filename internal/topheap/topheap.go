@@ -4,7 +4,10 @@
 // skip bound is checked against, and insert/extract-min are O(log t).
 package topheap
 
-import "fmt"
+import (
+	"fmt"
+	"sort"
+)
 
 // Item is a scored half-open interval [Start, End).
 type Item struct {
@@ -79,25 +82,14 @@ func (h *Heap) Offer(it Item) bool {
 }
 
 // Items returns the heap contents in descending score order (ties broken by
-// start then end position for determinism). The heap is not modified.
+// start then end position for determinism). The heap is not modified. The
+// sort is O(t log t): t comes from outside the program and can reach
+// hundreds of thousands of held items.
 func (h *Heap) Items() []Item {
 	out := make([]Item, len(h.items))
 	copy(out, h.items)
-	// Heap is small (t elements); a simple sort is fine.
-	sortItemsDesc(out)
+	sort.Slice(out, func(a, b int) bool { return lessDesc(out[a], out[b]) })
 	return out
-}
-
-func sortItemsDesc(a []Item) {
-	for i := 1; i < len(a); i++ {
-		v := a[i]
-		j := i - 1
-		for j >= 0 && lessDesc(v, a[j]) {
-			a[j+1] = a[j]
-			j--
-		}
-		a[j+1] = v
-	}
 }
 
 // LessDesc reports whether x precedes y in the canonical descending output

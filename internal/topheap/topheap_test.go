@@ -2,9 +2,11 @@ package topheap
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestNewValidation(t *testing.T) {
@@ -152,5 +154,36 @@ func TestHeapStress(t *testing.T) {
 				t.Fatalf("at %d: budget %g, want %g", i, h.Budget(), sorted[49])
 			}
 		}
+	}
+}
+
+// TestItemsLargeHeap: a top-t request's t comes from outside the program, so
+// Items can face hundreds of thousands of held items. It must return exactly
+// the order a stable sort on lessDesc gives, score ties included, and in
+// O(t log t) time: the bound is generous for a sort of 3×10⁵ items and far
+// below what a quadratic sort needs.
+func TestItemsLargeHeap(t *testing.T) {
+	const size = 300_000
+	rng := rand.New(rand.NewSource(17))
+	h, err := New(size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]Item, 0, size)
+	for i := 0; i < size; i++ {
+		start := rng.Intn(size)
+		// 2000 distinct scores over 3×10⁵ items: ties everywhere.
+		it := Item{Start: start, End: start + 1 + rng.Intn(64), Score: float64(rng.Intn(2000)) / 8}
+		h.Offer(it)
+		want = append(want, it)
+	}
+	sort.SliceStable(want, func(a, b int) bool { return lessDesc(want[a], want[b]) })
+	begin := time.Now()
+	got := h.Items()
+	if elapsed := time.Since(begin); elapsed > 10*time.Second {
+		t.Errorf("Items on %d items took %v", size, elapsed)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatal("Items order differs from a stable sort on lessDesc")
 	}
 }

@@ -17,10 +17,10 @@
 // DisjointQuery, narrowed by WithMinLength, WithRange and WithResultLimit —
 // that Scanner.Run executes on the paper's chain-cover skip scan, which runs
 // in O(k·n^{3/2}) time with high probability while remaining exact.
-// Scanner.RunBatch answers many Queries in one shared traversal. The trivial
-// O(k·n²) scans, the heap-pruned scan and the ARLM/AGMM heuristics of prior
-// work are available for comparison on Problem 1 via Scanner.MSS and
-// WithAlgorithm.
+// Scanner.RunBatch answers many Queries on the same engine, merging
+// subsumable ones into one scan. The trivial O(k·n²) scans, the heap-pruned
+// scan and the ARLM/AGMM heuristics of prior work are available for
+// comparison on Problem 1 via Scanner.MSS and WithAlgorithm.
 //
 // Quick start:
 //
@@ -409,7 +409,7 @@ func ParseQueryKind(name string) (QueryKind, error) {
 // Query is the plan every problem variant is asked as: one kind plus the
 // knobs that compose with it, so every combination (top-t within a range,
 // threshold above a length floor, …) is one value. Run executes one Query,
-// RunBatch many in a shared traversal.
+// RunBatch many.
 type Query struct {
 	// Kind selects the problem variant.
 	Kind QueryKind
@@ -544,16 +544,17 @@ func (s *Scanner) Run(q Query, opts ...Option) (QueryResult, error) {
 	return s.RunContext(context.Background(), q, opts...)
 }
 
-// RunBatch executes a batch of Queries in as few engine passes as possible:
-// every MSS, top-t, and threshold query shares ONE chain-cover traversal of
-// the Scanner's prefix counts — the count vector and X² of each evaluated
-// window are computed once and served to every query that needs them, while
-// each query keeps its own skip budget, sink, and exact Stats (Evaluated +
-// Skipped still accounts for the query's full candidate set). Disjoint
-// queries follow as individual passes over the same shared counts. The
+// RunBatch executes a batch of Queries in as few engine passes as possible,
+// all over the Scanner's one set of prefix counts: threshold queries over
+// the same range and length floor merge into one scan at their lowest
+// cutoff, top-t queries into one scan at their largest t, and every scan
+// runs the chain-cover engine Run uses, one after another. Each query keeps
+// its own sink, limit and exact Stats (Evaluated + Skipped accounts for its
+// full candidate set; a query alone in its scan reports exactly what Run
+// would at one worker). Disjoint queries follow as individual passes. The
 // returned slice is parallel to qs; per-query failures are reported in the
 // slot's Err. WithStats records the summed counters of the whole batch;
-// WithWorkers parallelizes the shared traversal itself.
+// WithWorkers parallelizes each scan.
 //
 // Result equivalence with Run: MSS-kind and threshold-kind queries return
 // bit-identical results; top-t queries return the identical X² value
