@@ -35,8 +35,9 @@ func benchBatchFixture(b *testing.B, n int) ([]byte, *Model, *Scanner) {
 // benchBatchQueries is the mixed workload of the BENCH_2 experiment: the
 // query shapes a monitoring deployment issues against one corpus — the
 // headline anomaly, a length-floored variant, two top-t depths, and three
-// significance levels. The planner merges the two top-t queries into one
-// scan at t=50 and the three thresholds into one scan at α=60.
+// significance levels. The executor answers the six full-range queries in
+// one pass — an MSS tracker, a heap at t=50, sinks at α 60, 90 and 120 —
+// and the length-floored MSS in a second.
 func benchBatchQueries() []Query {
 	return []Query{
 		MSSQuery(),
@@ -50,10 +51,10 @@ func benchBatchQueries() []Query {
 }
 
 // BenchmarkBatchVsSequential quantifies the multi-query executor: the same
-// seven mixed queries answered by one RunBatch (batch: four scans once the
-// planner merges the top-t pair and the threshold triple), by seven
-// independent Run calls over one prebuilt Scanner (sequential), and by seven
-// one-shot calls that each rebuild the O(nk) prefix counts (cold — the
+// seven mixed queries answered by one RunBatch (batch: two passes — the six
+// full-range queries share one, the length-floored MSS takes the other), by
+// seven independent Run calls over one prebuilt Scanner (sequential), and by
+// seven one-shot calls that each rebuild the O(nk) prefix counts (cold — the
 // pre-daemon workflow). README's "Batch execution" records the measured
 // ratios.
 func BenchmarkBatchVsSequential(b *testing.B) {

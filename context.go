@@ -35,9 +35,11 @@ func (s *Scanner) RunContext(ctx context.Context, q Query, opts ...Option) (Quer
 	return s.queryResult(r), nil
 }
 
-// RunBatchContext is RunBatch with cooperative cancellation: every engine
-// pass of the batch polls one flag at chain-cover-start granularity, so a
-// fired context stops the whole batch within one row per worker. On
+// RunBatchContext is RunBatch with cooperative cancellation: every
+// chain-cover pass of the batch polls one flag at start-row granularity, so
+// a fired context stops the whole batch within one row per worker. As in
+// RunBatch, WithStats sums the slots' counters, counting a shared pass once
+// per query riding it. On
 // cancellation the partial per-query answers are discarded, every slot's Err
 // reports the cancellation, and ctx.Err() is returned as the function error
 // (the returned slice stays parallel to qs so callers can still read the

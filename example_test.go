@@ -58,7 +58,8 @@ func ExampleScanner_RunBatch() {
 	sc, _ := sigsub.NewScanner(s, model)
 
 	// One batch answers all three problems: the prefix counts are built
-	// once, and every query keeps its own skip budget and exact stats.
+	// once, and the three queries ride one chain-cover pass, pruned at the
+	// lowest of their skip budgets, each keeping its own answer.
 	batch, _ := sc.RunBatch([]sigsub.Query{
 		sigsub.MSSQuery(),
 		sigsub.TopTQuery(3),

@@ -196,6 +196,15 @@ func (kn *Kernel) MaxSkipSum(yv []int, length int, sum, budget float64, hint int
 	return kn.maxSkipAC(yv, 2*fl+budget, c, hint)
 }
 
+// skipCap bounds every skip the solvers return. A budget near the float64
+// range (a client's threshold α of 1e300, say) overflows the quadratic to an
+// infinite root, and a NaN budget gives a NaN one; the int conversion of
+// either is undefined — on amd64 a huge negative skip that sent the scan
+// cursor backwards. A root at or past the cap returns the cap: it is at most
+// the root, so the skip stays sound (no window exceeds a NaN budget), and
+// callers stop at the range end.
+const skipCap = math.MaxInt >> 1
+
 // maxSkipAC is the shared core of the skip solvers, taking the
 // symbol-independent quadratic coefficients a = 2l + budget and
 // c = (X²−budget)·l ≤ 0.
@@ -229,6 +238,9 @@ func (kn *Kernel) maxSkipAC(yv []int, a, c float64, hint int) (skip, binding int
 			w = u + a*z - c
 		}
 	}
+	if !(z < skipCap) {
+		return skipCap, binding
+	}
 	// Every symbol's constraint was sign-tested at some z' ≥ z, which covers
 	// the final integer skip by inclusion — except the binding symbol, whose
 	// own root z was taken on faith from the closed form. Test it at the
@@ -261,6 +273,9 @@ func (kn *Kernel) MaxSkipUniform(maxY, length int, sum, budget float64) int {
 	z := kn.skipRoot(float64(maxY), a, c, 0)
 	if z < 1 {
 		return 0
+	}
+	if !(z < skipCap) {
+		return skipCap
 	}
 	x := int(z)
 	fx := float64(x)

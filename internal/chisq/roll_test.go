@@ -195,6 +195,28 @@ func TestMaxSkipVariantsAgree(t *testing.T) {
 	}
 }
 
+// TestMaxSkipHugeBudget: a budget near or past the float64 range (a
+// client's threshold α of 1e300, +Inf, or NaN, which no X² exceeds)
+// overflows the skip quadratic. Every solver must still return a
+// non-negative skip — the cap — rather than the undefined int conversion of
+// an infinite root, which sent the scan cursor backwards.
+func TestMaxSkipHugeBudget(t *testing.T) {
+	yv := []int{3, 5, 1, 7}
+	length := 16
+	for _, probs := range [][]float64{{0.25, 0.25, 0.25, 0.25}, {0.1, 0.2, 0.3, 0.4}} {
+		kern := NewKernel(probs)
+		sum := kern.SumYsqOverP(yv)
+		for _, budget := range []float64{1e300, math.MaxFloat64, math.Inf(1), math.NaN()} {
+			if got, _ := kern.MaxSkipSum(yv, length, sum, budget, 0); got != skipCap {
+				t.Errorf("probs %v budget %v: sum-form skip %d, want the cap %d", probs, budget, got, skipCap)
+			}
+			if got := kern.MaxSkipUniform(7, length, sum, budget); probs[0] == probs[1] && got != skipCap {
+				t.Errorf("budget %v: uniform skip %d, want the cap %d", budget, got, skipCap)
+			}
+		}
+	}
+}
+
 // FuzzRollVsDirect fuzzes the rolling cursor against the direct evaluation
 // over arbitrary strings, models, and advance patterns.
 func FuzzRollVsDirect(f *testing.F) {

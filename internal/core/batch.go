@@ -4,22 +4,20 @@ import "slices"
 
 // This file implements the local shard executor: a set of ShardQueries (one
 // shard's subplan — possibly the trivial single-shard plan RunBatch cuts)
-// answered by the chain-cover engines RunQuery runs, one engine pass per
-// scan group. The prefix counts are built once per Scanner and read by every
+// answered by chain-cover passes (engine.go), one pass per (range, length
+// floor). The prefix counts are built once per Scanner and read by every
 // pass, whatever the batch size.
 //
-// Queries whose answers subsume each other merge into one scan group first:
-// threshold queries over the same (range, length floor) collapse into a
-// single scan at their minimum α — a window with X² above a member's cutoff
-// is above the group's, so each member's result set is an exact filter of
-// the group scan — and top-t queries over the same (range, floor) collapse
-// into one scan at the maximum t, each member taking the leading t entries
-// of the group's heap. Identical queries dedup to one scan for free. MSS-kind
-// queries keep a scan each (their first-discovered-max tie-breaking is
-// per-query state). The groups then run one after another, each on the
-// request's worker count.
+// Every MSS, top-t and collecting threshold query on one (range, floor)
+// rides one pass, whatever its kind, pruned at the lowest of the members'
+// budgets: an MSS tracker shared by every MSS member (identical queries
+// dedup for free), one heap at the members' largest t, each top-t member
+// taking the leading t entries, and one sink per threshold member with its
+// own α and limit — a window above a member's cutoff is above the lowest,
+// so each member's hits are an exact filter of the pass. The passes run one
+// after another, each on the request's worker count.
 //
-// Sharding: each group scans only the start rows [RowLo, RowHi] its
+// Sharding: each pass scans only the start rows [RowLo, RowHi] its
 // ShardQuery assigned it — the planner's clip of the query's start range
 // against the shard's StartRange — while windows still extend to the
 // query's own Hi. Shard row ranges partition the candidate set, so
@@ -28,41 +26,32 @@ import "slices"
 // QueryResults: a shard cannot decide threshold overflow or cut a top-t
 // boundary on its own.
 //
-// Every member of a group reports the Stats of the pass that served it, so
-// Evaluated + Skipped equals the query's candidate-substring count (summed
-// across its shards) for every engine configuration. A query alone in its
-// group reports exactly its solo RunQuery Stats at one worker; a subsumed
-// threshold reports the lower-α scan it rode.
+// Every member of a pass reports that pass's Stats, so Evaluated + Skipped
+// equals the query's candidate-substring count (summed across its shards)
+// for every engine configuration, and Evaluated counts the windows the
+// shared pass evaluated. A query alone in its pass reports exactly its solo
+// RunQuery Stats: RunQuery is a batch of one.
 //
 // Result equivalence with the single-query paths is argued per kind in
 // partial.go (the merge layer). Composite kinds (KindDisjoint and
 // streaming-Visit thresholds) re-scan segments or need their own delivery,
 // so the executor runs them as ordinary RunQuery calls over the same
-// Scanner after the groups, whole on their single assigned shard.
+// Scanner after the passes, whole on their single assigned shard.
 
-// groupKey identifies the scan a query can ride: same kind, same segment,
-// same length floor. Every ShardQuery of one executor call shares the same
-// shard StartRange, so equal keys imply equal row clips.
+// groupKey identifies the pass a query can ride, whatever its kind: same
+// segment, same length floor, same start rows.
 type groupKey struct {
-	kind   Kind
-	lo, hi int
-	minLen int
+	lo, hi       int
+	minLen       int
+	rowLo, rowHi int
 }
 
-// scanGroup is one engine pass answering one or more subsumable queries.
-type scanGroup struct {
-	sq    ShardQuery // the first member: the pass's range, floor and rows
-	slots []int      // every member's batch slot
-	ts    []int      // KindTopT: each member's t
-	sinks []sink     // KindThreshold: each member's cutoff and limit
-}
-
-// RunBatch executes every query against the scanner in as few engine passes
-// as possible. It is the planned query path specialised to one shard: plan
-// the batch over the full start range, execute the single subplan on the
-// local engines, merge the partials — subsumable MSS/top-t/threshold-collect
-// queries merge into scan groups of one pass each; disjoint and streaming
-// queries follow as individual passes over the same prefix counts. The
+// RunBatch executes every query against the scanner in as few chain-cover
+// passes as possible. It is the planned query path specialised to one
+// shard: plan the batch over the full start range, execute the single
+// subplan, merge the partials — MSS, top-t and collecting threshold queries
+// on one (range, floor) share one pass; disjoint and streaming queries
+// follow as individual passes over the same prefix counts. The
 // returned slice is parallel to qs: Results[i] answers qs[i], with any
 // per-query validation or overflow error in its Err field, so one bad query
 // never poisons the rest of the batch.
@@ -82,36 +71,27 @@ func (sc *Scanner) RunBatch(e Engine, qs []Query) []QueryResult {
 }
 
 // execShard is the local executor's core: group one shard's subplan by
-// subsumption, run each group's engine pass over its row range, and return
-// the per-slot partials. Composite subqueries run as individual RunQuery
-// passes after the groups. Coordinates are scanner-local; LocalExec
-// translates absolute plans through its segment offset.
+// (range, floor), run each group's pass over its row range, and return the
+// per-slot partials. Composite subqueries run as individual RunQuery passes
+// after the groups. Coordinates are scanner-local; LocalExec translates
+// absolute plans through its segment offset.
 func (sc *Scanner) execShard(e Engine, sqs []ShardQuery) []Partial {
-	var groups []*scanGroup
-	index := make(map[groupKey]*scanGroup)
+	var groups [][]ShardQuery
+	index := make(map[groupKey]int)
 	var composite []ShardQuery
 	for _, sq := range sqs {
 		if sq.Composite {
 			composite = append(composite, sq)
 			continue
 		}
-		q := sq.Q
-		key := groupKey{kind: q.Kind, lo: q.Lo, hi: q.Hi, minLen: q.MinLen}
-		g := index[key]
-		if g == nil || q.Kind == KindMSS {
-			g = &scanGroup{sq: sq}
-			groups = append(groups, g)
-			if q.Kind != KindMSS {
-				index[key] = g
-			}
+		key := groupKey{sq.Q.Lo, sq.Q.Hi, sq.Q.MinLen, sq.RowLo, sq.RowHi}
+		g, ok := index[key]
+		if !ok {
+			g = len(groups)
+			index[key] = g
+			groups = append(groups, nil)
 		}
-		g.slots = append(g.slots, sq.Slot)
-		switch q.Kind {
-		case KindTopT:
-			g.ts = append(g.ts, q.T)
-		case KindThreshold:
-			g.sinks = append(g.sinks, sink{alpha: q.Alpha, limit: q.Limit})
-		}
+		groups[g] = append(groups[g], sq)
 	}
 	var parts []Partial
 	for _, g := range groups {
@@ -124,36 +104,46 @@ func (sc *Scanner) execShard(e Engine, sqs []ShardQuery) []Partial {
 	return parts
 }
 
-// runGroup runs one scan group's engine pass and returns each member's
-// Partial: the MSS candidate, the leading t entries of the max-t heap, or
-// the member's hits in scan order, at most limit+1 of them (limit+1 is
-// enough for the merge layer, which owns limits and overflow, to decide).
-func (sc *Scanner) runGroup(e Engine, g *scanGroup) []Partial {
-	q, rowLo, rowHi := g.sq.Q, g.sq.RowLo, g.sq.RowHi
-	parts := make([]Partial, len(g.slots))
-	switch q.Kind {
-	case KindMSS:
-		best, st := sc.engineMSSRange(e, q.Lo, q.Hi, q.MinLen, rowLo, rowHi)
-		parts[0] = Partial{Slot: g.slots[0], Stats: st}
-		if best.End > best.Start {
-			parts[0].Cands = []Scored{best}
+// runGroup runs one group's pass — an MSS tracker if any member is MSS, a
+// heap at the members' largest t, a sink per threshold member — and
+// returns each member's Partial with the pass's Stats: the tracker's
+// candidate, the heap's leading t entries, or the member's hits in scan
+// order.
+func (sc *Scanner) runGroup(e Engine, members []ShardQuery) []Partial {
+	mss, t := false, 0
+	var sinks []sink
+	for _, m := range members {
+		switch m.Q.Kind {
+		case KindMSS:
+			mss = true
+		case KindTopT:
+			t = max(t, m.Q.T)
+		case KindThreshold:
+			sinks = append(sinks, sink{alpha: m.Q.Alpha, limit: m.Q.Limit})
 		}
-	case KindTopT:
-		items, st, err := sc.engineTopT(e, slices.Max(g.ts), q.Hi, q.MinLen, rowLo, rowHi)
-		for i, t := range g.ts {
-			// A copy per member: executors translate candidates in place.
-			lead := slices.Clone(items[:min(t, len(items))])
-			parts[i] = Partial{Slot: g.slots[i], Cands: lead, Stats: st, Err: err}
-		}
-	case KindThreshold:
-		found := make([][]Scored, len(g.sinks))
-		st := sc.engineThreshold(e, g.sinks, q.Hi, q.MinLen, rowLo, rowHi, func(si int, s Scored) {
-			if lim := g.sinks[si].limit; lim <= 0 || len(found[si]) <= lim {
-				found[si] = append(found[si], s)
+	}
+	p := newPass(mss, t, sinks)
+	first := members[0]
+	st := sc.runPass(e, p, first.Q.Lo, first.Q.Hi, first.Q.MinLen, first.RowLo, first.RowHi)
+	var items []Scored
+	if p.heap != nil {
+		items = itemsToScored(p.heap.Items())
+	}
+	parts := make([]Partial, len(members))
+	si := 0
+	for i, m := range members {
+		parts[i] = Partial{Slot: m.Slot, Stats: st}
+		switch m.Q.Kind {
+		case KindMSS:
+			if p.best.X2 >= 0 {
+				parts[i].Cands = []Scored{p.best}
 			}
-		})
-		for i := range parts {
-			parts[i] = Partial{Slot: g.slots[i], Cands: found[i], Stats: st}
+		case KindTopT:
+			// A copy per member: executors translate candidates in place.
+			parts[i].Cands = slices.Clone(items[:min(m.Q.T, len(items))])
+		case KindThreshold:
+			parts[i].Cands = p.found[si]
+			si++
 		}
 	}
 	return parts

@@ -82,13 +82,16 @@ func TestRunBatchGolden(t *testing.T) {
 	}
 }
 
-// TestRunBatchSharesEvaluations: a batch shares the prefix counts and the
-// subsumable scans, never a traversal — each scan group runs the engine its
-// solo query runs — so at one worker every slot of a batch with no
-// subsumable pair reports exactly its solo RunQuery Stats, the
-// evaluated/skipped split and the row count included. The batches have the
-// daemon's window shape: MSS, top-10 and a limited threshold on one window
-// of uniform k=4 text.
+// TestRunBatchSharesEvaluations: queries on one (range, floor) ride one
+// chain-cover pass pruned at the lowest of their budgets. The batches have
+// the daemon's batch2 shape — MSS, top-10 and a limited threshold on one
+// window of uniform k=4 text, plus an MSS on a second window — and run at
+// one worker. Every slot must answer exactly what its solo RunQuery does
+// (MSS and threshold bit for bit, top-t items exactly); the three slots
+// sharing a window report one Stats, which accounts for the window's
+// candidate set and evaluates fewer windows than the three solo scans
+// together; the second-window MSS, alone in its pass, reports exactly its
+// solo Stats.
 func TestRunBatchSharesEvaluations(t *testing.T) {
 	const n, batches = 30000, 60
 	rng := rand.New(rand.NewSource(61))
@@ -102,18 +105,36 @@ func TestRunBatchSharesEvaluations(t *testing.T) {
 	}
 	windows := []int{250, 354, 500, 707, 1000}
 	for b := 0; b < batches; b++ {
-		w := windows[b%len(windows)]
-		lo := rng.Intn(n - w + 1)
+		w, w2 := windows[b%len(windows)], windows[(b+3)%len(windows)]
+		lo, lo2 := rng.Intn(n-w+1), rng.Intn(n-w2+1)
 		qs := []Query{
 			{Kind: KindMSS, Lo: lo, Hi: lo + w},
 			{Kind: KindTopT, T: 10, Lo: lo, Hi: lo + w},
 			{Kind: KindThreshold, Alpha: 19 + 9*math.Log10(float64(w)/1000), Limit: 500, Lo: lo, Hi: lo + w},
+			{Kind: KindMSS, Lo: lo2, Hi: lo2 + w2},
 		}
 		batch := sc.RunBatch(sequential, qs)
+		var soloEvaluated int64
 		for i, q := range qs {
-			if solo := sc.RunQuery(sequential, q); batch[i].Stats != solo.Stats {
-				t.Errorf("batch %d slot %d (%s, [%d, %d)): stats %+v, solo %+v", b, i, q.Kind, q.Lo, q.Hi, batch[i].Stats, solo.Stats)
+			solo := sc.RunQuery(sequential, q)
+			if fmt.Sprint(batch[i].Err) != fmt.Sprint(solo.Err) || !slices.Equal(batch[i].Results, solo.Results) {
+				t.Errorf("batch %d slot %d (%s, [%d, %d)): %v %v, solo %v %v", b, i, q.Kind, q.Lo, q.Hi, batch[i].Results, batch[i].Err, solo.Results, solo.Err)
 			}
+			if i < 3 {
+				soloEvaluated += solo.Stats.Evaluated
+			} else if batch[i].Stats != solo.Stats {
+				t.Errorf("batch %d: the second-window MSS reports %+v, solo %+v", b, batch[i].Stats, solo.Stats)
+			}
+		}
+		shared := batch[0].Stats
+		if batch[1].Stats != shared || batch[2].Stats != shared {
+			t.Errorf("batch %d: one pass reports three Stats: %+v, %+v, %+v", b, shared, batch[1].Stats, batch[2].Stats)
+		}
+		if cands := qs[0].mustNormalize(t, sc).candidates(); shared.Total() != cands {
+			t.Errorf("batch %d: the pass accounts for %d windows, the range holds %d", b, shared.Total(), cands)
+		}
+		if shared.Evaluated >= soloEvaluated {
+			t.Errorf("batch %d: the pass evaluated %d windows, the three solo scans %d together", b, shared.Evaluated, soloEvaluated)
 		}
 	}
 }
@@ -240,8 +261,8 @@ func TestRunBatchScatteredRanges(t *testing.T) {
 	}
 }
 
-// TestMergedStartRanges pins that each scan group visits exactly its own
-// start rows — never another group's, never the gaps between them: a
+// TestMergedStartRanges pins that each pass visits exactly its own
+// start rows — never another pass's, never the gaps between them: a
 // slot's Starts is RowHi − RowLo + 1 (0 for inverted or empty ranges), for
 // RunBatch's single shard and for every fragment of a three-shard plan. Two
 // queries spanning the shard cuts make the plan clip their rows.

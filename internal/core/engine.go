@@ -10,6 +10,13 @@ import (
 	"repro/internal/topheap"
 )
 
+// This file is the scan engine: Engine, the configuration of a scan, and
+// the pass — one chain-cover traversal of a (range, floor) that answers
+// every MSS, top-t and threshold query riding it, pruned at the lowest of
+// their budgets. A pass runs as one sequential loop (passSeq, mss.go) or
+// its parallel form (passParallel); nothing else in the package scans with
+// the chain cover.
+
 // Engine configures how a scan executes. Engine{Workers: 1} reproduces the
 // paper-faithful sequential scan exactly; the zero value resolves Workers to
 // GOMAXPROCS and shards the start positions of the same exact algorithm
@@ -19,18 +26,18 @@ import (
 // scan parallelizes by partitioning starts into contiguous chunks that
 // workers claim dynamically (starts near the end of the string have shorter
 // rows, so static partitioning would be badly imbalanced). Each worker owns
-// private scratch, and all workers share one atomic best-X² budget: a tight
-// bound found by any worker immediately enlarges every other worker's
-// chain-cover skips.
+// private scratch, and all workers share the budgets: a tight bound found
+// by any worker immediately enlarges every other worker's chain-cover
+// skips.
 //
-// Determinism: the parallel MSS scans read the shared budget through a tiny
-// softening margin (soften), so a substring whose X² exactly equals the
-// current budget is still evaluated rather than skipped. Combined with a
-// lexicographic
-// best-candidate merge ((X², start desc, end asc) — the order the sequential
-// right-to-left scan discovers candidates in), the parallel scans return the
-// identical interval, X², and Stats.Total() as the sequential ones, at the
-// cost of a vanishing number of extra evaluations on exact X² ties.
+// Determinism: a pass with an MSS member skips against its budget through
+// a tiny softening margin (soften), so a substring whose X² exactly equals
+// the current best is still evaluated rather than skipped. Combined with a
+// lexicographic best-candidate merge ((X², start desc, end asc) — the order
+// the sequential right-to-left scan discovers candidates in), the parallel
+// scans return the identical interval, X², and Stats.Total() as the
+// sequential ones, at the cost of a vanishing number of extra evaluations
+// on exact X² ties.
 type Engine struct {
 	// Workers is the worker-pool size: 1 runs the sequential scan inline;
 	// 0 (the zero value) resolves to GOMAXPROCS.
@@ -49,9 +56,10 @@ type Engine struct {
 	// heuristics.go) restricted to the scanned range and length floor. The
 	// heuristic's value is the X² of an actual candidate substring, hence a
 	// sound lower bound on the answer: the exact scan can only use it to
-	// skip substrings that provably cannot win. Applies to MSS-style scans;
-	// top-t (t-th-best budget) and threshold (fixed α budget) scans ignore
-	// it because a single heuristic value is not a sound budget for them.
+	// skip substrings that provably cannot win. It floors only an MSS
+	// member's budget: a single heuristic value is not a sound t-th-best or
+	// α budget, so a pass without MSS members ignores it, and a shared pass
+	// still prunes top-t and threshold members at their own budgets.
 	//
 	// The seeding pass's own O(k²) evaluations are deliberately excluded
 	// from the returned Stats, which account for the exact scan only: that
@@ -82,14 +90,6 @@ func (e Engine) workerCount(starts int) int {
 // start of the string, so many small chunks claimed dynamically keep the
 // pool balanced without a work-stealing scheduler.
 const chunksPerWorker = 32
-
-// gangSize is the number of start rows each scan loop (or worker) advances
-// simultaneously on independent rolling cursors. Each row's evaluation is a
-// serial dependency chain (sum → square root → cache-missing index probe),
-// so interleaving a few independent rows keeps the out-of-order core busy
-// through the stalls; beyond a handful of rows the gain flattens while
-// register pressure and cache footprint grow.
-const gangSize = 3
 
 // splitStarts partitions the inclusive start range [lo, hiStart] into at
 // most `parts` contiguous chunks {chunkHi, chunkLo}, ordered from the
@@ -195,103 +195,129 @@ func (sc *Scanner) warmSeed(lo, hi, minLen int) float64 {
 	return best
 }
 
-// --- MSS family ---
+// --- One pass, every budget ---
 
-// engineMSSRange is the engine entry point shared by every MSS-style scan:
-// the maximum-X² substring of s[lo:hi) with length ≥ minLen among the
-// start rows [rowLo, rowHi] — the whole range [lo, hi−minLen] for a solo
-// query, a shard's clip of it for a batch group. lo only bounds the warm
-// start's candidates.
-func (sc *Scanner) engineMSSRange(e Engine, lo, hi, minLen, rowLo, rowHi int) (Scored, Stats) {
-	if rowHi < rowLo {
-		return Scored{}, Stats{}
-	}
-	warm := -1.0
-	if e.WarmStart {
-		warm = sc.warmSeed(lo, hi, minLen)
-	}
-	w := e.workerCount(rowHi - rowLo + 1)
-	if w == 1 {
-		return sc.mssRangeWarm(e, hi, minLen, rowLo, rowHi, warm)
-	}
-
-	chunks := splitStarts(rowLo, rowHi, w*chunksPerWorker)
-	var budget atomicBudget
-	budget.store(warm) // −1 when no warm start: below every X², so inert
-
-	bests := make([]Scored, w)
-	stats := make([]Stats, w)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for wid := 0; wid < w; wid++ {
-		wg.Add(1)
-		go func(wid int) {
-			defer wg.Done()
-			cur := sc.newRoll()
-			defer sc.putRoll(cur)
-			best := Scored{X2: -1}
-			var st Stats
-		claim:
-			for {
-				c := int(next.Add(1)) - 1
-				if c >= len(chunks) {
-					break
-				}
-				for i := chunks[c][0]; i >= chunks[c][1]; i-- {
-					if e.stopped() {
-						break claim
-					}
-					st.Starts++
-					cur.Begin(i, i+minLen)
-					for {
-						j := cur.End()
-						st.Evaluated++
-						// The prefilter boundary is the worker-local best:
-						// any candidate that could enter the merge is
-						// evaluated exactly (the shared budget is only ever
-						// larger).
-						if cur.Passes(best.X2) {
-							if x2 := cur.Exact(); better(x2, i, j, best) {
-								best = Scored{Interval{i, j}, x2}
-								budget.raise(x2)
-							}
-						}
-						if j == hi {
-							break
-						}
-						skip := cur.MaxSkip(soften(budget.load()))
-						if j+skip >= hi {
-							st.Skipped += int64(hi - j)
-							break
-						}
-						st.Skipped += int64(skip)
-						cur.Advance(j + skip + 1)
-					}
-				}
-			}
-			bests[wid] = best
-			stats[wid] = st
-		}(wid)
-	}
-	wg.Wait()
-
-	best := Scored{X2: -1}
-	var st Stats
-	for wid := 0; wid < w; wid++ {
-		st.Evaluated += stats[wid].Evaluated
-		st.Skipped += stats[wid].Skipped
-		st.Starts += stats[wid].Starts
-		if b := bests[wid]; b.X2 >= 0 && better(b.X2, b.Start, b.End, best) {
-			best = b
-		}
-	}
-	if best.X2 < 0 {
-		return Scored{}, st
-	}
-	return best, st
+// sink is one threshold member's collection point in a pass.
+type sink struct {
+	alpha float64 // the query's cutoff: it collects windows with X² > alpha
+	limit int     // the query's result cap (≤ 0: unlimited)
 }
 
-// --- Top-t family ---
+// pass is one chain-cover traversal of a (range, floor) and the queries
+// riding it. The paper's three exact scans are one traversal with three
+// skip budgets — the running best X² (Algorithm 1), the t-th best seen so
+// far (Algorithm 2), the constant α (Algorithm 3) — so a traversal pruned at
+// the lowest of its members' budgets answers every member exactly: a window
+// it skips or prefilters out lies at or below that budget, hence at or
+// below each member's own, and could change no member's answer.
+//
+//   - MSS: the better()-max, bit-identical to a solo scan; the skips are
+//     softened so windows tied with the best stay evaluated for the
+//     tie-break. Every MSS member of a group reads the one tracker.
+//   - Top-t: the heap sees exactly the accepted offers of a solo scan, in
+//     the same order, so its items are identical at one worker.
+//   - Threshold: every window above a sink's α is evaluated, in the solo
+//     scan's (start desc, end asc) order.
+//
+// A pass whose only member is a top-t or threshold query evaluates exactly
+// the windows the paper's scan of that kind does; with an MSS member it
+// also evaluates the exact ties softening keeps.
+type pass struct {
+	// mss marks an MSS tracker riding the pass; best is its better()-max so
+	// far (X2 −1: none yet), and warm — the WarmStart seed, or −1 — floors
+	// its budget.
+	mss  bool
+	best Scored
+	warm float64
+	// heap holds the top-t candidates at the members' largest t (nil
+	// without top-t members); each member takes its leading t.
+	heap *topheap.Heap
+	// sinks are the threshold members and alpha the lowest of their
+	// cutoffs (+Inf without sinks). found[si] collects sink si's hits in
+	// scan order, at most limit+1 of them — enough for the merge layer,
+	// which owns limits and overflow, to decide — unless visit streams a
+	// single sink's hits instead.
+	sinks []sink
+	alpha float64
+	found [][]Scored
+	visit func(Scored)
+}
+
+// newPass builds a pass with an MSS tracker if mss, a top-t heap of
+// capacity t if t > 0, and the given threshold sinks.
+func newPass(mss bool, t int, sinks []sink) *pass {
+	p := &pass{mss: mss, best: Scored{X2: -1}, warm: -1, sinks: sinks, alpha: math.Inf(1), found: make([][]Scored, len(sinks))}
+	if t > 0 {
+		p.heap, _ = topheap.New(t) // fails only for t < 1
+	}
+	for _, sk := range sinks {
+		// A NaN cutoff qualifies no window, so it never lowers the budget.
+		if sk.alpha < p.alpha {
+			p.alpha = sk.alpha
+		}
+	}
+	return p
+}
+
+// budget returns the lowest of the members' budgets — the lowest α, the
+// heap's minimum (0 until full), the MSS best floored by the warm seed —
+// and the budget skips are solved at, softened when an MSS member rides.
+func (p *pass) budget() (b, skipAt float64) {
+	b = p.alpha
+	if p.heap != nil {
+		b = min(b, p.heap.Budget())
+	}
+	if p.mss {
+		b = min(b, max(p.best.X2, p.warm))
+		return b, soften(b)
+	}
+	return b, b
+}
+
+// offer feeds the exactly evaluated window [i, j) to every member.
+func (p *pass) offer(i, j int, x2 float64) {
+	if p.mss && better(x2, i, j, p.best) {
+		p.best = Scored{Interval{i, j}, x2}
+	}
+	if p.heap != nil {
+		p.heap.Offer(topheap.Item{Start: i, End: j, Score: x2})
+	}
+	if x2 > p.alpha {
+		for si, sk := range p.sinks {
+			if x2 > sk.alpha {
+				p.hit(si, Scored{Interval{i, j}, x2})
+			}
+		}
+	}
+}
+
+// hit delivers one of sink si's windows, in scan order.
+func (p *pass) hit(si int, s Scored) {
+	if p.visit != nil {
+		p.visit(s)
+		return
+	}
+	if lim := p.sinks[si].limit; lim <= 0 || len(p.found[si]) <= lim {
+		p.found[si] = append(p.found[si], s)
+	}
+}
+
+// runPass runs p over the start rows [rowLo, rowHi] — a solo query's whole
+// range [lo, hi−minLen], or a shard's clip of it — with windows of length ≥
+// minLen ending at most at hi; lo only bounds the warm start's candidates.
+// Every member reports the returned counters.
+func (sc *Scanner) runPass(e Engine, p *pass, lo, hi, minLen, rowLo, rowHi int) Stats {
+	if rowHi < rowLo {
+		return Stats{}
+	}
+	if p.mss && e.WarmStart {
+		p.warm = sc.warmSeed(lo, hi, minLen)
+	}
+	if w := e.workerCount(rowHi - rowLo + 1); w > 1 {
+		return sc.passParallel(e, p, w, hi, minLen, rowLo, rowHi)
+	}
+	return sc.passSeq(e, p, hi, minLen, rowLo, rowHi)
+}
 
 // sharedHeap wraps the top-t min-heap for concurrent offers. The heap's
 // minimum (the running t-th best) is mirrored into an atomic so workers
@@ -320,169 +346,29 @@ func (s *sharedHeap) offer(it topheap.Item) {
 	s.mu.Unlock()
 }
 
-// engineTopT is the engine entry point for top-t scans: the t largest-X²
-// substrings of s[:hi) with length ≥ minLen starting in the rows [rowLo,
-// rowHi]. It is the paper's Algorithm 2: the MSS scan with the t-th largest
-// X² seen so far as the skip budget (the minimum of a capacity-t heap, or 0
-// while the heap still has room).
-// Substrings skipped by the chain-cover bound have X² no greater than the
-// running t-th best and therefore can never displace a heap entry. The
-// result holds min(t, candidates) substrings in descending X² order.
+// passParallel is runPass on w workers claiming chunks of start rows. The
+// workers share what the members' budgets need, each read without a lock:
 //
-// The X² value multiset of the result is identical to the sequential scan's:
-// any substring beating the final t-th best is never skipped (every budget
-// used is at most that value), and substrings tied with the boundary are
-// interchangeable, which the problem statement already permits.
-func (sc *Scanner) engineTopT(e Engine, t, hi, minLen, rowLo, rowHi int) ([]Scored, Stats, error) {
-	if err := validateT(t); err != nil {
-		return nil, Stats{}, err
-	}
-	w := 1
-	if rowHi >= rowLo {
-		w = e.workerCount(rowHi - rowLo + 1)
-	}
-	if w == 1 {
-		return sc.toptSeq(e, t, hi, minLen, rowLo, rowHi)
-	}
-
-	h, err := topheap.New(t)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	shared := &sharedHeap{h: h}
-	chunks := splitStarts(rowLo, rowHi, w*chunksPerWorker)
-	stats := make([]Stats, w)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for wid := 0; wid < w; wid++ {
-		wg.Add(1)
-		go func(wid int) {
-			defer wg.Done()
-			cur := sc.newRoll()
-			defer sc.putRoll(cur)
-			var st Stats
-		claim:
-			for {
-				c := int(next.Add(1)) - 1
-				if c >= len(chunks) {
-					break
-				}
-				for i := chunks[c][0]; i >= chunks[c][1]; i-- {
-					if e.stopped() {
-						break claim
-					}
-					st.Starts++
-					cur.Begin(i, i+minLen)
-					for {
-						j := cur.End()
-						st.Evaluated++
-						// Boundary: the mirrored t-th best. A window below
-						// it could never be retained, so eliding its offer
-						// is equivalent to the old always-offer-and-reject.
-						if cur.Passes(shared.budget.load()) {
-							shared.offer(topheap.Item{Start: i, End: j, Score: cur.Exact()})
-						}
-						if j == hi {
-							break
-						}
-						skip := cur.MaxSkip(shared.budget.load())
-						if j+skip >= hi {
-							st.Skipped += int64(hi - j)
-							break
-						}
-						st.Skipped += int64(skip)
-						cur.Advance(j + skip + 1)
-					}
-				}
-			}
-			stats[wid] = st
-		}(wid)
-	}
-	wg.Wait()
-
-	var st Stats
-	for _, s := range stats {
-		st.Evaluated += s.Evaluated
-		st.Skipped += s.Skipped
-		st.Starts += s.Starts
-	}
-	return itemsToScored(h.Items()), st, nil
-}
-
-// toptSeq is the sequential top-t scan.
-func (sc *Scanner) toptSeq(e Engine, t, hi, minLen, rowLo, rowHi int) ([]Scored, Stats, error) {
-	h, err := topheap.New(t)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	var st Stats
-	cur := sc.newRoll()
-	defer sc.putRoll(cur)
-	for i := rowHi; i >= rowLo; i-- {
-		if e.stopped() {
-			break
-		}
-		st.Starts++
-		cur.Begin(i, i+minLen)
-		for {
-			j := cur.End()
-			st.Evaluated++
-			if cur.Passes(h.Budget()) {
-				h.Offer(topheap.Item{Start: i, End: j, Score: cur.Exact()})
-			}
-			if j == hi {
-				break
-			}
-			skip := cur.MaxSkip(h.Budget())
-			if j+skip >= hi {
-				st.Skipped += int64(hi - j)
-				break
-			}
-			st.Skipped += int64(skip)
-			cur.Advance(j + skip + 1)
-		}
-	}
-	return itemsToScored(h.Items()), st, nil
-}
-
-// --- Threshold family ---
-
-// sink is one threshold query's collection point in a threshold scan.
-type sink struct {
-	alpha float64 // the query's cutoff: it collects windows with X² > alpha
-	limit int     // the query's result cap (≤ 0: unlimited)
-}
-
-// engineThreshold reports, for each sink, every substring of s[:hi) of
-// length ≥ minLen starting in the rows [rowLo, rowHi] with X² above the
-// sink's alpha, as visit(sink index, hit). The scan runs at the lowest sink
-// alpha — every sink's hits are a filter of that scan — and the budget is
-// that constant, so workers share nothing but the string and the scan
-// parallelizes embarrassingly; the evaluated/skipped pattern is identical
-// to the sequential scan's.
+//   - MSS: every worker keeps its own better()-max and raises one shared
+//     atomic best (seeded with the warm floor) that all of them prune
+//     against; the merge folds the workers' maxima through better().
+//   - Top-t: one heap behind a mutex, its minimum mirrored in an atomic.
+//   - Threshold: α is constant, so nothing. Each worker buffers at most
+//     limit+1 of each sink's hits — a worker claims chunks in increasing
+//     replay order, so a hit it drops could only be replayed after limit+1
+//     of the sink's hits, past the merge's overflow decision — and the
+//     chunks replay in order, reproducing the sequential visit order.
 //
-// A sink's limit > 0 bounds the buffering of the parallel path: each worker
-// stores at most limit+1 of that sink's hits, keeping memory at
-// O(workers·limit) instead of the O(n²) a low alpha can produce. This loses
-// no hit a limit-capped visitor would accept: a worker's chunks are claimed
-// in increasing replay order, so by the time it drops a hit it has already
-// stored limit+1 of the sink's hits that all precede the dropped one in
-// replay order — the dropped hit could only ever be replayed at position
-// limit+2 or later, which the visitor's overflow check has already fired on.
-func (sc *Scanner) engineThreshold(e Engine, sinks []sink, hi, minLen, rowLo, rowHi int, visit func(int, Scored)) Stats {
-	alpha := sinks[0].alpha
-	for _, sk := range sinks[1:] {
-		alpha = min(alpha, sk.alpha)
-	}
-	w := 1
-	if rowHi >= rowLo {
-		w = e.workerCount(rowHi - rowLo + 1)
-	}
-	if w == 1 {
-		return sc.thresholdSeq(e, alpha, sinks, hi, minLen, rowLo, rowHi, visit)
-	}
-
+// A budget read mid-scan may be stale, which only ever under-prunes.
+func (sc *Scanner) passParallel(e Engine, p *pass, w, hi, minLen, rowLo, rowHi int) Stats {
 	chunks := splitStarts(rowLo, rowHi, w*chunksPerWorker)
+	var top atomicBudget
+	top.store(p.warm) // −1 without a warm start: below every X², so inert
+	var heap *sharedHeap
+	if p.heap != nil {
+		heap = &sharedHeap{h: p.heap}
+	}
+	bests := make([]Scored, w)
 	found := make([][][]Scored, len(chunks)) // [chunk][sink]; nil for hitless chunks
 	stats := make([]Stats, w)
 	var next atomic.Int64
@@ -493,8 +379,9 @@ func (sc *Scanner) engineThreshold(e Engine, sinks []sink, hi, minLen, rowLo, ro
 			defer wg.Done()
 			cur := sc.newRoll()
 			defer sc.putRoll(cur)
+			best := Scored{X2: -1}
+			stored := make([]int, len(p.sinks))
 			var st Stats
-			stored := make([]int, len(sinks))
 		claim:
 			for {
 				c := int(next.Add(1)) - 1
@@ -511,23 +398,39 @@ func (sc *Scanner) engineThreshold(e Engine, sinks []sink, hi, minLen, rowLo, ro
 					for {
 						j := cur.End()
 						st.Evaluated++
-						if cur.Passes(alpha) {
-							if x2 := cur.Exact(); x2 > alpha {
-								for si, sk := range sinks {
-									if x2 > sk.alpha && (sk.limit <= 0 || stored[si] <= sk.limit) {
-										if hits == nil {
-											hits = make([][]Scored, len(sinks))
-										}
-										hits[si] = append(hits[si], Scored{Interval{i, j}, x2})
-										stored[si]++
+						b := p.alpha
+						if heap != nil {
+							b = min(b, heap.budget.load())
+						}
+						if p.mss {
+							b = min(b, top.load())
+						}
+						if cur.Passes(b) {
+							x2 := cur.Exact()
+							if p.mss && better(x2, i, j, best) {
+								best = Scored{Interval{i, j}, x2}
+								top.raise(x2)
+							}
+							if heap != nil {
+								heap.offer(topheap.Item{Start: i, End: j, Score: x2})
+							}
+							for si, sk := range p.sinks {
+								if x2 > sk.alpha && (sk.limit <= 0 || stored[si] <= sk.limit) {
+									if hits == nil {
+										hits = make([][]Scored, len(p.sinks))
 									}
+									hits[si] = append(hits[si], Scored{Interval{i, j}, x2})
+									stored[si]++
 								}
 							}
 						}
 						if j == hi {
 							break
 						}
-						skip := cur.MaxSkip(alpha)
+						if p.mss {
+							b = soften(b)
+						}
+						skip := cur.MaxSkip(b)
 						if j+skip >= hi {
 							st.Skipped += int64(hi - j)
 							break
@@ -538,64 +441,26 @@ func (sc *Scanner) engineThreshold(e Engine, sinks []sink, hi, minLen, rowLo, ro
 				}
 				found[c] = hits
 			}
+			bests[wid] = best
 			stats[wid] = st
 		}(wid)
 	}
 	wg.Wait()
 
 	var st Stats
-	for _, s := range stats {
-		st.Evaluated += s.Evaluated
-		st.Skipped += s.Skipped
-		st.Starts += s.Starts
+	for wid := 0; wid < w; wid++ {
+		st.Evaluated += stats[wid].Evaluated
+		st.Skipped += stats[wid].Skipped
+		st.Starts += stats[wid].Starts
+		if b := bests[wid]; b.X2 >= 0 && better(b.X2, b.Start, b.End, p.best) {
+			p.best = b
+		}
 	}
-	// Chunks are ordered by descending start range and scanned start-desc
-	// within, so replaying them in chunk order reproduces the sequential
-	// visit order exactly, sink by sink.
 	for _, hits := range found {
 		for si, hs := range hits {
-			for _, r := range hs {
-				visit(si, r)
+			for _, s := range hs {
+				p.hit(si, s)
 			}
-		}
-	}
-	return st
-}
-
-// thresholdSeq is the sequential threshold scan at budget alpha, the lowest
-// sink alpha.
-func (sc *Scanner) thresholdSeq(e Engine, alpha float64, sinks []sink, hi, minLen, rowLo, rowHi int, visit func(int, Scored)) Stats {
-	var st Stats
-	cur := sc.newRoll()
-	defer sc.putRoll(cur)
-	for i := rowHi; i >= rowLo; i-- {
-		if e.stopped() {
-			break
-		}
-		st.Starts++
-		cur.Begin(i, i+minLen)
-		for {
-			j := cur.End()
-			st.Evaluated++
-			if cur.Passes(alpha) {
-				if x2 := cur.Exact(); x2 > alpha {
-					for si, sk := range sinks {
-						if x2 > sk.alpha {
-							visit(si, Scored{Interval{i, j}, x2})
-						}
-					}
-				}
-			}
-			if j == hi {
-				break
-			}
-			skip := cur.MaxSkip(alpha)
-			if j+skip >= hi {
-				st.Skipped += int64(hi - j)
-				break
-			}
-			st.Skipped += int64(skip)
-			cur.Advance(j + skip + 1)
 		}
 	}
 	return st
@@ -610,13 +475,8 @@ func (sc *Scanner) thresholdSeq(e Engine, alpha float64, sinks []sink, hi, minLe
 // experiment harness reports "top patches" as humans expect them (the
 // paper's Tables 3 and 5 list disjoint periods, whereas the raw top-t set of
 // Problem 2 is dominated by overlapping variants of the strongest window).
-func (sc *Scanner) disjointRange(e Engine, t, rangeLo, rangeHi, minLen int) ([]Scored, Stats, error) {
-	if err := validateT(t); err != nil {
-		return nil, Stats{}, err
-	}
-	if minLen < 1 {
-		minLen = 1
-	}
+// The query is normalized: t ≥ 1 and minLen ≥ 1.
+func (sc *Scanner) disjointRange(e Engine, t, rangeLo, rangeHi, minLen int) ([]Scored, Stats) {
 	type segment struct {
 		lo, hi int
 		best   Scored
@@ -627,11 +487,12 @@ func (sc *Scanner) disjointRange(e Engine, t, rangeLo, rangeHi, minLen int) ([]S
 		if hi-lo < minLen {
 			return segment{lo: lo, hi: hi}
 		}
-		best, s := sc.engineMSSRange(e, lo, hi, minLen, lo, hi-minLen)
+		p := newPass(true, 0, nil)
+		s := sc.runPass(e, p, lo, hi, minLen, lo, hi-minLen)
 		st.Evaluated += s.Evaluated
 		st.Skipped += s.Skipped
 		st.Starts += s.Starts
-		return segment{lo: lo, hi: hi, best: best, ok: best.End > best.Start}
+		return segment{lo: lo, hi: hi, best: p.best, ok: p.best.X2 >= 0}
 	}
 	segs := []segment{eval(rangeLo, rangeHi)}
 	var out []Scored
@@ -656,5 +517,5 @@ func (sc *Scanner) disjointRange(e Engine, t, rangeLo, rangeHi, minLen int) ([]S
 		segs[bi] = eval(chosen.lo, chosen.best.Start)
 		segs = append(segs, eval(chosen.best.End, chosen.hi))
 	}
-	return out, st, nil
+	return out, st
 }

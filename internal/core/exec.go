@@ -8,7 +8,7 @@ import (
 
 // This file is the executor layer of the planned query path: a ShardExec
 // turns one shard's subplan into Partials. LocalExec runs the batch.go
-// executor — one chain-cover engine pass per scan group — against an
+// executor — one chain-cover pass per (range, length floor) — against an
 // in-process Scanner, optionally offset when the Scanner holds a suffix
 // segment of a larger corpus. The remote implementation (HTTP scatter to
 // mssd peers serving segment snapshots) lives in internal/service, above

@@ -55,9 +55,8 @@ type Query struct {
 	// to 1. Problem 4's "length strictly greater than γ" lowers to
 	// MinLen = γ+1.
 	MinLen int
-	// Lo, Hi restrict candidates to the segment s[Lo:Hi). Lo is clamped to
-	// 0 and Hi to Len(); Hi < Lo yields an empty candidate set, not an
-	// error.
+	// Lo, Hi restrict candidates to the segment s[Lo:Hi). Both are clamped
+	// to [0, Len()]; Hi < Lo yields an empty candidate set, not an error.
 	Lo, Hi int
 	// Limit caps the collected result count for KindThreshold (≤ 0 means
 	// unlimited). Exceeding it sets QueryResult.Err while still returning
@@ -113,9 +112,7 @@ func normalizeQuery(q Query, n int) (Query, error) {
 	default:
 		return q, fmt.Errorf("core: unknown query kind %v", q.Kind)
 	}
-	if q.Lo < 0 {
-		q.Lo = 0
-	}
+	q.Lo = min(max(q.Lo, 0), n)
 	if q.Hi > n {
 		q.Hi = n
 	}
@@ -143,39 +140,34 @@ func (q Query) candidates() int64 {
 	return r * (r + 1) / 2
 }
 
+// validateT rejects non-positive top-t capacities.
+func validateT(t int) error {
+	if t < 1 {
+		return fmt.Errorf("core: top-t requires t >= 1, got %d", t)
+	}
+	return nil
+}
+
 // RunQuery plans q onto the chain-cover engine: the single-query dispatch
-// path behind every problem variant. Invalid queries report their error
-// in QueryResult.Err; valid queries with empty candidate sets (range
-// smaller than the length floor) return empty Results and zero Stats.
+// path behind every problem variant. MSS, top-t and collecting threshold
+// queries run as a batch of one — a pass with one member, which evaluates
+// exactly the windows the paper's scan of that kind does; the composite
+// kinds run here. Invalid queries report their error in QueryResult.Err;
+// valid queries with empty candidate sets (range smaller than the length
+// floor) return empty Results and zero Stats.
 func (sc *Scanner) RunQuery(e Engine, q Query) QueryResult {
 	nq, err := sc.normalize(q)
 	if err != nil {
 		return QueryResult{Err: err}
 	}
-	q = nq
-	// A solo query scans every start row of its range.
-	rowLo, rowHi := q.Lo, q.Hi-q.MinLen
-	switch q.Kind {
-	case KindMSS:
-		best, st := sc.engineMSSRange(e, q.Lo, q.Hi, q.MinLen, rowLo, rowHi)
-		res := QueryResult{Stats: st}
-		if best.End > best.Start {
-			res.Results = []Scored{best}
-		}
-		return res
-	case KindTopT:
-		rs, st, err := sc.engineTopT(e, q.T, q.Hi, q.MinLen, rowLo, rowHi)
-		return QueryResult{Results: rs, Stats: st, Err: err}
-	case KindThreshold:
-		if q.Visit != nil {
-			st := sc.engineThreshold(e, []sink{{alpha: q.Alpha}}, q.Hi, q.MinLen, rowLo, rowHi, func(_ int, s Scored) { q.Visit(s) })
-			return QueryResult{Stats: st}
-		}
-		rs, st, err := sc.thresholdCollect(e, q.Alpha, q.Hi, q.MinLen, rowLo, rowHi, q.Limit)
-		return QueryResult{Results: rs, Stats: st, Err: err}
-	case KindDisjoint:
-		rs, st, err := sc.disjointRange(e, q.T, q.Lo, q.Hi, q.MinLen)
-		return QueryResult{Results: rs, Stats: st, Err: err}
+	switch {
+	case nq.Kind == KindDisjoint:
+		rs, st := sc.disjointRange(e, nq.T, nq.Lo, nq.Hi, nq.MinLen)
+		return QueryResult{Results: rs, Stats: st}
+	case nq.Kind == KindThreshold && nq.Visit != nil:
+		p := newPass(false, 0, []sink{{alpha: nq.Alpha}})
+		p.visit = nq.Visit
+		return QueryResult{Stats: sc.runPass(e, p, nq.Lo, nq.Hi, nq.MinLen, nq.Lo, nq.Hi-nq.MinLen)}
 	}
-	return QueryResult{Err: fmt.Errorf("core: unknown query kind %v", q.Kind)}
+	return sc.RunBatch(e, []Query{nq})[0]
 }

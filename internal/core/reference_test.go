@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -104,12 +105,15 @@ func candidateX2(ref [][]float64, q Query) []Scored {
 }
 
 // referenceAnswer is the oracle's answer to one query: the number of
-// candidate windows, their X² in descending order, and — for a threshold
-// query — the qualifying windows in (start, end) order.
+// candidate windows, their X² in descending order, the interval the paper's
+// right-to-left MSS scan reports (highest X², then highest start, then
+// lowest end), and — for a threshold query — the qualifying windows in
+// (start, end) order.
 type referenceAnswer struct {
 	q          Query
 	candidates int64
 	desc       []float64
+	mss        Scored
 	above      []Scored
 }
 
@@ -119,6 +123,11 @@ func answerReference(ref [][]float64, q Query) referenceAnswer {
 	slices.Sort(desc)
 	slices.Reverse(desc)
 	a := referenceAnswer{q: q, candidates: int64(len(cands)), desc: desc}
+	for _, c := range cands {
+		if a.mss.Len() == 0 || cmp.Or(cmp.Compare(c.X2, a.mss.X2), cmp.Compare(c.Start, a.mss.Start), cmp.Compare(a.mss.End, c.End)) > 0 {
+			a.mss = c
+		}
+	}
 	if q.Kind == KindThreshold {
 		for _, c := range cands {
 			if c.X2 > q.Alpha {
@@ -154,8 +163,8 @@ func checkAgainstReference(t *testing.T, name string, ref [][]float64, want refe
 	}
 	switch q.Kind {
 	case KindMSS:
-		if len(got.Results) != 1 || math.Float64bits(got.Results[0].X2) != math.Float64bits(want.desc[0]) {
-			t.Fatalf("%s: MSS %+v, reference maximum %v", name, got.Results, want.desc[0])
+		if len(got.Results) != 1 || got.Results[0].Interval != want.mss.Interval || math.Float64bits(got.Results[0].X2) != math.Float64bits(want.mss.X2) {
+			t.Fatalf("%s: MSS %+v, reference %+v", name, got.Results, want.mss)
 		}
 	case KindTopT:
 		gotX2 := scoresOf(got.Results)
@@ -211,7 +220,9 @@ func sameBits(a, b []float64) bool {
 // goldenCase draws one golden-table case: a random string and model, the
 // reference X² of every window, and the queries — Problems 1–4 (MSS, top-t,
 // threshold, and the min-length MSS) plus a range scan and the disjoint
-// peel — with the oracle's answer to each.
+// peel — with the oracle's answer to each. The full range at floor 1 holds
+// two MSS, a top-7 and two thresholds of different α, which a batch answers
+// in one pass at the lowest of their budgets.
 func goldenCase(t *testing.T, rng *rand.Rand) (s []byte, m *alphabet.Model, ref [][]float64, qs []Query, answers []referenceAnswer) {
 	t.Helper()
 	k := 2 + rng.Intn(15)
@@ -229,6 +240,8 @@ func goldenCase(t *testing.T, rng *rand.Rand) (s []byte, m *alphabet.Model, ref 
 		{Kind: KindThreshold, Alpha: mss * 0.8, Hi: n},
 		{Kind: KindThreshold, Alpha: mss * 0.6, MinLen: 4, Hi: n},
 		{Kind: KindDisjoint, T: 3, MinLen: 2, Hi: n},
+		{Kind: KindMSS, Hi: n},
+		{Kind: KindThreshold, Alpha: mss * 0.7, Hi: n},
 	}
 	answers = make([]referenceAnswer, len(qs))
 	for qi, q := range qs {
@@ -263,23 +276,34 @@ func TestLayoutsGoldenProblems(t *testing.T) {
 	}
 }
 
-// TestLayoutsGoldenBatch is the same golden table answered together
-// (RunBatch) on each checkpointed index layout at workers 1 and 8, so every
+// TestLayoutsGoldenBatch is the same golden table answered together on
+// each checkpointed index layout at workers 1 and 8 — by RunBatch, and
+// planned over three even shards and scattered through RunPlan — so every
 // query must get the answer the oracle gives it alone.
 func TestLayoutsGoldenBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(123))
 	for trial := 0; trial < 8; trial++ {
 		s, m, ref, qs, answers := goldenCase(t, rng)
+		plan, err := PlanBatch(len(s), qs, EvenCuts(len(s), 3))
+		if err != nil {
+			t.Fatal(err)
+		}
 		for name, idx := range referenceIndexes(t, s, m.K()) {
 			sc, err := NewScannerFromIndex(s, m, idx)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{1, 8} {
-				batch := sc.RunBatch(Engine{Workers: workers}, qs)
-				for qi := range qs {
-					label := fmt.Sprintf("trial=%d/k=%d/n=%d/%s/workers=%d/q%d", trial, m.K(), len(s), name, workers, qi)
-					checkAgainstReference(t, label, ref, answers[qi], batch[qi])
+				e := Engine{Workers: workers}
+				sharded, err := RunPlan(context.Background(), e, plan, LocalExec{Sc: sc})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for run, out := range map[string][]QueryResult{"batch": sc.RunBatch(e, qs), "S=3": sharded} {
+					for qi := range qs {
+						label := fmt.Sprintf("trial=%d/k=%d/n=%d/%s/workers=%d/%s/q%d", trial, m.K(), len(s), name, workers, run, qi)
+						checkAgainstReference(t, label, ref, answers[qi], out[qi])
+					}
 				}
 			}
 		}

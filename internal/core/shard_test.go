@@ -20,7 +20,9 @@ func (f fanExec) ExecShard(ctx context.Context, e Engine, shard int, sqs []Shard
 
 // shardBatchFixture is the mixed batch the golden tests scatter: every
 // kind, range/floor variations, subsumable duplicates, limits that
-// overflow, empty candidate sets, and an invalid slot.
+// overflow, empty candidate sets (one a composite query whose lo lies past
+// the corpus end, which the planner must still home on a covering shard),
+// and an invalid slot.
 func shardBatchFixture(n int) []Query {
 	return []Query{
 		{Kind: KindMSS, Lo: 0, Hi: n},
@@ -33,6 +35,7 @@ func shardBatchFixture(n int) []Query {
 		{Kind: KindThreshold, Alpha: 2, Lo: n / 3, Hi: 2 * n / 3, Limit: 5},
 		{Kind: KindDisjoint, T: 3, Lo: 0, Hi: n},
 		{Kind: KindMSS, Lo: n / 2, Hi: n/2 + 1, MinLen: 5}, // empty candidate set
+		{Kind: KindDisjoint, T: 2, Lo: n + 5, Hi: n + 50},  // lo past the end: empty
 		{Kind: KindTopT, T: 0, Lo: 0, Hi: n},               // invalid: t < 1
 	}
 }
@@ -138,15 +141,17 @@ func TestShardedGoldenVsSolo(t *testing.T) {
 // TestShardedSuffixSegments runs the same golden comparison with each shard
 // backed by its own suffix-segment scanner (symbols [cut, n) at offset cut)
 // — the exact shape of segment snapshots — so the offset translation and
-// the suffix-count bit-identity of X² values are both on the hook. A
-// streaming Visit query rides along to pin the composite path's coordinate
-// translation.
+// the suffix-count bit-identity of X² values are both on the hook. Two
+// streaming Visit queries ride along to pin the composite path's coordinate
+// translation, one on a range past the corpus end.
 func TestShardedSuffixSegments(t *testing.T) {
 	const n = 1800
 	sc := queryFixture(t, n, 3, 97)
 	var streamed []Scored
+	visit := func(s Scored) { streamed = append(streamed, s) }
 	qs := append(shardBatchFixture(n),
-		Query{Kind: KindThreshold, Alpha: 7, Lo: n / 4, Hi: n, Visit: func(s Scored) { streamed = append(streamed, s) }},
+		Query{Kind: KindThreshold, Alpha: 7, Lo: n / 4, Hi: n, Visit: visit},
+		Query{Kind: KindThreshold, Alpha: 1, Lo: n + 100, Hi: n + 120, Visit: visit},
 	)
 	solo := sc.RunBatch(Engine{Workers: 1}, qs)
 	soloStreamed := streamed

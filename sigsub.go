@@ -17,8 +17,8 @@
 // DisjointQuery, narrowed by WithMinLength, WithRange and WithResultLimit —
 // that Scanner.Run executes on the paper's chain-cover skip scan, which runs
 // in O(k·n^{3/2}) time with high probability while remaining exact.
-// Scanner.RunBatch answers many Queries on the same engine, merging
-// subsumable ones into one scan. The trivial O(k·n²) scans, the heap-pruned
+// Scanner.RunBatch answers many Queries on the same engine, the queries on
+// one range and length floor sharing one pass. The trivial O(k·n²) scans, the heap-pruned
 // scan and the ARLM/AGMM heuristics of prior work are available for
 // comparison on Problem 1 via Scanner.MSS and WithAlgorithm.
 //
@@ -544,17 +544,18 @@ func (s *Scanner) Run(q Query, opts ...Option) (QueryResult, error) {
 	return s.RunContext(context.Background(), q, opts...)
 }
 
-// RunBatch executes a batch of Queries in as few engine passes as possible,
-// all over the Scanner's one set of prefix counts: threshold queries over
-// the same range and length floor merge into one scan at their lowest
-// cutoff, top-t queries into one scan at their largest t, and every scan
-// runs the chain-cover engine Run uses, one after another. Each query keeps
-// its own sink, limit and exact Stats (Evaluated + Skipped accounts for its
-// full candidate set; a query alone in its scan reports exactly what Run
-// would at one worker). Disjoint queries follow as individual passes. The
-// returned slice is parallel to qs; per-query failures are reported in the
-// slot's Err. WithStats records the summed counters of the whole batch;
-// WithWorkers parallelizes each scan.
+// RunBatch executes a batch of Queries in as few chain-cover passes as
+// possible, all over the Scanner's one set of prefix counts: the MSS, top-t
+// and threshold queries over the same range and length floor share one
+// pass, pruned at the lowest of their skip budgets (the running best X²,
+// the t-th best seen so far, the cutoff α), and the passes run one after
+// another. Each query keeps its own answer, limit and error; its Stats are
+// those of the pass it rode, so Evaluated + Skipped accounts for its full
+// candidate set, and a query alone in its pass reports exactly what Run
+// would. Disjoint queries follow as individual passes. The returned slice
+// is parallel to qs; per-query failures are reported in the slot's Err.
+// WithStats records the sum of the slots' counters, which counts a shared
+// pass once per query riding it; WithWorkers parallelizes each pass.
 //
 // Result equivalence with Run: MSS-kind and threshold-kind queries return
 // bit-identical results; top-t queries return the identical X² value
