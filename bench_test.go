@@ -3,11 +3,12 @@ package sigsub
 // This file is the benchmark harness of deliverable (d): one benchmark per
 // table and figure of the paper's evaluation (regenerating the same rows or
 // series via internal/experiments) plus micro-benchmarks of the core
-// operations and the ablation benches listed in DESIGN.md.
+// operations and ablation benches of the skip rule's exactness choices
+// (internal/core.SkipVariant).
 //
 // Sizes are scaled down (benchScale) so `go test -bench=.` completes in
 // minutes; run `go run ./cmd/ssexp -exp all -scale 1` for the full
-// paper-scale regeneration recorded in EXPERIMENTS.md.
+// paper-scale regeneration.
 
 import (
 	"io"
@@ -150,7 +151,7 @@ func BenchmarkScannerConstructionN100k(b *testing.B) {
 	}
 }
 
-// --- Ablation benches (design choices called out in DESIGN.md) ---
+// --- Ablation benches (the skip-rule variants of internal/core.SkipVariant) ---
 
 // Exact skip (min over characters, floor) versus the paper-literal variant
 // (single character, ceil): iterations saved versus exactness risk.

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"strings"
 	"testing"
 
 	sigsub "repro"
@@ -64,6 +65,12 @@ func FuzzBatchBody(f *testing.F) {
 		`{"corpus":"fz","queries":[{"kind":"mss"}],"bogus":1}`,
 		`{"corpus":"fz","queries":[{"kind":"mss","lo":`,
 		`{"corpus":"nope","queries":[{"kind":"mss"}]}`,
+		// Inline text with a model spec: skewed, MLE, and the probabilities
+		// so small that Σ Y²/p overflows, which must be a 400.
+		`{"text":"abcabcaabbccaaaabcabcab","model":{"probs":[0.5,0.3,0.2]},"queries":[{"kind":"mss","min_length":3},{"kind":"topt","t":4}]}`,
+		`{"text":"xyxyyyxxyxyxyyyyyyxy","model":{"mle":true},"queries":[{"kind":"threshold","alpha":2},{"kind":"mss"}]}`,
+		`{"text":"aabababbbaab","model":{"probs":[5e-324,0.9999999999999999]},"queries":[{"kind":"mss"}]}`,
+		`{"text":"` + strings.Repeat("a", 14) + strings.Repeat("bc", 44) + `b","model":{"probs":[1e-306,0.5,0.5]},"queries":[{"kind":"mss"}]}`,
 	} {
 		f.Add([]byte(seed))
 	}

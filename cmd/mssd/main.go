@@ -76,6 +76,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -420,11 +421,20 @@ func (s *server) checkShardOf(claim string) error {
 
 func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// writeJSON encodes v with the given status.
+// writeJSON encodes v with the given status. It encodes into a buffer
+// before writing the header, so a value that cannot be encoded (a
+// non-finite float, say) gets a typed 500 with a body rather than the
+// status already sent and an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
+		buf.Reset()
+		json.NewEncoder(&buf).Encode(errorBody{Error: fmt.Sprintf("encoding the response: %v", err)})
+		status = http.StatusInternalServerError
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
+	w.Write(buf.Bytes())
 }
 
 // errorBody is the uniform error envelope.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -115,5 +116,36 @@ func TestOversizedBody413(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("status %d, want 413", resp.StatusCode)
+	}
+}
+
+// TestNonFiniteModelRejected: a model probability so small that Σ Y²/p
+// overflows once got a 200 with an empty body — the scan's X² was not
+// finite, the encoder failed after WriteHeader, and the error was dropped.
+// Such models are now a 400 with a body, and a response that cannot be
+// encoded is a typed 500 with a body.
+func TestNonFiniteModelRejected(t *testing.T) {
+	ts := testServer(t)
+	for _, body := range []string{
+		`{"text":"aabababbbaab","model":{"probs":[5e-324,0.9999999999999999]},"queries":[{"kind":"mss"}]}`,
+		`{"text":"` + strings.Repeat("a", 14) + strings.Repeat("bc", 44) + `b","model":{"probs":[1e-306,0.5,0.5]},"queries":[{"kind":"mss"}]}`,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/batch", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var eb errorBody
+		err = json.NewDecoder(resp.Body).Decode(&eb)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || err != nil || eb.Error == "" {
+			t.Errorf("%s: status %d, body error %q (%v); want 400 with an error", body, resp.StatusCode, eb.Error, err)
+		}
+	}
+
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, map[string]float64{"x2": math.Inf(1)})
+	var eb errorBody
+	if err := json.Unmarshal(rec.Body.Bytes(), &eb); rec.Code != http.StatusInternalServerError || err != nil || eb.Error == "" {
+		t.Fatalf("unencodable response: status %d body %q (%v); want a 500 with an error", rec.Code, rec.Body, err)
 	}
 }

@@ -1,6 +1,6 @@
 // Command ssexp regenerates the tables and figures of the paper's
 // evaluation (§7). Each experiment prints the same rows or series the paper
-// reports; see EXPERIMENTS.md for the recorded paper-vs-measured comparison.
+// reports.
 //
 // Examples:
 //

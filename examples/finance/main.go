@@ -6,7 +6,7 @@
 // significant windows are reported as date ranges with their price changes.
 //
 // The price history is the repository's synthetic stand-in for the paper's
-// Yahoo-Finance data (see DESIGN.md §4).
+// Yahoo-Finance data (internal/datasets documents how it is planted).
 //
 // Run with: go run ./examples/finance
 package main

@@ -3,7 +3,7 @@
 // the same data (Table 4).
 //
 // The game log is the repository's synthetic stand-in for the
-// baseball-reference.com data (see DESIGN.md §4): ~2080 games from 1901 to
+// baseball-reference.com data (internal/datasets): ~2080 games from 1901 to
 // 2004 with the overall Yankees win rate near the historical 54.27%.
 //
 // Run with: go run ./examples/sports

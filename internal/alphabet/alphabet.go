@@ -23,6 +23,16 @@ import (
 // small constant (k ≤ 10 in all experiments).
 const MaxK = 256
 
+// ProbFloor is the smallest symbol probability NewModel accepts. Every
+// statistic the scanners compute is built from S = Σ Y_c²/p_c over the
+// counts Y_c of a window, and counts stay below 2³¹ (the corpus length
+// cap), so S ≤ (Σ Y_c)²/min p < 2⁶²/min p. At min p ≥ 2⁻⁸⁹⁰ that keeps S
+// below 2⁹⁵², which leaves a factor of 2⁷² under the float64 maximum
+// (≈ 2¹⁰²⁴) for the guard bands, the skip quadratic's products and 1/p
+// itself — so X², and every bound the scans derive from it, stays finite
+// at any admissible length. 2⁻⁸⁹⁰ ≈ 1.3·10⁻²⁶⁸.
+const ProbFloor = 0x1p-890
+
 // probSumTolerance is how far Σp_i may stray from 1 before NewModel rejects
 // the distribution instead of renormalizing it.
 const probSumTolerance = 1e-9
@@ -34,8 +44,8 @@ type Model struct {
 	probs []float64
 }
 
-// NewModel validates probs and returns the model. Each probability must be
-// strictly positive and strictly less than 1, and the probabilities must sum
+// NewModel validates probs and returns the model. Each probability must lie
+// in [ProbFloor, 1), and the probabilities must sum
 // to 1 within a small tolerance (they are renormalized exactly afterwards so
 // downstream arithmetic sees Σp_i = 1).
 func NewModel(probs []float64) (*Model, error) {
@@ -56,6 +66,9 @@ func NewModel(probs []float64) (*Model, error) {
 		}
 		if p >= 1 {
 			return nil, fmt.Errorf("alphabet: probability of symbol %d must be < 1, got %g", i, p)
+		}
+		if p < ProbFloor {
+			return nil, fmt.Errorf("alphabet: probability of symbol %d is %g, below the minimum %g", i, p, ProbFloor)
 		}
 		sum += p
 	}

@@ -51,10 +51,30 @@ func TestNewModelInvalid(t *testing.T) {
 		{"sum above one", []float64{0.7, 0.7}},
 		{"nan", []float64{math.NaN(), 0.5}},
 		{"inf", []float64{math.Inf(1), 0.5}},
+		{"subnormal", []float64{5e-324, 0.9999999999999999}},
+		{"1/p finite, Y²/p not", []float64{1e-306, 0.5, 0.5}},
+		{"just below the floor", []float64{ProbFloor * 0.5, 0.5, 0.5}},
 	}
 	for _, c := range cases {
 		if _, err := NewModel(c.probs); err == nil {
 			t.Errorf("NewModel(%s %v): expected error", c.name, c.probs)
+		}
+	}
+}
+
+// TestProbFloorKeepsSumsFinite: at the floor, the largest sum a scan can
+// form — every one of 2³¹−1 symbols the rarest — and the products the
+// guard band and skip quadratic take of it stay finite.
+func TestProbFloorKeepsSumsFinite(t *testing.T) {
+	m, err := NewModel([]float64{ProbFloor, 0.5, 0.5})
+	if err != nil {
+		t.Fatalf("a probability at the floor must be accepted: %v", err)
+	}
+	y := float64(math.MaxInt32)
+	s := y * y / m.Probs()[0]
+	for _, v := range []float64{s, 1 / m.Probs()[0], s + 0x1p-38*(s+y*y+y), 4 * s * y} {
+		if math.IsInf(v, 0) || math.IsNaN(v) {
+			t.Fatalf("sum %v or a product of it is not finite", s)
 		}
 	}
 }

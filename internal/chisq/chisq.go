@@ -133,8 +133,9 @@ func CoverBound(yv []int, length int, x2 float64, probs []float64, x int) float6
 // so the maximal skip is floor(min_t positiveRoot_t). (The paper's
 // pseudocode solves only the quadratic of a single pre-chosen t and rounds
 // up; taking the min over symbols and rounding down is the exact fixed point
-// of that choice — see DESIGN.md.) A final O(k) verification guards against
-// floating-point overshoot at integer boundaries.
+// of that choice — internal/core.SkipVariant measures the difference.) A
+// final O(k) verification guards against floating-point overshoot at
+// integer boundaries.
 //
 // When the window's X² already exceeds budget the bound can never drop below
 // X² (the window is itself one of the covered extensions), so MaxSkip

@@ -238,50 +238,25 @@ func (kn *Kernel) maxSkipAC(yv []int, a, c float64, hint int) (skip, binding int
 			w = u + a*z - c
 		}
 	}
-	if !(z < skipCap) {
-		return skipCap, binding
-	}
 	// Every symbol's constraint was sign-tested at some z' ≥ z, which covers
 	// the final integer skip by inclusion — except the binding symbol, whose
-	// own root z was taken on faith from the closed form. Test it at the
-	// integer before returning, stepping down once if the root overshot.
-	x := int(z)
-	fx := float64(x)
-	ux := fx * fx
-	if ux+float64(yv[binding])*(2*fx) > probs[binding]*(ux+a*fx-c) {
-		x--
-	}
-	return x, binding
+	// own root z was taken on faith from the closed form.
+	return kn.floorRoot(z, float64(yv[binding]), a, c, binding), binding
 }
 
-// MaxSkipUniform is the uniform-model skip solver: with equal symbol
-// probabilities the binding symbol of the chain-cover quadratic is the one
-// with the maximum count (the quadratic tightens monotonically in Y_t at
-// equal p), so the maximal skip is a single closed-form root plus one
-// integer-point verification — no per-symbol sweep, independent of the
-// alphabet size. sum is S = Σ Y_c²/p as in MaxSkipSum.
-func (kn *Kernel) MaxSkipUniform(maxY, length int, sum, budget float64) int {
-	if length == 0 {
-		return 0
-	}
-	fl := float64(length)
-	c := sum - fl*(budget+fl)
-	if c > 0 { // X² > budget in multiply-through form
-		return 0
-	}
-	a := 2*fl + budget
-	z := kn.skipRoot(float64(maxY), a, c, 0)
-	if z < 1 {
-		return 0
-	}
+// floorRoot turns symbol t's root z ≥ 1 (or NaN) into the integer skip: the
+// cap for a root at or past skipCap, otherwise ⌊z⌋, tested against t's
+// constraint at the integer and stepped down once if the closed-form root
+// overshot it.
+func (kn *Kernel) floorRoot(z, y, a, c float64, t int) int {
 	if !(z < skipCap) {
 		return skipCap
 	}
 	x := int(z)
 	fx := float64(x)
 	ux := fx * fx
-	if ux+float64(maxY)*(2*fx) > kn.probs[0]*(ux+a*fx-c) {
-		x-- // the closed-form root overshot its constraint by an ulp
+	if ux+y*(2*fx) > kn.probs[t]*(ux+a*fx-c) {
+		x--
 	}
 	return x
 }

@@ -32,9 +32,10 @@ func pinTier(t *testing.T, idx *counts.Checkpointed, tier counts.Tier) *counts.C
 // FuzzReconstructKernels differentially fuzzes the reconstruct kernel tiers
 // end to end: random text, alphabet size, checkpoint interval, and epoch
 // boundary (including a relocated-tail epoch view snapshotted mid-append),
-// driving one rolling cursor per tier through an identical Begin/Advance
-// schedule and asserting bit-identical count vectors and X² at every step,
-// plus identical CumAt/Vector probes through the index's own dispatch.
+// driving one Scan cursor per tier — its row starts probe through the
+// tier — through an identical schedule and asserting identical work, stops,
+// counts and X², plus identical CumAt/Vector probes through the index's own
+// dispatch.
 func FuzzReconstructKernels(f *testing.F) {
 	f.Add(int64(1), uint8(4), uint8(16), uint16(100), uint16(37))
 	f.Add(int64(2), uint8(8), uint8(16), uint16(200), uint16(63))
@@ -128,10 +129,11 @@ func checkIndexKernels(t *testing.T, cp *counts.Checkpointed, s []byte, k int, r
 	}
 }
 
-// checkRollTiers drives one rolling cursor per supported tier — uniform and
-// skewed models — through an identical schedule of row starts, short
-// extensions (incremental rolls), and long jumps (kernel reconstructions),
-// asserting bit-identical counts, X², and Exact at every step.
+// checkRollTiers drives one Scan cursor per supported tier — uniform and
+// skewed models — through identical rows and budgets (short first windows
+// that roll, long ones that land, rows ending at n so relocated tails get
+// probed), asserting identical evaluated/skipped counts, identical stops,
+// and at each stop identical counts and bit-identical X² and Exact.
 func checkRollTiers(t *testing.T, idx *counts.Checkpointed, s []byte, k int, rng *rand.Rand) {
 	t.Helper()
 	n := len(s)
@@ -160,25 +162,23 @@ func checkRollTiers(t *testing.T, idx *counts.Checkpointed, s []byte, k int, rng
 		}
 		for range 4 {
 			i := rng.Intn(n)
-			j := i + 1 + rng.Intn(n-i)
+			j0 := i + 1 + rng.Intn(n-i)
+			b := float64(rng.Intn(3 * k))
+			skipAt := b * rng.Float64()
 			for _, r := range rolls {
-				r.Begin(i, j)
+				r.Begin(i, j0)
 			}
-			compareRolls(t, tiers, rolls)
-			for j < n {
-				// Alternate short rolls (incremental path) with long jumps
-				// (kernel reconstruction), always ending at n so relocated
-				// tails get probed.
-				if rng.Intn(2) == 0 {
-					j += 1 + rng.Intn(3)
-				} else {
-					j += k + 5 + rng.Intn(n)
+			for {
+				ev, sk, found := rolls[0].Scan(b, skipAt, n)
+				for ti, r := range rolls[1:] {
+					gev, gsk, gfound := r.Scan(b, skipAt, n)
+					if gev != ev || gsk != sk || gfound != found {
+						t.Fatalf("tier %v row %d: Scan = (%d, %d, %v), scalar (%d, %d, %v)",
+							tiers[ti+1], i, gev, gsk, gfound, ev, sk, found)
+					}
 				}
-				if j > n {
-					j = n
-				}
-				for _, r := range rolls {
-					r.Advance(j)
+				if !found {
+					break
 				}
 				compareRolls(t, tiers, rolls)
 			}
@@ -190,7 +190,11 @@ func compareRolls(t *testing.T, tiers []counts.Tier, rolls []*Roll) {
 	t.Helper()
 	ref := rolls[0]
 	refX2 := ref.X2()
+	refExact := ref.Exact()
 	for ti, r := range rolls[1:] {
+		if r.End() != ref.End() {
+			t.Fatalf("tier %v: stopped at [%d,%d), scalar at [%d,%d)", tiers[ti+1], r.Start(), r.End(), ref.Start(), ref.End())
+		}
 		for c, v := range ref.Counts() {
 			if r.Counts()[c] != v {
 				t.Fatalf("tier %v window [%d,%d) lane %d: count %d want %d",
@@ -200,8 +204,8 @@ func compareRolls(t *testing.T, tiers []counts.Tier, rolls []*Roll) {
 		if x := r.X2(); math.Float64bits(x) != math.Float64bits(refX2) {
 			t.Fatalf("tier %v window [%d,%d): X2 %v want %v", tiers[ti+1], r.Start(), r.End(), x, refX2)
 		}
-		if ex, ref := r.Exact(), ref.Exact(); math.Float64bits(ex) != math.Float64bits(ref) {
-			t.Fatalf("tier %v window [%d,%d): Exact %v want %v", tiers[ti+1], r.Start(), r.End(), ex, ref)
+		if ex := r.Exact(); math.Float64bits(ex) != math.Float64bits(refExact) {
+			t.Fatalf("tier %v window [%d,%d): Exact %v want %v", tiers[ti+1], r.Start(), r.End(), ex, refExact)
 		}
 	}
 }

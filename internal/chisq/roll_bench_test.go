@@ -77,75 +77,64 @@ func BenchmarkMaxSkipKernel(b *testing.B) {
 				b.Fatal("impossible")
 			}
 		})
-		b.Run(fmt.Sprintf("uniform/k=%d", k), func(b *testing.B) {
-			sink := 0
-			for i := 0; i < b.N; i++ {
-				sm := samples[i%len(samples)]
-				maxY := 0
-				for _, y := range sm.vec {
-					if y > maxY {
-						maxY = y
-					}
-				}
-				sink += kern.MaxSkipUniform(maxY, sm.length, sm.sum, sm.budget)
-			}
-			if sink == -1 {
-				b.Fatal("impossible")
-			}
-		})
 	}
 }
 
-// BenchmarkRollScan measures the landing path of the rolling cursor — the
-// per-evaluation index probe plus sum rebuild — with a gang-of-3
-// interleave. The engine's scan loop advanced three rows at once until it
-// measured no faster than one row; the benchmark keeps its shape so its
-// history stays comparable.
-func BenchmarkRollScan(b *testing.B) {
+// BenchmarkRowScan measures the chain-cover step on full rows: Scan from
+// the one-symbol window at each of 8 starts spread over a 10⁵-symbol string
+// to the string's end, at a threshold-style budget (b = skipAt = 20 + 2k),
+// re-syncing with Exact at every stop as the engine's passes do. The text
+// is drawn from the model itself, so the rows take null-model skips. One op
+// is the 8 rows; its bytes are the symbols they span.
+func BenchmarkRowScan(b *testing.B) {
 	const n = 100_000
-	const gang = 3
-	for _, k := range []int{4, 8} {
-		rng := rand.New(rand.NewSource(1))
-		probs := make([]float64, k)
-		for i := range probs {
-			probs[i] = 1 / float64(k)
-		}
-		s := make([]byte, n)
-		for i := range s {
-			s[i] = byte(rng.Intn(k))
-		}
-		kern := NewKernel(probs)
-		cp, err := counts.NewCheckpointed(s, k, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		skips := make([]int, 4096)
-		for i := range skips {
-			skips[i] = 150 + rng.Intn(300)
-		}
-		b.Run(fmt.Sprintf("checkpointed/k=%d", k), func(b *testing.B) {
-			var curs [gang]*Roll
-			var pos [gang]int
-			for i := range curs {
-				curs[i] = NewRoll(kern, cp, s)
-				curs[i].Begin(0, 1)
-				pos[i] = 1
-			}
-			si := 0
-			b.ResetTimer()
-			for it := 0; it < b.N; it++ {
-				for ci := 0; ci < gang; ci++ {
-					p := pos[ci] + skips[si&4095]
-					si++
-					if p >= n {
-						curs[ci].Begin(0, 1)
-						p = 1
-					} else {
-						curs[ci].Advance(p)
-					}
-					pos[ci] = p
+	const rows = 8
+	for _, model := range []string{"uniform", "skewed"} {
+		for _, k := range []int{2, 4, 8, 16} {
+			probs := make([]float64, k)
+			for c := range probs {
+				probs[c] = 1 / float64(k)
+				if model == "skewed" {
+					probs[c] = float64(2*(c+1)) / float64(k*(k+1)) // p_c ∝ c+1
 				}
 			}
-		})
+			rng := rand.New(rand.NewSource(1))
+			s := make([]byte, n)
+			for i := range s {
+				u := rng.Float64()
+				c := 0
+				for ; c < k-1 && u >= probs[c]; c++ {
+					u -= probs[c]
+				}
+				s[i] = byte(c)
+			}
+			kern := NewKernel(probs)
+			cp, err := counts.NewCheckpointed(s, k, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			budget := float64(20 + 2*k)
+			span := 0
+			for r := 0; r < rows; r++ {
+				span += n - r*n/rows
+			}
+			b.Run(fmt.Sprintf("%s/k=%d", model, k), func(b *testing.B) {
+				cur := NewRoll(kern, cp, s)
+				b.ReportAllocs()
+				b.SetBytes(int64(span))
+				for b.Loop() {
+					for r := 0; r < rows; r++ {
+						i := r * n / rows
+						cur.Begin(i, i+1)
+						for {
+							if _, _, found := cur.Scan(budget, budget, n); !found {
+								break
+							}
+							cur.Exact()
+						}
+					}
+				}
+			})
+		}
 	}
 }

@@ -5,8 +5,8 @@ import (
 )
 
 // SkipVariant configures deliberate deviations from the exact skip rule, for
-// the ablation experiments discussed in DESIGN.md. The default (zero) value
-// reproduces the exact algorithm.
+// the ablation experiments (internal/experiments.Ablation1). The default
+// (zero) value reproduces the exact algorithm.
 //
 // The paper's pseudocode (Algorithm 1, lines 9–13) chooses a single cover
 // character before the skip length x is known and rounds the quadratic root

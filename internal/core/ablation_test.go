@@ -32,11 +32,11 @@ func TestVariantZeroEqualsExact(t *testing.T) {
 
 // The paper-literal variants never *beat* the true optimum, and their
 // misses are bounded. The measured behaviour (the ablation's finding, see
-// EXPERIMENTS.md): the ceiling-rounded skip of the paper's pseudocode
-// overshoots the bound by up to one position and misses the exact MSS on
-// ~40% of random strings — though never by more than ~20% of the optimum
-// value — which is precisely why this repository's exact implementation
-// rounds down instead.
+// internal/experiments.Ablation1): the ceiling-rounded skip of the paper's
+// pseudocode overshoots the bound by up to one position and misses the
+// exact MSS on ~40% of random strings — though never by more than ~20% of
+// the optimum value — which is precisely why this repository's exact
+// implementation rounds down instead.
 func TestVariantAccuracyAndSavings(t *testing.T) {
 	rng := rand.New(rand.NewSource(223))
 	variants := []SkipVariant{

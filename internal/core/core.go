@@ -65,9 +65,9 @@ func (st Stats) Total() int64 { return st.Evaluated + st.Skipped }
 //
 // The count index is a counts.Checkpointed. The exact scans run on the
 // rolling cursor (chisq.Roll), which touches the index only at row starts
-// and chain-cover skip landings and reconstructs on the kernel tier the
-// index resolved; the chi-square kernels run through chisq.Kernel, which
-// hoists the reciprocal probabilities out of the hot loops.
+// and chain-cover skip landings; the chi-square kernels run through
+// chisq.Kernel, which hoists the reciprocal probabilities out of the hot
+// loops.
 type Scanner struct {
 	s     []byte
 	model *alphabet.Model
@@ -168,8 +168,9 @@ func (sc *Scanner) newRoll() *chisq.Roll {
 
 func (sc *Scanner) putRoll(r *chisq.Roll) { sc.rollPool.Put(r) }
 
-// Kernel reports the reconstruct-kernel tier this scanner's scans run on:
-// the tier its index resolved when it was built — scalar for alphabets
+// Kernel reports the reconstruct-kernel tier this scanner's index probes
+// (row starts, Vector) run on: the tier its index resolved when it was
+// built — scalar for alphabets
 // outside the group-fetch eligibility (counts.GroupFits), which always
 // probe on the scalar path.
 func (sc *Scanner) Kernel() counts.Tier { return sc.pre.Kernel() }

@@ -114,10 +114,16 @@ func splitStarts(lo, hiStart, parts int) [][2]int {
 	return chunks
 }
 
+// cacheLine is the false-sharing unit: a value every worker reads on each
+// scan step gets a line of its own, so another worker's writes to a
+// neighbouring field never invalidate it.
+const cacheLine = 64
+
 // atomicBudget is a monotonically increasing shared float64 — the running
-// best X² every worker prunes against.
+// best X² every worker prunes against — padded to a cache line of its own.
 type atomicBudget struct {
 	bits atomic.Uint64
+	_    [cacheLine - 8]byte
 }
 
 func (a *atomicBudget) store(v float64) { a.bits.Store(math.Float64bits(v)) }
@@ -324,10 +330,13 @@ func (sc *Scanner) runPass(e Engine, p *pass, lo, hi, minLen, rowLo, rowHi int) 
 // read their skip budget without taking the lock; it only grows, so a stale
 // read under-prunes but never over-prunes.
 type sharedHeap struct {
-	mu     sync.Mutex
-	h      *topheap.Heap
-	budget atomicBudget // mirror of the heap's own minimum when full
-	full   atomic.Bool
+	mu   sync.Mutex
+	h    *topheap.Heap
+	full atomic.Bool
+	_    [cacheLine - 24]byte
+	// budget mirrors the heap's own minimum when full. Workers read it on
+	// every scan call, and offers write mu and h, so it sits on its own line.
+	budget atomicBudget
 }
 
 func (s *sharedHeap) offer(it topheap.Item) {
@@ -359,7 +368,8 @@ func (s *sharedHeap) offer(it topheap.Item) {
 //     of the sink's hits, past the merge's overflow decision — and the
 //     chunks replay in order, reproducing the sequential visit order.
 //
-// A budget read mid-scan may be stale, which only ever under-prunes.
+// A budget read between scan calls may be stale, which only ever
+// under-prunes.
 func (sc *Scanner) passParallel(e Engine, p *pass, w, hi, minLen, rowLo, rowHi int) Stats {
 	chunks := splitStarts(rowLo, rowHi, w*chunksPerWorker)
 	var top atomicBudget
@@ -396,47 +406,40 @@ func (sc *Scanner) passParallel(e Engine, p *pass, w, hi, minLen, rowLo, rowHi i
 					st.Starts++
 					cur.Begin(i, i+minLen)
 					for {
-						j := cur.End()
-						st.Evaluated++
+						// The shared budgets are read once per call: at the
+						// row start and after each offered window.
 						b := p.alpha
 						if heap != nil {
 							b = min(b, heap.budget.load())
 						}
+						skipAt := b
 						if p.mss {
 							b = min(b, top.load())
+							skipAt = soften(b)
 						}
-						if cur.Passes(b) {
-							x2 := cur.Exact()
-							if p.mss && better(x2, i, j, best) {
-								best = Scored{Interval{i, j}, x2}
-								top.raise(x2)
-							}
-							if heap != nil {
-								heap.offer(topheap.Item{Start: i, End: j, Score: x2})
-							}
-							for si, sk := range p.sinks {
-								if x2 > sk.alpha && (sk.limit <= 0 || stored[si] <= sk.limit) {
-									if hits == nil {
-										hits = make([][]Scored, len(p.sinks))
-									}
-									hits[si] = append(hits[si], Scored{Interval{i, j}, x2})
-									stored[si]++
+						evaluated, skipped, ok := cur.Scan(b, skipAt, hi)
+						st.Evaluated += int64(evaluated)
+						st.Skipped += int64(skipped)
+						if !ok {
+							break
+						}
+						j, x2 := cur.End(), cur.Exact()
+						if p.mss && better(x2, i, j, best) {
+							best = Scored{Interval{i, j}, x2}
+							top.raise(x2)
+						}
+						if heap != nil {
+							heap.offer(topheap.Item{Start: i, End: j, Score: x2})
+						}
+						for si, sk := range p.sinks {
+							if x2 > sk.alpha && (sk.limit <= 0 || stored[si] <= sk.limit) {
+								if hits == nil {
+									hits = make([][]Scored, len(p.sinks))
 								}
+								hits[si] = append(hits[si], Scored{Interval{i, j}, x2})
+								stored[si]++
 							}
 						}
-						if j == hi {
-							break
-						}
-						if p.mss {
-							b = soften(b)
-						}
-						skip := cur.MaxSkip(b)
-						if j+skip >= hi {
-							st.Skipped += int64(hi - j)
-							break
-						}
-						st.Skipped += int64(skip)
-						cur.Advance(j + skip + 1)
 					}
 				}
 				found[c] = hits

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"repro/internal/alphabet"
 	"repro/internal/strgen"
@@ -287,6 +288,36 @@ func TestAtomicBudgetRaise(t *testing.T) {
 		t.Errorf("budget = %v, want 2.5", got)
 	}
 }
+
+// TestSharedBudgetsOwnCacheLines: the budgets every parallel worker reads
+// on each scan call sit on cache lines no write of another field touches.
+func TestSharedBudgetsOwnCacheLines(t *testing.T) {
+	if got := unsafe.Sizeof(atomicBudget{}); got != cacheLine {
+		t.Errorf("atomicBudget is %d bytes, want one %d-byte line", got, cacheLine)
+	}
+	var h sharedHeap
+	if off := unsafe.Offsetof(h.budget); off%cacheLine != 0 {
+		t.Errorf("sharedHeap.budget at offset %d, want a line boundary", off)
+	}
+	if size := unsafe.Sizeof(h); size%cacheLine != 0 {
+		t.Errorf("sharedHeap is %d bytes, want whole lines", size)
+	}
+	for range 4 {
+		var top atomicBudget
+		hp := &sharedHeap{}
+		// Both escape to the heap as they do in passParallel.
+		if a := uintptr(unsafe.Pointer(&top)) % cacheLine; a != 0 {
+			t.Errorf("atomicBudget at line offset %d", a)
+		}
+		if a := uintptr(unsafe.Pointer(&hp.budget)) % cacheLine; a != 0 {
+			t.Errorf("sharedHeap.budget at line offset %d", a)
+		}
+		escapeSink = append(escapeSink, &top, hp)
+	}
+	escapeSink = nil
+}
+
+var escapeSink []any
 
 func caseLabel(problem string, ci int, e Engine) string {
 	l := fmt.Sprintf("%s/case%d/w%d", problem, ci, e.Workers)

@@ -7,11 +7,11 @@ import (
 )
 
 // HeapPruned is a best-first exact baseline in the spirit of the "heap
-// strategy" the paper attributes to [2] (an unpublished thesis; see
-// DESIGN.md §4 for the reconstruction). Each start position i receives an
-// optimistic upper bound on the X² of every substring starting at i — the
-// chain-cover bound of its length-1 prefix extended by the remaining n−i−1
-// characters. Starts are then processed in decreasing bound order with the
+// strategy" the paper attributes to [2] (an unpublished thesis, so this is
+// a reconstruction from the paper's description). Each start position i
+// receives an optimistic upper bound on the X² of every substring starting
+// at i — the chain-cover bound of its length-1 prefix extended by the
+// remaining n−i−1 characters. Starts are then processed in decreasing bound order with the
 // incremental trivial inner scan, and the search stops as soon as the best
 // X² found meets or exceeds the best outstanding bound.
 //

@@ -3,8 +3,7 @@ package core
 // The ARLM and AGMM heuristics originate in Dutta & Bhattacharya, "Most
 // Significant Substring Mining Based on Chi-square Measure" (PAKDD 2010) —
 // reference [9] of the paper. Their implementations are not public, so the
-// versions here are reconstructions from the published descriptions (see
-// DESIGN.md §4):
+// versions here are reconstructions from the published descriptions:
 //
 //   - both heuristics view the string through per-symbol cumulative
 //     deviation walks W_c[j] = Y_c(s[0:j]) − j·p_c, whose steep segments are

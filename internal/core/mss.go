@@ -20,7 +20,9 @@ package core
 
 // passSeq is runPass on one worker. The budget changes only when an
 // exactly evaluated window reaches a member, so it is recomputed there and
-// nowhere else on the per-position path.
+// nowhere else: the cursor's Scan runs the chain-cover step until a window
+// passes the prefilter, the pass offers that window's exact X², and Scan
+// resumes at its skip under the refreshed budget.
 func (sc *Scanner) passSeq(e Engine, p *pass, hi, minLen, rowLo, rowHi int) Stats {
 	var st Stats
 	cur := sc.newRoll()
@@ -33,22 +35,14 @@ func (sc *Scanner) passSeq(e Engine, p *pass, hi, minLen, rowLo, rowHi int) Stat
 		st.Starts++
 		cur.Begin(i, i+minLen)
 		for {
-			j := cur.End()
-			st.Evaluated++
-			if cur.Passes(b) {
-				p.offer(i, j, cur.Exact())
-				b, skipAt = p.budget()
-			}
-			if j == hi {
+			evaluated, skipped, ok := cur.Scan(b, skipAt, hi)
+			st.Evaluated += int64(evaluated)
+			st.Skipped += int64(skipped)
+			if !ok {
 				break
 			}
-			skip := cur.MaxSkip(skipAt)
-			if j+skip >= hi {
-				st.Skipped += int64(hi - j)
-				break
-			}
-			st.Skipped += int64(skip)
-			cur.Advance(j + skip + 1)
+			p.offer(i, cur.End(), cur.Exact())
+			b, skipAt = p.budget()
 		}
 	}
 	return st

@@ -30,10 +30,10 @@ const DefaultInterval = 16
 // entire working set is one contiguous block (4k + 8k bytes), sized and
 // laid out to be touched by a single cache fetch at small k.
 //
-// The scan engine's rolling kernel probes the index only at chain-cover
-// skip landings and row starts, so under the AVX2 kernel the compact form
-// scans within a few percent of dense counts, or faster (BENCH_10.json),
-// while the long-lived daemon holds ~5× more corpora in the same RAM.
+// The scan engine's rolling cursor probes the index only at chain-cover
+// skip landings and row starts, so the compact form scans within a few
+// percent of dense counts, or faster (BENCH_10.json), while the long-lived
+// daemon holds ~5× more corpora in the same RAM.
 type Checkpointed struct {
 	k      int
 	n      int
@@ -61,10 +61,10 @@ type Checkpointed struct {
 	contig bool
 
 	// Probe kernel state, resolved once at construction (from the
-	// process-wide active kernel) or by SetKernel, and shared with every
-	// scan cursor over the index. lanes marks alphabets whose whole nibble
-	// group fits one uint64 fetch (GroupFits): their probes run through the
-	// resolved kernel entry points instead of a per-symbol nibble walk.
+	// process-wide active kernel) or by SetKernel. lanes marks alphabets
+	// whose whole nibble group fits one uint64 fetch (GroupFits): their
+	// probes run through the resolved kernel entry points instead of a
+	// per-symbol nibble walk.
 	// oneWord additionally marks geometries whose groups never straddle a
 	// word boundary, saving the second word read.
 	lanes   bool
@@ -88,11 +88,6 @@ func (p *Checkpointed) Kernel() Tier {
 	}
 	return p.kt
 }
-
-// Funcs returns the reconstruct entry points this index's probes resolved,
-// and whether its alphabet is group-eligible (GroupFits). Scan cursors bind
-// the same entry points, so one index never runs two tiers.
-func (p *Checkpointed) Funcs() (KernelFuncs, bool) { return p.kf, p.lanes }
 
 // SetKernel rebinds the index's probe kernels to an explicit tier, failing
 // if the tier cannot execute on this CPU/build. It mutates probe dispatch

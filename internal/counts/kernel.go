@@ -6,27 +6,27 @@ import (
 )
 
 // This file implements the vectorized reconstruct kernels: the data-parallel
-// inner step of every checkpointed-index probe. A probe resolves a position
-// to (checkpoint row, nibble group); the kernel then rebuilds the k-lane
-// count vector
+// inner step of the index's own probes (CumAt, Vector). A probe resolves a
+// position to (checkpoint row, nibble group); the kernel then rebuilds the
+// k-lane count vector
 //
 //	vec[c] = row[c] + nibble(group, c) − base[c]
 //
-// and, for uniform models, fuses the integer statistics the rolling scan
-// needs (Σ y² and max y) into the same pass. Two tiers implement the
-// identical integer contract:
+// Two tiers implement the identical integer contract:
 //
 //   - TierScalar: the unrolled scalar code — the golden reference and the
 //     fallback for every build.
 //   - TierAVX2: go-assembly kernels (amd64, !noasm) that unpack the nibble
-//     group, add the checkpoint row, subtract the base, widen, and (for
-//     uniform models) square-and-sum in a handful of vector instructions.
+//     group, add the checkpoint row, subtract the base, and widen in a
+//     handful of vector instructions.
 //
 // Both tiers are exact integer arithmetic, so results are bit-identical by
 // construction; the differential fuzz target and the kernel-matrix tests
 // pin that down. Dispatch is resolved once per process at init from the
 // build tag and CPUID (internal/cpufeat); every index binds the tier it
-// resolved when it was built.
+// resolved when it was built. The scan cursor (chisq.Roll) does not call
+// these kernels: its landings rebuild the counts inline, fused with the
+// sums it needs, with no function call on the step.
 
 // Tier identifies a reconstruct-kernel implementation tier.
 type Tier uint8
@@ -79,24 +79,17 @@ func BestTier() Tier {
 // nibble-delta group in its low 4k bits (higher bits are ignored).
 type ReconstructFunc func(row []uint32, group uint64, base []int32, vec []int)
 
-// ReconstructUniformFunc is ReconstructFunc with the uniform-model integer
-// statistics fused into the same pass: it also returns Σ vec[c]² and
-// max vec[c] — exact integer results, identical across tiers.
-type ReconstructUniformFunc func(row []uint32, group uint64, base []int32, vec []int) (sumsq int64, maxY int)
-
-// KernelFuncs is the pair of kernel entry points resolved for one alphabet
-// size — what hot loops hold directly so no per-call tier or k dispatch
-// remains.
+// KernelFuncs holds the kernel entry points resolved for one alphabet size
+// — what probes hold directly so no per-call tier or k dispatch remains.
 type KernelFuncs struct {
-	Reconstruct        ReconstructFunc
-	ReconstructUniform ReconstructUniformFunc
+	Reconstruct ReconstructFunc
 }
 
 // Kernel is a resolved kernel tier: a function table mapping an alphabet
 // size to its specialized entry points. The AVX2 tier specializes the
-// alphabets the scan engine cares about (k = 4, 8, 16) and inherits the
-// scalar tier for the rest, so a Kernel always answers for every
-// group-eligible k.
+// alphabets where it measured faster than the unrolled scalar code (k = 8,
+// 16) and inherits the scalar tier for the rest, so a Kernel always answers
+// for every group-eligible k.
 type Kernel struct {
 	tier  Tier
 	funcs func(k int) (KernelFuncs, bool)
@@ -186,13 +179,13 @@ var zeroBase [16]int32
 func scalarFuncs(k int) (KernelFuncs, bool) {
 	switch k {
 	case 2:
-		return KernelFuncs{scalarRecK2, scalarUniK2}, true
+		return KernelFuncs{scalarRecK2}, true
 	case 4:
-		return KernelFuncs{scalarRecK4, scalarUniK4}, true
+		return KernelFuncs{scalarRecK4}, true
 	case 8:
-		return KernelFuncs{scalarRecK8, scalarUniK8}, true
+		return KernelFuncs{scalarRecK8}, true
 	default:
-		return KernelFuncs{scalarRecGeneric, scalarUniGeneric}, true
+		return KernelFuncs{scalarRecGeneric}, true
 	}
 }
 
@@ -202,47 +195,12 @@ func scalarRecK2(row []uint32, group uint64, base []int32, vec []int) {
 	vec[1] = int(int32(row[1])) - int(base[1]) + int(group>>4&15)
 }
 
-func scalarUniK2(row []uint32, group uint64, base []int32, vec []int) (int64, int) {
-	_, _, _ = row[1], base[1], vec[1]
-	y0 := int(int32(row[0])) - int(base[0]) + int(group&15)
-	y1 := int(int32(row[1])) - int(base[1]) + int(group>>4&15)
-	vec[0], vec[1] = y0, y1
-	s := int64(y0)*int64(y0) + int64(y1)*int64(y1)
-	if y1 > y0 {
-		y0 = y1
-	}
-	return s, y0
-}
-
 func scalarRecK4(row []uint32, group uint64, base []int32, vec []int) {
 	_, _, _ = row[3], base[3], vec[3]
 	vec[0] = int(int32(row[0])) - int(base[0]) + int(group&15)
 	vec[1] = int(int32(row[1])) - int(base[1]) + int(group>>4&15)
 	vec[2] = int(int32(row[2])) - int(base[2]) + int(group>>8&15)
 	vec[3] = int(int32(row[3])) - int(base[3]) + int(group>>12&15)
-}
-
-func scalarUniK4(row []uint32, group uint64, base []int32, vec []int) (int64, int) {
-	// Fully unrolled with constant-shift nibble extraction: the four lanes
-	// are independent the moment the group word arrives.
-	_, _, _ = row[3], base[3], vec[3]
-	y0 := int(int32(row[0])) - int(base[0]) + int(group&15)
-	y1 := int(int32(row[1])) - int(base[1]) + int(group>>4&15)
-	y2 := int(int32(row[2])) - int(base[2]) + int(group>>8&15)
-	y3 := int(int32(row[3])) - int(base[3]) + int(group>>12&15)
-	vec[0], vec[1], vec[2], vec[3] = y0, y1, y2, y3
-	s0 := int64(y0)*int64(y0) + int64(y2)*int64(y2)
-	s1 := int64(y1)*int64(y1) + int64(y3)*int64(y3)
-	if y1 > y0 {
-		y0 = y1
-	}
-	if y3 > y2 {
-		y2 = y3
-	}
-	if y2 > y0 {
-		y0 = y2
-	}
-	return s0 + s1, y0
 }
 
 func scalarRecK8(row []uint32, group uint64, base []int32, vec []int) {
@@ -257,44 +215,6 @@ func scalarRecK8(row []uint32, group uint64, base []int32, vec []int) {
 	vec[7] = int(int32(row[7])) - int(base[7]) + int(group>>28&15)
 }
 
-func scalarUniK8(row []uint32, group uint64, base []int32, vec []int) (int64, int) {
-	_, _, _ = row[7], base[7], vec[7]
-	y0 := int(int32(row[0])) - int(base[0]) + int(group&15)
-	y1 := int(int32(row[1])) - int(base[1]) + int(group>>4&15)
-	y2 := int(int32(row[2])) - int(base[2]) + int(group>>8&15)
-	y3 := int(int32(row[3])) - int(base[3]) + int(group>>12&15)
-	y4 := int(int32(row[4])) - int(base[4]) + int(group>>16&15)
-	y5 := int(int32(row[5])) - int(base[5]) + int(group>>20&15)
-	y6 := int(int32(row[6])) - int(base[6]) + int(group>>24&15)
-	y7 := int(int32(row[7])) - int(base[7]) + int(group>>28&15)
-	vec[0], vec[1], vec[2], vec[3] = y0, y1, y2, y3
-	vec[4], vec[5], vec[6], vec[7] = y4, y5, y6, y7
-	s0 := int64(y0)*int64(y0) + int64(y2)*int64(y2) + int64(y4)*int64(y4) + int64(y6)*int64(y6)
-	s1 := int64(y1)*int64(y1) + int64(y3)*int64(y3) + int64(y5)*int64(y5) + int64(y7)*int64(y7)
-	if y1 > y0 {
-		y0 = y1
-	}
-	if y3 > y2 {
-		y2 = y3
-	}
-	if y5 > y4 {
-		y4 = y5
-	}
-	if y7 > y6 {
-		y6 = y7
-	}
-	if y2 > y0 {
-		y0 = y2
-	}
-	if y6 > y4 {
-		y4 = y6
-	}
-	if y4 > y0 {
-		y0 = y4
-	}
-	return s0 + s1, y0
-}
-
 func scalarRecGeneric(row []uint32, group uint64, base []int32, vec []int) {
 	row = row[:len(vec)]
 	base = base[:len(vec)]
@@ -302,43 +222,4 @@ func scalarRecGeneric(row []uint32, group uint64, base []int32, vec []int) {
 		vec[c] = int(int32(row[c])) - int(base[c]) + int(group&15)
 		group >>= 4
 	}
-}
-
-func scalarUniGeneric(row []uint32, group uint64, base []int32, vec []int) (int64, int) {
-	// Two sum lanes and two max lanes keep the latency chains half as deep
-	// as a naive accumulation (integer sums are associativity-free, so the
-	// pairing cannot change the result).
-	var s0, s1 int64
-	m0, m1 := 0, 0
-	c := 0
-	k := len(vec)
-	row = row[:k]
-	base = base[:k]
-	for ; c+1 < k; c += 2 {
-		y0 := int(int32(row[c])) - int(base[c]) + int(group&15)
-		y1 := int(int32(row[c+1])) - int(base[c+1]) + int(group>>4&15)
-		group >>= 8
-		vec[c] = y0
-		vec[c+1] = y1
-		s0 += int64(y0) * int64(y0)
-		s1 += int64(y1) * int64(y1)
-		if y0 > m0 {
-			m0 = y0
-		}
-		if y1 > m1 {
-			m1 = y1
-		}
-	}
-	if c < k {
-		y := int(int32(row[c])) - int(base[c]) + int(group&15)
-		vec[c] = y
-		s0 += int64(y) * int64(y)
-		if y > m0 {
-			m0 = y
-		}
-	}
-	if m1 > m0 {
-		m0 = m1
-	}
-	return s0 + s1, m0
 }

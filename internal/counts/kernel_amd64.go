@@ -13,16 +13,14 @@ var avx2Kernel = &Kernel{tier: TierAVX2, funcs: avx2Funcs}
 
 func avx2Funcs(k int) (KernelFuncs, bool) {
 	switch k {
-	case 4:
-		return KernelFuncs{avx2RecK4, avx2UniK4}, true
 	case 8:
-		return KernelFuncs{avx2RecK8, avx2UniK8}, true
+		return KernelFuncs{avx2RecK8}, true
 	case 16:
-		return KernelFuncs{avx2RecK16, avx2UniK16}, true
+		return KernelFuncs{avx2RecK16}, true
 	default:
-		// Assembly specializes the alphabets the scan engine targets
-		// (4, 8, 16); the rest inherit the scalar tier, bit-identical by
-		// contract.
+		// Assembly specializes the alphabets where it measured faster
+		// (8, 16); at k = 4 the unrolled scalar kernel is as fast, so the
+		// rest inherit the scalar tier, bit-identical by contract.
 		return scalarFuncs(k)
 	}
 }
@@ -32,27 +30,10 @@ func avx2Funcs(k int) (KernelFuncs, bool) {
 // in Go instead of reading past the allocation in assembly.
 
 //go:noescape
-func reconK4AVX2(row *uint32, base *int32, group uint64, vec *int)
-
-//go:noescape
 func reconK8AVX2(row *uint32, base *int32, group uint64, vec *int)
 
 //go:noescape
 func reconK16AVX2(row *uint32, base *int32, group uint64, vec *int)
-
-//go:noescape
-func reconUniK4AVX2(row *uint32, base *int32, group uint64, vec *int, out *[2]int64)
-
-//go:noescape
-func reconUniK8AVX2(row *uint32, base *int32, group uint64, vec *int, out *[2]int64)
-
-//go:noescape
-func reconUniK16AVX2(row *uint32, base *int32, group uint64, vec *int, out *[2]int64)
-
-func avx2RecK4(row []uint32, group uint64, base []int32, vec []int) {
-	_, _, _ = row[3], base[3], vec[3]
-	reconK4AVX2(&row[0], &base[0], group, &vec[0])
-}
 
 func avx2RecK8(row []uint32, group uint64, base []int32, vec []int) {
 	_, _, _ = row[7], base[7], vec[7]
@@ -62,25 +43,4 @@ func avx2RecK8(row []uint32, group uint64, base []int32, vec []int) {
 func avx2RecK16(row []uint32, group uint64, base []int32, vec []int) {
 	_, _, _ = row[15], base[15], vec[15]
 	reconK16AVX2(&row[0], &base[0], group, &vec[0])
-}
-
-func avx2UniK4(row []uint32, group uint64, base []int32, vec []int) (int64, int) {
-	_, _, _ = row[3], base[3], vec[3]
-	var out [2]int64
-	reconUniK4AVX2(&row[0], &base[0], group, &vec[0], &out)
-	return out[0], int(out[1])
-}
-
-func avx2UniK8(row []uint32, group uint64, base []int32, vec []int) (int64, int) {
-	_, _, _ = row[7], base[7], vec[7]
-	var out [2]int64
-	reconUniK8AVX2(&row[0], &base[0], group, &vec[0], &out)
-	return out[0], int(out[1])
-}
-
-func avx2UniK16(row []uint32, group uint64, base []int32, vec []int) (int64, int) {
-	_, _, _ = row[15], base[15], vec[15]
-	var out [2]int64
-	reconUniK16AVX2(&row[0], &base[0], group, &vec[0], &out)
-	return out[0], int(out[1])
 }

@@ -9,12 +9,11 @@
 // by broadcasting the packed nibble group, variable-shifting each dword
 // lane by its own nibble offset, masking, adding the checkpoint row,
 // subtracting the base, and sign-extend widening the int32 results to the
-// int64 lanes the scan's []int vector expects. The Uni variants fuse the
-// uniform-model statistics into the same pass: out[0] = sum of squares
-// (int64), out[1] = max lane. All arithmetic is exact integer arithmetic;
-// intermediate values fit int32 because cumulative counts are bounded by
-// the corpus length (< 2^31) and final lanes are window counts in
-// [0, 2^31), so results are bit-identical to the scalar reference.
+// int64 lanes the index's []int vectors expect. All arithmetic is exact
+// integer arithmetic; intermediate values fit int32 because cumulative
+// counts are bounded by the corpus length (< 2^31) and final lanes are
+// counts in [0, 2^31), so results are bit-identical to the scalar
+// reference.
 
 // Per-lane right-shift counts selecting nibble c of the group dword.
 DATA nibshift<>+0(SB)/4, $0
@@ -33,26 +32,6 @@ DATA nibmask<>+8(SB)/8, $0x0000000F0000000F
 DATA nibmask<>+16(SB)/8, $0x0000000F0000000F
 DATA nibmask<>+24(SB)/8, $0x0000000F0000000F
 GLOBL nibmask<>(SB), RODATA|NOPTR, $32
-
-// func reconK4AVX2(row *uint32, base *int32, group uint64, vec *int)
-TEXT ·reconK4AVX2(SB), NOSPLIT, $0-32
-	MOVQ row+0(FP), AX
-	MOVQ base+8(FP), BX
-	MOVQ group+16(FP), CX
-	MOVQ vec+24(FP), DX
-
-	VMOVD        CX, X0                // low 16 bits hold the 4 nibbles
-	VPBROADCASTD X0, X0
-	VPSRLVD      nibshift<>(SB), X0, X0
-	VPAND        nibmask<>(SB), X0, X0 // nibbles in dword lanes
-	VMOVDQU      (AX), X1              // row: 4 x uint32
-	VPADDD       X1, X0, X0
-	VMOVDQU      (BX), X2              // base: 4 x int32
-	VPSUBD       X2, X0, X0            // y: 4 x int32
-	VPMOVSXDQ    X0, Y3                // widen to 4 x int64
-	VMOVDQU      Y3, (DX)
-	VZEROUPPER
-	RET
 
 // func reconK8AVX2(row *uint32, base *int32, group uint64, vec *int)
 TEXT ·reconK8AVX2(SB), NOSPLIT, $0-32
@@ -110,155 +89,5 @@ TEXT ·reconK16AVX2(SB), NOSPLIT, $0-32
 	VPMOVSXDQ    X4, Y4
 	VMOVDQU      Y3, 64(DX)
 	VMOVDQU      Y4, 96(DX)
-	VZEROUPPER
-	RET
-
-// func reconUniK4AVX2(row *uint32, base *int32, group uint64, vec *int, out *[2]int64)
-TEXT ·reconUniK4AVX2(SB), NOSPLIT, $0-40
-	MOVQ row+0(FP), AX
-	MOVQ base+8(FP), BX
-	MOVQ group+16(FP), CX
-	MOVQ vec+24(FP), DX
-	MOVQ out+32(FP), DI
-
-	VMOVD        CX, X0
-	VPBROADCASTD X0, X0
-	VPSRLVD      nibshift<>(SB), X0, X0
-	VPAND        nibmask<>(SB), X0, X0
-	VMOVDQU      (AX), X1
-	VPADDD       X1, X0, X0
-	VMOVDQU      (BX), X2
-	VPSUBD       X2, X0, X0            // y: 4 x int32
-	VPMOVSXDQ    X0, Y3
-	VMOVDQU      Y3, (DX)
-
-	// out[0] = sum of y^2: widening multiplies of even and odd lanes.
-	VPMULDQ      X0, X0, X5            // y0^2, y2^2
-	VPSRLQ       $32, X0, X6
-	VPMULDQ      X6, X6, X6            // y1^2, y3^2
-	VPADDQ       X6, X5, X5
-	VPSHUFD      $0x4E, X5, X6         // swap qwords
-	VPADDQ       X6, X5, X5
-	VMOVQ        X5, R8
-	MOVQ         R8, (DI)
-
-	// out[1] = max y (lanes are nonnegative, so zero-extension is exact).
-	VPSHUFD      $0x4E, X0, X6
-	VPMAXSD      X6, X0, X6
-	VPSHUFD      $0xB1, X6, X7
-	VPMAXSD      X7, X6, X6
-	VMOVD        X6, R9
-	MOVQ         R9, 8(DI)
-	VZEROUPPER
-	RET
-
-// func reconUniK8AVX2(row *uint32, base *int32, group uint64, vec *int, out *[2]int64)
-TEXT ·reconUniK8AVX2(SB), NOSPLIT, $0-40
-	MOVQ row+0(FP), AX
-	MOVQ base+8(FP), BX
-	MOVQ group+16(FP), CX
-	MOVQ vec+24(FP), DX
-	MOVQ out+32(FP), DI
-
-	VMOVD        CX, X0
-	VPBROADCASTD X0, Y0
-	VPSRLVD      nibshift<>(SB), Y0, Y0
-	VPAND        nibmask<>(SB), Y0, Y0
-	VMOVDQU      (AX), Y1
-	VPADDD       Y1, Y0, Y0
-	VMOVDQU      (BX), Y2
-	VPSUBD       Y2, Y0, Y0            // y: 8 x int32
-	VPMOVSXDQ    X0, Y3
-	VEXTRACTI128 $1, Y0, X4
-	VPMOVSXDQ    X4, Y4
-	VMOVDQU      Y3, (DX)
-	VMOVDQU      Y4, 32(DX)
-
-	// out[0] = sum of y^2 over all 8 lanes.
-	VPMULDQ      Y0, Y0, Y5            // even-lane squares
-	VPSRLQ       $32, Y0, Y6
-	VPMULDQ      Y6, Y6, Y6            // odd-lane squares
-	VPADDQ       Y6, Y5, Y5            // 4 qword partials
-	VEXTRACTI128 $1, Y5, X6
-	VPADDQ       X6, X5, X5
-	VPSHUFD      $0x4E, X5, X6
-	VPADDQ       X6, X5, X5
-	VMOVQ        X5, R8
-	MOVQ         R8, (DI)
-
-	// out[1] = max y across 8 lanes.
-	VEXTRACTI128 $1, Y0, X7
-	VPMAXSD      X7, X0, X7
-	VPSHUFD      $0x4E, X7, X6
-	VPMAXSD      X6, X7, X7
-	VPSHUFD      $0xB1, X7, X6
-	VPMAXSD      X6, X7, X7
-	VMOVD        X7, R9
-	MOVQ         R9, 8(DI)
-	VZEROUPPER
-	RET
-
-// func reconUniK16AVX2(row *uint32, base *int32, group uint64, vec *int, out *[2]int64)
-TEXT ·reconUniK16AVX2(SB), NOSPLIT, $0-40
-	MOVQ row+0(FP), AX
-	MOVQ base+8(FP), BX
-	MOVQ group+16(FP), CX
-	MOVQ vec+24(FP), DX
-	MOVQ out+32(FP), DI
-
-	VMOVD        CX, X0
-	VPBROADCASTD X0, Y0
-	MOVQ         CX, R8
-	SHRQ         $32, R8
-	VMOVD        R8, X5
-	VPBROADCASTD X5, Y5
-	VMOVDQU      nibshift<>(SB), Y6
-	VMOVDQU      nibmask<>(SB), Y7
-	VPSRLVD      Y6, Y0, Y0
-	VPSRLVD      Y6, Y5, Y5
-	VPAND        Y7, Y0, Y0
-	VPAND        Y7, Y5, Y5
-	VPADDD       (AX), Y0, Y0          // y lanes 0..7
-	VPADDD       32(AX), Y5, Y5        // y lanes 8..15
-	VPSUBD       (BX), Y0, Y0
-	VPSUBD       32(BX), Y5, Y5
-	VPMOVSXDQ    X0, Y3
-	VEXTRACTI128 $1, Y0, X4
-	VPMOVSXDQ    X4, Y4
-	VMOVDQU      Y3, (DX)
-	VMOVDQU      Y4, 32(DX)
-	VPMOVSXDQ    X5, Y3
-	VEXTRACTI128 $1, Y5, X4
-	VPMOVSXDQ    X4, Y4
-	VMOVDQU      Y3, 64(DX)
-	VMOVDQU      Y4, 96(DX)
-
-	// out[0] = sum of y^2 over all 16 lanes.
-	VPMULDQ      Y0, Y0, Y1
-	VPSRLQ       $32, Y0, Y2
-	VPMULDQ      Y2, Y2, Y2
-	VPADDQ       Y2, Y1, Y1
-	VPMULDQ      Y5, Y5, Y2
-	VPSRLQ       $32, Y5, Y3
-	VPMULDQ      Y3, Y3, Y3
-	VPADDQ       Y3, Y2, Y2
-	VPADDQ       Y2, Y1, Y1            // 4 qword partials
-	VEXTRACTI128 $1, Y1, X2
-	VPADDQ       X2, X1, X1
-	VPSHUFD      $0x4E, X1, X2
-	VPADDQ       X2, X1, X1
-	VMOVQ        X1, R8
-	MOVQ         R8, (DI)
-
-	// out[1] = max y across 16 lanes.
-	VPMAXSD      Y5, Y0, Y0
-	VEXTRACTI128 $1, Y0, X7
-	VPMAXSD      X7, X0, X7
-	VPSHUFD      $0x4E, X7, X6
-	VPMAXSD      X6, X7, X7
-	VPSHUFD      $0xB1, X7, X6
-	VPMAXSD      X6, X7, X7
-	VMOVD        X7, R9
-	MOVQ         R9, 8(DI)
 	VZEROUPPER
 	RET

@@ -7,8 +7,7 @@
 // published dates with the published intensities. Because every scanner in
 // this repository consumes only the resulting binary strings, the planted
 // structure reproduces both the answers (which periods surface, roughly how
-// strong) and the runtime behaviour of the original experiments. See
-// DESIGN.md §4 for the substitution rationale.
+// strong) and the runtime behaviour of the original experiments.
 package datasets
 
 import (

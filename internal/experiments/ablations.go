@@ -9,7 +9,7 @@ import (
 
 // Ablation1 measures the cost of exactness in the skip rule: the exact
 // floor + min-over-characters skip of this repository versus the
-// paper-literal ceiling + single-character variant (see DESIGN.md §1 and
+// paper-literal ceiling + single-character variant (see
 // internal/core.SkipVariant). Columns report, per string length, the
 // iterations of each variant, how often the paper-literal variant misses
 // the true MSS, and its worst value ratio.

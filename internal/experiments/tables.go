@@ -145,7 +145,7 @@ func Table3(cfg Config) *Table {
 		t.AddRow(first, last, fmtF(r.X2), fmtI(int64(games)), fmtI(int64(wins)),
 			fmt.Sprintf("%.2f%%", 100*float64(wins)/float64(games)))
 	}
-	t.AddNote("synthetic rivalry log (see DESIGN.md §4); patches are pairwise disjoint")
+	t.AddNote("synthetic rivalry log (internal/datasets); patches are pairwise disjoint")
 	return t
 }
 
@@ -235,7 +235,7 @@ func Table5(cfg Config) *Table {
 		}
 		t.AddRow(label, r.sec, r.start, r.end, fmtF(r.x2), fmt.Sprintf("%+.2f%%", 100*r.change))
 	}
-	t.AddNote("synthetic regime-switching price histories (see DESIGN.md §4)")
+	t.AddNote("synthetic regime-switching price histories (internal/datasets)")
 	return t
 }
 

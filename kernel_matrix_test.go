@@ -100,8 +100,9 @@ func matrixModel(t *testing.T, k int, skewed bool) *Model {
 // tiers: the Problems 1–4 query suite (plus composed range and min-length
 // queries) returns byte-for-byte identical results whichever reconstruct
 // kernel a scanner is pinned to, sequential and with 8 workers, on uniform
-// and skewed models over the alphabets the kernels specialize (4, 8, 16)
-// and one that only the scalar path serves (k = 11).
+// and skewed models over the alphabets the AVX2 kernels specialize (8, 16),
+// one they leave to the scalar kernel (4), and one that only the per-nibble
+// scalar path serves (k = 11).
 func TestKernelMatrixGolden(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for _, k := range []int{4, 8, 11, 16} {
