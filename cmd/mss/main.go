@@ -80,7 +80,6 @@ func run(args []string, out io.Writer) error {
 		stats    = fs.Bool("stats", false, "print evaluated/skipped substring counts")
 		calib    = fs.Int("calibrate", 0, "mss mode: simulate this many null strings and report the multiple-testing-corrected p-value of X²max")
 		workers  = fs.Int("workers", 1, "parallel scan workers (0 = all CPUs)")
-		warm     = fs.Bool("warmstart", false, "seed the exact scan's skip budget from the fast heuristic pass")
 		format   = fs.String("format", "text", "output format: text | json")
 		snapOut  = fs.String("snapshot-out", "", "write the built corpus (codec, model, symbols, count index) to this snapshot file — the offline index build mssd -data-dir serves directly")
 		snapIn   = fs.String("snapshot-in", "", "scan a corpus from a snapshot file (mmap-served) instead of -text/-file; the model and codec come from the snapshot")
@@ -202,7 +201,7 @@ func run(args []string, out io.Writer) error {
 	}
 
 	var st sigsub.Stats
-	opts := []sigsub.Option{sigsub.WithStats(&st), sigsub.WithWorkers(*workers), sigsub.WithWarmStart(*warm)}
+	opts := []sigsub.Option{sigsub.WithStats(&st), sigsub.WithWorkers(*workers)}
 
 	decode := func(r sigsub.Result, cap int) string {
 		if codec == nil {

@@ -47,8 +47,8 @@ func FuzzBatchBody(f *testing.F) {
 		`{"corpus":"fz","queries":[` + batch3 + `,{"kind":"mss","lo":140,"hi":250}]}`,
 		`{"corpus":"fz","include_text":true,"queries":[{"kind":"mss","lo":60,"hi":200},{"kind":"threshold","alpha":12,"limit":1000,"lo":60,"hi":200}]}`,
 		`{"corpus":"fz","queries":[{"kind":"topt","t":5,"lo":0,"hi":250}]}`,
-		// A duplicate MSS, on four workers with a warm start.
-		`{"corpus":"fz","workers":4,"warm_start":true,"queries":[{"kind":"mss","lo":5,"hi":200},{"kind":"mss","lo":5,"hi":200},{"kind":"topt","t":3,"lo":5,"hi":200}]}`,
+		// A duplicate MSS, on four workers.
+		`{"corpus":"fz","workers":4,"queries":[{"kind":"mss","lo":5,"hi":200},{"kind":"mss","lo":5,"hi":200},{"kind":"topt","t":3,"lo":5,"hi":200}]}`,
 		// Two thresholds on one range with different α and limits.
 		`{"corpus":"fz","queries":[{"kind":"threshold","alpha":3,"limit":4,"hi":200},{"kind":"threshold","alpha":9,"limit":50,"hi":200},{"kind":"mss","hi":200}]}`,
 		// Mixed min_length on one range.
@@ -61,8 +61,10 @@ func FuzzBatchBody(f *testing.F) {
 		`{"corpus":"fz","queries":[{"kind":"mss","lo":50,"hi":50},{"kind":"topt","t":2,"lo":80,"hi":40},{"kind":"threshold","alpha":1,"lo":7,"hi":9,"min_length":5}]}`,
 		// A cut-off past every window's X².
 		`{"corpus":"fz","queries":[{"kind":"threshold","alpha":1e300,"hi":100},{"kind":"mss","hi":100}]}`,
-		// Rejected bodies: an unknown field, truncated JSON, an unknown corpus.
+		// Rejected bodies: an unknown field, the retired warm_start field,
+		// truncated JSON, an unknown corpus.
 		`{"corpus":"fz","queries":[{"kind":"mss"}],"bogus":1}`,
+		`{"corpus":"fz","workers":4,"warm_start":true,"queries":[{"kind":"mss","lo":5,"hi":200},{"kind":"mss","lo":5,"hi":200},{"kind":"topt","t":3,"lo":5,"hi":200}]}`,
 		`{"corpus":"fz","queries":[{"kind":"mss","lo":`,
 		`{"corpus":"nope","queries":[{"kind":"mss"}]}`,
 		// Inline text with a model spec: skewed, MLE, and the probabilities
@@ -120,7 +122,7 @@ func FuzzBatchBody(f *testing.F) {
 		if len(resp.Results) != len(req.Queries) {
 			t.Fatalf("%d slots answer %d queries: %q", len(resp.Results), len(req.Queries), body)
 		}
-		opts := []sigsub.Option{sigsub.WithWorkers(max(req.Workers, 1)), sigsub.WithWarmStart(req.WarmStart)}
+		opts := []sigsub.Option{sigsub.WithWorkers(max(req.Workers, 1))}
 		n := corpus.Scanner.Len()
 		for i, wq := range req.Queries {
 			got := resp.Results[i]

@@ -135,6 +135,31 @@ func TestDaemonBadRequests(t *testing.T) {
 	}
 }
 
+// TestDaemonRefusesWarmStart: the retired "warm_start" field gets a 400
+// naming it on each scan endpoint, set true or false, where the same body
+// without it answers 200 — no client is told its scan was seeded.
+func TestDaemonRefusesWarmStart(t *testing.T) {
+	ts := testServer(t)
+	do(t, "PUT", ts.URL+"/v1/corpora/demo", map[string]any{"text": demoText}, http.StatusOK, nil)
+	mss := map[string]any{"kind": "mss"}
+	n := len(demoText)
+	for path, body := range map[string]map[string]any{
+		"/v1/batch":       {"corpus": "demo", "queries": []any{mss, map[string]any{"kind": "topt", "t": 3}}},
+		"/v1/query":       {"corpus": "demo", "query": mss},
+		"/v1/shards/exec": {"corpus": "demo", "shard": 0, "queries": []any{map[string]any{"kind": "mss", "lo": 0, "hi": n, "row_lo": 0, "row_hi": n - 1}}},
+	} {
+		do(t, "POST", ts.URL+path, body, http.StatusOK, nil)
+		for _, warm := range []bool{true, false} {
+			body["warm_start"] = warm
+			var refused errorBody
+			do(t, "POST", ts.URL+path, body, http.StatusBadRequest, &refused)
+			if !strings.Contains(refused.Error, `unknown field "warm_start"`) {
+				t.Errorf("%s with warm_start %v: error %q does not name the field", path, warm, refused.Error)
+			}
+		}
+	}
+}
+
 // TestDaemonBodyLimitCoversEscaping: an upload the -max-text limit permits
 // must decode even when JSON escaping inflates it severalfold on the wire.
 func TestDaemonBodyLimitCoversEscaping(t *testing.T) {

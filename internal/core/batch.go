@@ -124,7 +124,7 @@ func (sc *Scanner) runGroup(e Engine, members []ShardQuery) []Partial {
 	}
 	p := newPass(mss, t, sinks)
 	first := members[0]
-	st := sc.runPass(e, p, first.Q.Lo, first.Q.Hi, first.Q.MinLen, first.RowLo, first.RowHi)
+	st := sc.runPass(e, p, first.Q.Hi, first.Q.MinLen, first.RowLo, first.RowHi)
 	var items []Scored
 	if p.heap != nil {
 		items = itemsToScored(p.heap.Items())

@@ -42,7 +42,7 @@ func TestRunBatchGolden(t *testing.T) {
 				t.Fatalf("solo query %d: %v", i, solo[i].Err)
 			}
 		}
-		for _, e := range []Engine{{Workers: 1}, {Workers: 8}, {Workers: 8, WarmStart: true}} {
+		for _, e := range []Engine{{Workers: 1}, {Workers: 8}} {
 			batch := sc.RunBatch(e, qs)
 			if len(batch) != len(qs) {
 				t.Fatalf("batch returned %d results for %d queries", len(batch), len(qs))

@@ -22,7 +22,6 @@ import (
 	"repro/internal/alphabet"
 	"repro/internal/chisq"
 	"repro/internal/counts"
-	"repro/internal/walk"
 )
 
 // Interval is a half-open substring [Start, End) of the scanned string.
@@ -81,22 +80,6 @@ type Scanner struct {
 	// carries O(k) scratch that would otherwise churn per scan. Pooled
 	// cursors need no reset — Begin reinitializes every field a scan reads.
 	rollPool sync.Pool
-
-	// Cumulative deviation walks, built on first use and shared by the
-	// heuristics and the engine's warm start: they depend only on (s, model),
-	// and segment-restricted warm starts would otherwise rebuild the O(nk)
-	// structure once per segment.
-	walkOnce sync.Once
-	walks    *walk.Walks
-	walkErr  error
-}
-
-// sharedWalks returns the lazily built deviation walks.
-func (sc *Scanner) sharedWalks() (*walk.Walks, error) {
-	sc.walkOnce.Do(func() {
-		sc.walks, sc.walkErr = walk.New(sc.s, sc.model)
-	})
-	return sc.walks, sc.walkErr
 }
 
 // NewScanner validates s against the model and builds the checkpointed

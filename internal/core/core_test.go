@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -496,8 +498,11 @@ func TestThresholdSkipsWhenAlphaHigh(t *testing.T) {
 
 func TestARLMExactOnRandomStrings(t *testing.T) {
 	// The paper reports ARLM finding the MSS on synthetic data; our
-	// reconstruction matches the trivial answer on random strings.
+	// reconstruction matches the trivial answer on random strings. Each
+	// string is also scanned under a skewed model, and under both models
+	// the heuristics must keep their exact order (heuristicOrder).
 	rng := rand.New(rand.NewSource(167))
+	mrng := rand.New(rand.NewSource(168)) // skewed models, apart from the strings
 	misses := 0
 	const trials = 40
 	for trial := 0; trial < trials; trial++ {
@@ -505,17 +510,79 @@ func TestARLMExactOnRandomStrings(t *testing.T) {
 		n := 10 + rng.Intn(200)
 		m := alphabet.MustUniform(k)
 		s := randomString(rng, n, k)
-		sc := mustScanner(t, s, m)
-		a, _ := sc.ARLM()
-		b, _ := sc.Trivial()
+		a, b := heuristicOrder(t, fmt.Sprintf("trial %d uniform", trial), mustScanner(t, s, m))
 		if !almostEqual(a.X2, b.X2) {
 			misses++
 		}
+		sm := skewedModel(t, mrng, k)
+		heuristicOrder(t, fmt.Sprintf("trial %d model %v", trial, sm), mustScanner(t, s, sm))
 	}
 	// Allow the occasional miss (ARLM is a conjecture, not a theorem) but
 	// the reconstruction should be near-exact like the paper's Table 1.
 	if misses > trials/10 {
 		t.Errorf("ARLM missed the MSS on %d of %d random strings", misses, trials)
+	}
+}
+
+// heuristicOrder requires AGMM ≤ ARLM ≤ trivial with no tolerance, and each
+// heuristic's X² to be its own interval's bit for bit, then returns ARLM's
+// and the trivial scan's answers. The order is exact: AGMM's cut set is a
+// subset of ARLM's (a walk's first global argmax or argmin is one of its
+// local extrema, and both sets hold 0 and n), and all three evaluate
+// through pre.Vector + kern.Value.
+func heuristicOrder(t *testing.T, label string, sc *Scanner) (arlm, trivial Scored) {
+	t.Helper()
+	agmm, _ := sc.AGMM()
+	arlm, _ = sc.ARLM()
+	trivial, _ = sc.Trivial()
+	if !(agmm.X2 <= arlm.X2 && arlm.X2 <= trivial.X2) {
+		t.Errorf("%s: AGMM %v, ARLM %v, trivial %v out of order", label, agmm.X2, arlm.X2, trivial.X2)
+	}
+	for _, h := range []struct {
+		name string
+		got  Scored
+	}{{"AGMM", agmm}, {"ARLM", arlm}} {
+		if x2 := sc.X2(h.got.Start, h.got.End); math.Float64bits(x2) != math.Float64bits(h.got.X2) {
+			t.Errorf("%s: %s reports X² %v for %v, whose X² is %v", label, h.name, h.got.X2, h.got.Interval, x2)
+		}
+	}
+	return arlm, trivial
+}
+
+// TestScannerRetainsNothing: a Scanner holds its string and its index —
+// what the service cache charges for a corpus — and nothing a query or a
+// heuristic leaves behind. After MSS, top-t, threshold and disjoint queries
+// on two workers and an AGMM run, the heap may have grown by less than one
+// byte per symbol; AGMM's walks alone take 8·k·(n+1) bytes. The queries
+// scan a 20k-symbol window, the shape served queries take (a full-string
+// scan at this n costs seconds).
+func TestScannerRetainsNothing(t *testing.T) {
+	const n, lo, hi = 200_000, 90_000, 110_000
+	sc := mustScanner(t, randomString(rand.New(rand.NewSource(191)), n, 4), alphabet.MustUniform(4))
+	heap := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	before := heap()
+	e := Engine{Workers: 2}
+	best, _ := rangeMSS(sc, e, lo, hi, 1)
+	for _, q := range []Query{
+		{Kind: KindTopT, T: 10, Lo: lo, Hi: hi},
+		{Kind: KindThreshold, Alpha: best.X2 * 0.9, Lo: lo, Hi: hi},
+		{Kind: KindDisjoint, T: 3, MinLen: 10, Lo: lo, Hi: hi},
+	} {
+		if r := sc.RunQuery(e, q); r.Err != nil || len(r.Results) == 0 {
+			t.Fatalf("%v: %d results, err %v", q.Kind, len(r.Results), r.Err)
+		}
+	}
+	sc.AGMM()
+	after := heap()
+	runtime.KeepAlive(sc)
+	if grown := after - before; grown >= n {
+		t.Errorf("the Scanner's heap grew by %d B over its %d-symbol string", grown, n)
 	}
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -51,21 +50,6 @@ type Engine struct {
 	// the context wrapper, and an unset (or never-fired) flag leaves every
 	// scan bit-identical to the context-free entry points.
 	stop *atomic.Bool
-	// WarmStart seeds the shared skip budget, before the exact scan starts,
-	// with the best X² found by the O(nk) global-extrema heuristic (AGMM,
-	// heuristics.go) restricted to the scanned range and length floor. The
-	// heuristic's value is the X² of an actual candidate substring, hence a
-	// sound lower bound on the answer: the exact scan can only use it to
-	// skip substrings that provably cannot win. It floors only an MSS
-	// member's budget: a single heuristic value is not a sound t-th-best or
-	// α budget, so a pass without MSS members ignores it, and a shared pass
-	// still prunes top-t and threshold members at their own budgets.
-	//
-	// The seeding pass's own O(k²) evaluations are deliberately excluded
-	// from the returned Stats, which account for the exact scan only: that
-	// keeps Evaluated+Skipped equal to the number of candidate substrings,
-	// the paper's machine-independent iteration metric.
-	WarmStart bool
 }
 
 // stopped reports whether a cancellation flag is installed and fired.
@@ -147,8 +131,7 @@ func (a *atomicBudget) raise(v float64) {
 // for substrings with X² ≤ budget; pruning against the softened value keeps
 // exact ties (and anything within a few ulps of fp noise between the cover
 // bound and a direct evaluation) evaluated, which is what makes the parallel
-// argmax merge and the warm start reproduce the sequential scan's interval
-// bit-for-bit.
+// argmax merge reproduce the sequential scan's interval bit-for-bit.
 func soften(budget float64) float64 {
 	return budget - 1e-12*math.Max(1, math.Abs(budget))
 }
@@ -164,41 +147,6 @@ func better(x2 float64, i, j int, best Scored) bool {
 		return i > best.Start
 	}
 	return j < best.End
-}
-
-// warmSeed returns the best X² among the AGMM candidate substrings that lie
-// inside [lo, hi) with length ≥ minLen, or −1 when no candidate qualifies.
-// Candidates are all pairs of the per-symbol walk extrema (clamped to the
-// range, plus the range endpoints), evaluated exactly — O(nk) for the walks
-// plus O(k²) pair evaluations.
-func (sc *Scanner) warmSeed(lo, hi, minLen int) float64 {
-	ws, err := sc.sharedWalks()
-	if err != nil {
-		return -1
-	}
-	cuts := ws.GlobalExtrema()
-	inRange := make([]int, 0, len(cuts)+2)
-	inRange = append(inRange, lo, hi)
-	for _, c := range cuts {
-		if c > lo && c < hi {
-			inRange = append(inRange, c)
-		}
-	}
-	sort.Ints(inRange)
-	best := -1.0
-	vec := make([]int, sc.k)
-	for a := 0; a < len(inRange); a++ {
-		for b := a + 1; b < len(inRange); b++ {
-			u, v := inRange[a], inRange[b]
-			if v-u < minLen || u == v {
-				continue
-			}
-			if x2 := sc.kern.Value(sc.pre.Vector(u, v, vec)); x2 > best {
-				best = x2
-			}
-		}
-	}
-	return best
 }
 
 // --- One pass, every budget ---
@@ -230,11 +178,10 @@ type sink struct {
 // also evaluates the exact ties softening keeps.
 type pass struct {
 	// mss marks an MSS tracker riding the pass; best is its better()-max so
-	// far (X2 −1: none yet), and warm — the WarmStart seed, or −1 — floors
-	// its budget.
+	// far (X2 −1: none yet) and its budget. A pass prunes only against
+	// windows it evaluated itself, so a shard's fragment stays exact.
 	mss  bool
 	best Scored
-	warm float64
 	// heap holds the top-t candidates at the members' largest t (nil
 	// without top-t members); each member takes its leading t.
 	heap *topheap.Heap
@@ -252,7 +199,7 @@ type pass struct {
 // newPass builds a pass with an MSS tracker if mss, a top-t heap of
 // capacity t if t > 0, and the given threshold sinks.
 func newPass(mss bool, t int, sinks []sink) *pass {
-	p := &pass{mss: mss, best: Scored{X2: -1}, warm: -1, sinks: sinks, alpha: math.Inf(1), found: make([][]Scored, len(sinks))}
+	p := &pass{mss: mss, best: Scored{X2: -1}, sinks: sinks, alpha: math.Inf(1), found: make([][]Scored, len(sinks))}
 	if t > 0 {
 		p.heap, _ = topheap.New(t) // fails only for t < 1
 	}
@@ -266,7 +213,7 @@ func newPass(mss bool, t int, sinks []sink) *pass {
 }
 
 // budget returns the lowest of the members' budgets — the lowest α, the
-// heap's minimum (0 until full), the MSS best floored by the warm seed —
+// heap's minimum (0 until full), the MSS best (−1 until the first window) —
 // and the budget skips are solved at, softened when an MSS member rides.
 func (p *pass) budget() (b, skipAt float64) {
 	b = p.alpha
@@ -274,7 +221,7 @@ func (p *pass) budget() (b, skipAt float64) {
 		b = min(b, p.heap.Budget())
 	}
 	if p.mss {
-		b = min(b, max(p.best.X2, p.warm))
+		b = min(b, p.best.X2)
 		return b, soften(b)
 	}
 	return b, b
@@ -310,14 +257,10 @@ func (p *pass) hit(si int, s Scored) {
 
 // runPass runs p over the start rows [rowLo, rowHi] — a solo query's whole
 // range [lo, hi−minLen], or a shard's clip of it — with windows of length ≥
-// minLen ending at most at hi; lo only bounds the warm start's candidates.
-// Every member reports the returned counters.
-func (sc *Scanner) runPass(e Engine, p *pass, lo, hi, minLen, rowLo, rowHi int) Stats {
+// minLen ending at most at hi. Every member reports the returned counters.
+func (sc *Scanner) runPass(e Engine, p *pass, hi, minLen, rowLo, rowHi int) Stats {
 	if rowHi < rowLo {
 		return Stats{}
-	}
-	if p.mss && e.WarmStart {
-		p.warm = sc.warmSeed(lo, hi, minLen)
 	}
 	if w := e.workerCount(rowHi - rowLo + 1); w > 1 {
 		return sc.passParallel(e, p, w, hi, minLen, rowLo, rowHi)
@@ -359,7 +302,7 @@ func (s *sharedHeap) offer(it topheap.Item) {
 // workers share what the members' budgets need, each read without a lock:
 //
 //   - MSS: every worker keeps its own better()-max and raises one shared
-//     atomic best (seeded with the warm floor) that all of them prune
+//     atomic best (−1 until the first window) that all of them prune
 //     against; the merge folds the workers' maxima through better().
 //   - Top-t: one heap behind a mutex, its minimum mirrored in an atomic.
 //   - Threshold: α is constant, so nothing. Each worker buffers at most
@@ -373,7 +316,7 @@ func (s *sharedHeap) offer(it topheap.Item) {
 func (sc *Scanner) passParallel(e Engine, p *pass, w, hi, minLen, rowLo, rowHi int) Stats {
 	chunks := splitStarts(rowLo, rowHi, w*chunksPerWorker)
 	var top atomicBudget
-	top.store(p.warm) // −1 without a warm start: below every X², so inert
+	top.store(-1) // below every X², so inert until the first window
 	var heap *sharedHeap
 	if p.heap != nil {
 		heap = &sharedHeap{h: p.heap}
@@ -491,7 +434,7 @@ func (sc *Scanner) disjointRange(e Engine, t, rangeLo, rangeHi, minLen int) ([]S
 			return segment{lo: lo, hi: hi}
 		}
 		p := newPass(true, 0, nil)
-		s := sc.runPass(e, p, lo, hi, minLen, lo, hi-minLen)
+		s := sc.runPass(e, p, hi, minLen, lo, hi-minLen)
 		st.Evaluated += s.Evaluated
 		st.Skipped += s.Skipped
 		st.Starts += s.Starts

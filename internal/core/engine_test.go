@@ -52,9 +52,6 @@ var engineGrid = []Engine{
 	{Workers: 3},
 	{Workers: 8},
 	{Workers: 0}, // GOMAXPROCS
-	{Workers: 2, WarmStart: true},
-	{Workers: 8, WarmStart: true},
-	{Workers: 1, WarmStart: true},
 }
 
 func requireSameScored(t *testing.T, label string, seq, par Scored) {
@@ -235,27 +232,6 @@ func TestParallelDisjointTopTGolden(t *testing.T) {
 	}
 }
 
-// The warm start must leave results untouched while never increasing the
-// evaluated count (it can only enlarge skips).
-func TestWarmStartSoundAndHelpful(t *testing.T) {
-	base := alphabet.MustUniform(2)
-	planted, err := strgen.NewPlanted(base, []strgen.Window{
-		{Start: 1000, Len: 400, Probs: []float64{0.92, 0.08}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := mustScanner(t, planted.Generate(4000, rand.New(rand.NewSource(11))), base)
-	cold, coldSt := mssOf(sc, sequential, 1)
-	warm, warmSt := mssOf(sc, Engine{Workers: 1, WarmStart: true}, 1)
-	requireSameScored(t, "warm", cold, warm)
-	requireSameTotals(t, "warm", coldSt, warmSt)
-	if warmSt.Evaluated > coldSt.Evaluated {
-		t.Errorf("warm start evaluated %d substrings, cold scan only %d",
-			warmSt.Evaluated, coldSt.Evaluated)
-	}
-}
-
 func TestSplitStarts(t *testing.T) {
 	for _, tc := range []struct{ lo, hi, parts int }{
 		{0, 99, 7}, {0, 0, 4}, {5, 23, 100}, {0, 31, 32},
@@ -320,9 +296,5 @@ func TestSharedBudgetsOwnCacheLines(t *testing.T) {
 var escapeSink []any
 
 func caseLabel(problem string, ci int, e Engine) string {
-	l := fmt.Sprintf("%s/case%d/w%d", problem, ci, e.Workers)
-	if e.WarmStart {
-		l += "+warm"
-	}
-	return l
+	return fmt.Sprintf("%s/case%d/w%d", problem, ci, e.Workers)
 }

@@ -15,9 +15,9 @@ import (
 // this package's dependency horizon.
 //
 // Each shard prunes against its own budgets only; nothing crosses shards
-// mid-scan. Every budget is the X² of an actual candidate of the query, so
-// each shard's fragment is exact, and the merge layer's determinism
-// argument (partial.go) never depends on how the shards were scheduled.
+// mid-scan. Every budget is a query's α or the X² of a window the shard
+// evaluated, so each shard's fragment is exact, and the merge layer's
+// determinism argument (partial.go) never depends on shard scheduling.
 
 // ShardExec executes one shard's subplan of a Plan. Implementations return
 // one Partial per (slot, shard) fragment; a non-nil error poisons the whole

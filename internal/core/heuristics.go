@@ -1,5 +1,7 @@
 package core
 
+import "repro/internal/walk"
+
 // The ARLM and AGMM heuristics originate in Dutta & Bhattacharya, "Most
 // Significant Substring Mining Based on Chi-square Measure" (PAKDD 2010) —
 // reference [9] of the paper. Their implementations are not public, so the
@@ -21,12 +23,14 @@ package core
 //     clearly sub-optimal substrings on the sports and stock datasets).
 //
 // Both evaluate candidate pairs with the prefix count arrays in O(k) each.
+// Each call builds its own walks (O(nk) time and 8·k·(n+1) bytes) and drops
+// them on return, so a Scanner holds nothing beyond its string and index.
 
 // ARLM runs the all-local-extrema heuristic. The result is exact whenever
 // the true MSS boundaries coincide with walk extrema (the typical case); no
 // guarantee is implied.
 func (sc *Scanner) ARLM() (Scored, Stats) {
-	ws, err := sc.sharedWalks()
+	ws, err := walk.New(sc.s, sc.model)
 	if err != nil {
 		// Scanner construction already validated the string; a failure here
 		// is impossible, but fall back to the empty result for safety.
@@ -37,7 +41,7 @@ func (sc *Scanner) ARLM() (Scored, Stats) {
 
 // AGMM runs the global-extrema heuristic.
 func (sc *Scanner) AGMM() (Scored, Stats) {
-	ws, err := sc.sharedWalks()
+	ws, err := walk.New(sc.s, sc.model)
 	if err != nil {
 		return Scored{}, Stats{}
 	}

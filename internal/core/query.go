@@ -167,7 +167,7 @@ func (sc *Scanner) RunQuery(e Engine, q Query) QueryResult {
 	case nq.Kind == KindThreshold && nq.Visit != nil:
 		p := newPass(false, 0, []sink{{alpha: nq.Alpha}})
 		p.visit = nq.Visit
-		return QueryResult{Stats: sc.runPass(e, p, nq.Lo, nq.Hi, nq.MinLen, nq.Lo, nq.Hi-nq.MinLen)}
+		return QueryResult{Stats: sc.runPass(e, p, nq.Hi, nq.MinLen, nq.Lo, nq.Hi-nq.MinLen)}
 	}
 	return sc.RunBatch(e, []Query{nq})[0]
 }

@@ -55,7 +55,7 @@ func bruteMSSRange(sc *Scanner, lo, hi, minLen int) Scored {
 func TestRunQueryGolden(t *testing.T) {
 	sc := queryFixture(t, 900, 3, 7)
 	n := sc.Len()
-	engines := []Engine{{Workers: 1}, {Workers: 8}, {Workers: 8, WarmStart: true}}
+	engines := []Engine{{Workers: 1}, {Workers: 8}}
 
 	queries := []struct {
 		name string

@@ -75,6 +75,12 @@ func referenceModel(t *testing.T, rng *rand.Rand, k int) *alphabet.Model {
 	if rng.Intn(2) == 0 {
 		return alphabet.MustUniform(k)
 	}
+	return skewedModel(t, rng, k)
+}
+
+// skewedModel draws a k-symbol model of independent random weights.
+func skewedModel(t *testing.T, rng *rand.Rand, k int) *alphabet.Model {
+	t.Helper()
 	probs := make([]float64, k)
 	sum := 0.0
 	for i := range probs {
@@ -252,13 +258,12 @@ func goldenCase(t *testing.T, rng *rand.Rand) (s []byte, m *alphabet.Model, ref 
 
 // TestLayoutsGoldenProblems is the index-free golden table run solo
 // (RunQuery): every goldenCase query on each checkpointed index layout
-// (B=16, B=4, and an appender epoch), at workers 1 and 8 and on the
-// warm-started sequential engine, under uniform and skewed models — checked
-// against X² computed from counts.Prefix rather than against another run of
-// the engine.
+// (B=16, B=4, and an appender epoch), at workers 1 and 8, under uniform
+// and skewed models — checked against X² computed from counts.Prefix rather
+// than against another run of the engine.
 func TestLayoutsGoldenProblems(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	engines := []Engine{{Workers: 1}, {Workers: 8}, {Workers: 1, WarmStart: true}}
+	engines := []Engine{{Workers: 1}, {Workers: 8}}
 	for trial := 0; trial < 12; trial++ {
 		s, m, ref, qs, answers := goldenCase(t, rng)
 		for name, idx := range referenceIndexes(t, s, m.K()) {
@@ -267,7 +272,7 @@ func TestLayoutsGoldenProblems(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, e := range engines {
-				label := fmt.Sprintf("trial=%d/k=%d/n=%d/%s/workers=%d/warm=%v", trial, m.K(), len(s), name, e.Workers, e.WarmStart)
+				label := fmt.Sprintf("trial=%d/k=%d/n=%d/%s/workers=%d", trial, m.K(), len(s), name, e.Workers)
 				for qi, q := range qs {
 					checkAgainstReference(t, fmt.Sprintf("%s/q%d", label, qi), ref, answers[qi], sc.RunQuery(e, q))
 				}

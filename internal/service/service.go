@@ -563,7 +563,6 @@ type BatchRequest struct {
 	Model       ModelSpec `json:"model,omitempty"`
 	Queries     []Query   `json:"queries"`
 	Workers     int       `json:"workers,omitempty"`
-	WarmStart   bool      `json:"warm_start,omitempty"`
 	IncludeText bool      `json:"include_text,omitempty"`
 }
 
@@ -574,7 +573,6 @@ type SingleRequest struct {
 	Model       ModelSpec `json:"model,omitempty"`
 	Query       Query     `json:"query"`
 	Workers     int       `json:"workers,omitempty"`
-	WarmStart   bool      `json:"warm_start,omitempty"`
 	IncludeText bool      `json:"include_text,omitempty"`
 }
 
@@ -586,7 +584,6 @@ func (r SingleRequest) Batch() BatchRequest {
 		Model:       r.Model,
 		Queries:     []Query{r.Query},
 		Workers:     r.Workers,
-		WarmStart:   r.WarmStart,
 		IncludeText: r.IncludeText,
 	}
 }
@@ -1064,8 +1061,7 @@ func (e *Executor) ExecuteContext(ctx context.Context, req BatchRequest) (BatchR
 	if workers == 0 {
 		workers = 1
 	}
-	opts := []sigsub.Option{sigsub.WithWorkers(workers), sigsub.WithWarmStart(req.WarmStart)}
-	answers, err := corpus.Scanner.RunBatchContext(ctx, plans, opts...)
+	answers, err := corpus.Scanner.RunBatchContext(ctx, plans, sigsub.WithWorkers(workers))
 	if err != nil {
 		return BatchResponse{}, err
 	}

@@ -112,11 +112,10 @@ func (e *Executor) ShardInfos() []ShardInfo {
 // against one corpus. Queries carry coordinator-normalized absolute
 // coordinates (sigsub.ShardQuery).
 type ShardExecRequest struct {
-	Corpus    string              `json:"corpus"`
-	Shard     int                 `json:"shard"`
-	Workers   int                 `json:"workers,omitempty"`
-	WarmStart bool                `json:"warm_start,omitempty"`
-	Queries   []sigsub.ShardQuery `json:"queries"`
+	Corpus  string              `json:"corpus"`
+	Shard   int                 `json:"shard"`
+	Workers int                 `json:"workers,omitempty"`
+	Queries []sigsub.ShardQuery `json:"queries"`
 }
 
 // ShardExecResponse carries one shard's partials back to the coordinator.
@@ -160,8 +159,7 @@ func (e *Executor) ExecuteShard(ctx context.Context, req ShardExecRequest) (Shar
 		workers = 1
 	}
 	start := time.Now()
-	parts, err := corpus.Scanner.ExecShard(ctx, req.Shard, offset, req.Queries,
-		sigsub.WithWorkers(workers), sigsub.WithWarmStart(req.WarmStart))
+	parts, err := corpus.Scanner.ExecShard(ctx, req.Shard, offset, req.Queries, sigsub.WithWorkers(workers))
 	if err != nil {
 		if ctx.Err() != nil {
 			return ShardExecResponse{}, ctx.Err()
@@ -539,11 +537,10 @@ func (sc *Scatter) Execute(ctx context.Context, req BatchRequest) (BatchResponse
 // attempts. It returns the response and how many attempts it took.
 func (sc *Scatter) callShard(ctx context.Context, peer string, req BatchRequest, shard int, sub []sigsub.ShardQuery) (ShardExecResponse, int, error) {
 	body, err := json.Marshal(ShardExecRequest{
-		Corpus:    req.Corpus,
-		Shard:     shard,
-		Workers:   req.Workers,
-		WarmStart: req.WarmStart,
-		Queries:   sub,
+		Corpus:  req.Corpus,
+		Shard:   shard,
+		Workers: req.Workers,
+		Queries: sub,
 	})
 	if err != nil {
 		return ShardExecResponse{}, 0, err

@@ -1,17 +1,16 @@
 package sigsub
 
 // Benchmarks of the parallel chain-cover scan engine (core.Engine): wall
-// clock of the exact scans at paper-scale n as the worker count grows, plus
-// the warm-start ablation. BENCH_1.json at the repo root records a measured
-// run of these benches together with the count-index benches in
-// internal/counts (go test -bench 'ParallelMSS|PrefixLayout').
+// clock of the exact scans at paper-scale n as the worker count grows.
+// BENCH_1.json at the repo root records a measured run of these benches
+// together with the count-index benches in internal/counts (go test -bench
+// 'ParallelMSS|PrefixLayout').
 
 import (
 	"fmt"
 	"math/rand"
 	"testing"
 
-	"repro/internal/alphabet"
 	"repro/internal/core"
 	"repro/internal/strgen"
 )
@@ -63,36 +62,6 @@ func BenchmarkParallelMSSBinary(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				sc.RunQuery(core.Engine{Workers: w}, core.Query{Kind: core.KindMSS, Hi: sc.Len()})
 			}
-		})
-	}
-}
-
-// BenchmarkParallelMSSWarmStart isolates the warm start's contribution on a
-// string with a planted anomaly — the regime it is designed for: the AGMM
-// seed lands near the true maximum immediately, so the exact scan starts
-// with near-final skips (on null strings the scan finds tight budgets in its
-// first rows anyway and the warm start is a wash). The substrings-evaluated
-// metric is the machine-independent effect.
-func BenchmarkParallelMSSWarmStart(b *testing.B) {
-	base := alphabet.MustUniform(4)
-	planted, err := strgen.NewPlanted(base, []strgen.Window{
-		{Start: 60_000, Len: 2_000, Probs: []float64{0.7, 0.1, 0.1, 0.1}},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	sc, err := core.NewScanner(planted.Generate(100_000, rand.New(rand.NewSource(2))), base)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, warm := range []bool{false, true} {
-		b.Run(fmt.Sprintf("planted/n=100k/k=4/w=1/warm=%v", warm), func(b *testing.B) {
-			var st core.Stats
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				st = sc.RunQuery(core.Engine{Workers: 1, WarmStart: warm}, core.Query{Kind: core.KindMSS, Hi: sc.Len()}).Stats
-			}
-			b.ReportMetric(float64(st.Evaluated), "substrings-evaluated")
 		})
 	}
 }

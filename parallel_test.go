@@ -38,7 +38,7 @@ func TestWithWorkersGolden(t *testing.T) {
 		}
 		for _, opts := range [][]Option{
 			{WithWorkers(4), WithStats(&parSt)},
-			{WithWorkers(8), WithWarmStart(true), WithStats(&parSt)},
+			{WithWorkers(8), WithStats(&parSt)},
 			{WithWorkers(0), WithStats(&parSt)}, // all CPUs
 		} {
 			par, err := sc.MSS(opts...)
@@ -97,7 +97,7 @@ func TestWithWorkersGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		parMin, err := runBest(sc, MSSQuery().WithMinLength(51), WithWorkers(8), WithWarmStart(true))
+		parMin, err := runBest(sc, MSSQuery().WithMinLength(51), WithWorkers(8))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +128,7 @@ func TestWithWorkers8Race(t *testing.T) {
 				return
 			}
 			for iter := 0; iter < 3; iter++ {
-				got, err := own.MSS(WithWorkers(8), WithWarmStart(iter%2 == 0))
+				got, err := own.MSS(WithWorkers(8))
 				if err != nil {
 					t.Error(err)
 					return

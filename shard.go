@@ -171,7 +171,8 @@ type ShardPartial struct {
 // Every subquery must lie inside the segment's coverage [offset,
 // offset+Len()), or the whole call errors: a shard's answers are exact or
 // absent, never silently clipped. Options configure the local engine
-// (workers, warm start); ctx cancels the scan between row claims.
+// (workers); ctx cancels the scan between row claims. Each pass prunes only
+// against windows it evaluated itself, so every fragment is exact.
 func (s *Scanner) ExecShard(ctx context.Context, shard, offset int, sqs []ShardQuery, opts ...Option) ([]ShardPartial, error) {
 	if offset < 0 {
 		return nil, fmt.Errorf("sigsub: negative segment offset %d", offset)

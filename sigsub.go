@@ -179,12 +179,11 @@ type options struct {
 	algo    Algorithm
 	stats   *Stats
 	workers int
-	warm    bool
 }
 
 // engine translates the options into a core engine configuration.
 func (o options) engine() core.Engine {
-	return core.Engine{Workers: o.workers, WarmStart: o.warm}
+	return core.Engine{Workers: o.workers}
 }
 
 // Option configures a scan.
@@ -220,20 +219,6 @@ func WithWorkers(n int) Option {
 		}
 		o.workers = n
 	}
-}
-
-// WithWarmStart seeds the exact MSS-style scans' skip budget with the best
-// X² found by the O(nk) global-extrema heuristic before the exact scan
-// begins. The seed is the X² of an actual candidate substring, hence a
-// lower bound on the answer: the exact scan stays exact and returns the
-// identical result, it merely starts skipping sooner. The seeding pass's
-// own evaluations are excluded from Stats, which keep accounting for the
-// exact scan alone (Evaluated+Skipped still equals the number of candidate
-// substrings). Top-t and threshold scans ignore the option (their budgets —
-// the running t-th best and the fixed α — cannot soundly start from a
-// single heuristic value).
-func WithWarmStart(enabled bool) Option {
-	return func(o *options) { o.warm = enabled }
 }
 
 func buildOptions(opts []Option) options {
@@ -538,8 +523,8 @@ func (s *Scanner) queryResult(r core.QueryResult) QueryResult {
 // Run executes one Query on the exact engine. Validation problems (unknown
 // kind, t < 1) are returned as the error; scan-level problems that still
 // produce partial output (a threshold limit overflow) are reported in
-// QueryResult.Err alongside the partial Results. WithWorkers, WithWarmStart
-// and WithStats configure the scan.
+// QueryResult.Err alongside the partial Results. WithWorkers and WithStats
+// configure the scan.
 func (s *Scanner) Run(q Query, opts ...Option) (QueryResult, error) {
 	return s.RunContext(context.Background(), q, opts...)
 }
