@@ -46,6 +46,7 @@ import (
 	"repro"
 	"repro/internal/service"
 	"repro/internal/snapshot"
+	"repro/internal/vfs"
 )
 
 func main() {
@@ -328,28 +329,15 @@ func run(args []string, out io.Writer) error {
 	return nil
 }
 
-// writeSnapshotFile writes the corpus snapshot via a temp file plus rename,
-// so an interrupted build never leaves a torn file where a daemon's
-// -data-dir might pick it up.
+// writeSnapshotFile writes the corpus snapshot atomically and durably
+// (temp file, fsync, rename, directory fsync), so an interrupted build
+// never leaves a torn file where a daemon's -data-dir might pick it up.
 func writeSnapshotFile(path string, sc *sigsub.Scanner, codec *sigsub.TextCodec) error {
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, ".mss-snap-*")
+	err := vfs.WriteAtomic(vfs.OS, path, ".mss-snap-*", func(w io.Writer) error {
+		return sigsub.WriteSnapshot(w, sc, codec)
+	})
 	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	if err := sigsub.WriteSnapshot(f, sc, codec); err != nil {
-		f.Close()
-		os.Remove(tmp)
 		return fmt.Errorf("writing snapshot: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
 	}
 	return nil
 }
@@ -390,8 +378,11 @@ func writeSegmentFiles(path string, sc *sigsub.Scanner, codec *sigsub.TextCodec,
 			os.Remove(segPath)
 			return err
 		}
-		side := snapshot.SegmentSidecarPath(segPath)
-		if err := os.WriteFile(side, data, 0o644); err != nil {
+		err = vfs.WriteAtomic(vfs.OS, snapshot.SegmentSidecarPath(segPath), ".mss-segment-*", func(w io.Writer) error {
+			_, err := w.Write(data)
+			return err
+		})
+		if err != nil {
 			os.Remove(segPath)
 			return fmt.Errorf("writing segment %d sidecar: %w", i, err)
 		}

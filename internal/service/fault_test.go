@@ -9,6 +9,11 @@ package service
 import (
 	"bytes"
 	"errors"
+	"io/fs"
+	"path/filepath"
+	"slices"
+	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -213,29 +218,204 @@ func TestDegradedBackoffAndManualRecover(t *testing.T) {
 	}
 }
 
-// TestStoreSaveFaults: a failed snapshot write refuses the upload and
-// leaves no stray temp file behind; the store keeps working afterwards.
+// TestStoreSaveFaults: an upload whose snapshot write or fsync fails is
+// refused and not cached, and leaves no stray temp file behind; the store
+// keeps working afterwards. A failed directory fsync comes after the rename,
+// so the snapshot itself may remain, as after any failed fsync.
 func TestStoreSaveFaults(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		plan func(dir string) vfs.FaultPlan
+		err  error
+		left []string // what the failed upload leaves in the store directory
+	}{
+		{"write ENOSPC", func(string) vfs.FaultPlan {
+			return vfs.FaultPlan{Nth: 1, Kinds: vfs.OpWrite, Path: ".tmp-", Err: syscall.ENOSPC}
+		}, syscall.ENOSPC, nil},
+		// The first sync under dir is the temp file's, the second the
+		// directory's.
+		{"dir fsync EIO", func(dir string) vfs.FaultPlan {
+			return vfs.FaultPlan{Nth: 2, Kinds: vfs.OpSync, Path: dir, Err: syscall.EIO}
+		}, syscall.EIO, []string{fileName("c")}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			fsys := vfs.NewFaulty(vfs.OS, tc.plan(dir))
+			store, err := NewStoreFS(dir, fsys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := &Executor{Cache: NewCache(0), Store: store}
+			if _, _, err := e.AddCorpus("c", "01011010", ModelSpec{}); !errors.Is(err, tc.err) {
+				t.Fatalf("upload under %v: %v", tc.err, err)
+			}
+			if _, ok := e.Cache.Get("c"); ok {
+				t.Fatal("refused upload was cached")
+			}
+			entries, err := fsys.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var left []string
+			for _, de := range entries {
+				left = append(left, de.Name())
+			}
+			if !slices.Equal(left, tc.left) {
+				t.Fatalf("failed upload left %q, want %q", left, tc.left)
+			}
+			if _, _, err := e.AddCorpus("c", "01011010", ModelSpec{}); err != nil {
+				t.Fatalf("upload after fault cleared: %v", err)
+			}
+		})
+	}
+}
+
+// opLog is a filesystem that logs each directory-entry operation (Rename,
+// Remove, RemoveAll, MkdirAll, SyncDir) as "op path", in order.
+type opLog struct {
+	vfs.FS
+	mu  sync.Mutex
+	ops []string
+}
+
+func (l *opLog) log(op, path string) {
+	l.mu.Lock()
+	l.ops = append(l.ops, op+" "+path)
+	l.mu.Unlock()
+}
+
+// take returns the operations logged since the last take.
+func (l *opLog) take() []string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	ops := l.ops
+	l.ops = nil
+	return ops
+}
+
+func (l *opLog) Rename(oldpath, newpath string) error {
+	l.log("rename", newpath)
+	return l.FS.Rename(oldpath, newpath)
+}
+
+func (l *opLog) Remove(name string) error {
+	l.log("remove", name)
+	return l.FS.Remove(name)
+}
+
+func (l *opLog) RemoveAll(path string) error {
+	l.log("remove", path)
+	return l.FS.RemoveAll(path)
+}
+
+func (l *opLog) MkdirAll(path string, perm fs.FileMode) error {
+	l.log("mkdir", path)
+	return l.FS.MkdirAll(path, perm)
+}
+
+func (l *opLog) SyncDir(name string) error {
+	l.log("syncdir", name)
+	return l.FS.SyncDir(name)
+}
+
+// loggedExecutor is an executor over a fresh store directory whose
+// filesystem logs directory-entry operations.
+func loggedExecutor(t *testing.T) (*Executor, *opLog, string) {
+	t.Helper()
 	dir := t.TempDir()
-	fsys := vfs.NewFaulty(vfs.OS, vfs.FaultPlan{Nth: 1, Kinds: vfs.OpWrite, Path: ".tmp-", Err: syscall.ENOSPC})
-	store, err := NewStoreFS(dir, fsys)
+	l := &opLog{FS: vfs.OS}
+	store, err := NewStoreFS(dir, l)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e := &Executor{Cache: NewCache(0), Store: store}
-	if _, _, err := e.AddCorpus("c", "01011010", ModelSpec{}); !errors.Is(err, syscall.ENOSPC) {
-		t.Fatalf("upload under ENOSPC: %v, want ENOSPC", err)
+	t.Cleanup(func() { e.Close() })
+	return e, l, dir
+}
+
+// requireSyncDir fails unless "syncdir dir" is logged after the entry from
+// and before the first later entry until ("" means the end of the log).
+func requireSyncDir(t *testing.T, ops []string, from, dir, until string) {
+	t.Helper()
+	i := slices.Index(ops, from)
+	if i < 0 {
+		t.Fatalf("%q never ran: %q", from, ops)
 	}
-	entries, err := fsys.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
+	for _, op := range ops[i+1:] {
+		switch op {
+		case "syncdir " + dir:
+			return
+		case until:
+			t.Fatalf("%q before the store directory's fsync: %q", until, ops)
+		}
 	}
-	if len(entries) != 0 {
-		t.Fatalf("failed upload left %d stray files", len(entries))
-	}
-	if _, _, err := e.AddCorpus("c", "01011010", ModelSpec{}); err != nil {
-		t.Fatalf("upload after fault cleared: %v", err)
-	}
+	t.Fatalf("no fsync of the store directory after %q: %q", from, ops)
+}
+
+// TestStoreDirEntriesDurable: every directory entry an acknowledged
+// operation creates or removes in the store directory is fsynced before the
+// acknowledgement (or, for a new live directory, before anything relies on
+// it), so a crash can neither lose an acknowledged upload nor resurrect an
+// acknowledged delete.
+func TestStoreDirEntriesDurable(t *testing.T) {
+	t.Run("upload", func(t *testing.T) {
+		e, l, dir := loggedExecutor(t)
+		if _, _, err := e.AddCorpus("c", "01011010", ModelSpec{}); err != nil {
+			t.Fatal(err)
+		}
+		requireSyncDir(t, l.take(), "rename "+e.Store.path("c"), dir, "")
+	})
+	t.Run("first append", func(t *testing.T) {
+		e, l, dir := loggedExecutor(t)
+		if _, _, err := e.AddCorpus("c", "01011010", ModelSpec{}); err != nil {
+			t.Fatal(err)
+		}
+		l.take()
+		if _, err := e.Append("c", "11"); err != nil {
+			t.Fatal(err)
+		}
+		requireSyncDir(t, l.take(), "mkdir "+e.Store.liveDir("c"), dir, "remove "+e.Store.path("c"))
+	})
+	t.Run("replica seed", func(t *testing.T) {
+		primary, _ := liveFixture(t, "0101101001")
+		if _, err := primary.Append("c", "11"); err != nil {
+			t.Fatal(err)
+		}
+		snap, gen, _, err := primary.Live("c").ReplicaSnapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer snap.Close()
+		f, l, dir := loggedExecutor(t)
+		if err := f.ReplicaSeed("c", gen, snap); err != nil {
+			t.Fatal(err)
+		}
+		live := f.Store.liveDir("c")
+		requireSyncDir(t, l.take(), "mkdir "+live, dir, "rename "+filepath.Join(live, manifestName))
+	})
+	t.Run("delete", func(t *testing.T) {
+		e, l, dir := loggedExecutor(t)
+		if _, _, err := e.AddCorpus("c", "01011010", ModelSpec{}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Append("c", "11"); err != nil {
+			t.Fatal(err)
+		}
+		l.take()
+		if ok, err := e.DeleteCorpus("c"); !ok || err != nil {
+			t.Fatalf("delete: existed=%v err=%v", ok, err)
+		}
+		ops := l.take()
+		last := -1
+		for i, op := range ops {
+			if strings.HasPrefix(op, "remove ") {
+				last = i
+			}
+		}
+		if last < 0 || !slices.Contains(ops[last+1:], "syncdir "+dir) {
+			t.Fatalf("no fsync of the store directory after the last remove: %q", ops)
+		}
+	})
 }
 
 // crashWorkload is the deterministic sequence the crash harness walks: open

@@ -68,6 +68,19 @@ func (s *Store) liveDir(name string) string {
 	return filepath.Join(s.dir, base64Name(name)+liveExt)
 }
 
+// freshLiveDir (re)creates an empty live directory and makes its entry in
+// the store directory durable: the manifest later committed inside it can
+// only be found after a crash if the directory itself survives.
+func (s *Store) freshLiveDir(dir string) error {
+	if err := s.fs.RemoveAll(dir); err != nil {
+		return err
+	}
+	if err := s.fs.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	return s.fs.SyncDir(s.dir)
+}
+
 // base64Name is the hostile-byte-safe encoding shared with snapshot files.
 func base64Name(name string) string {
 	f := fileName(name)
@@ -99,30 +112,10 @@ func writeManifest(fsys vfs.FS, dir string, m manifest) error {
 	if err != nil {
 		return err
 	}
-	tmp := filepath.Join(dir, ".manifest.tmp")
-	f, err := fsys.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
+	return vfs.WriteAtomic(fsys, filepath.Join(dir, manifestName), ".manifest-*.tmp", func(w io.Writer) error {
+		_, err := w.Write(data)
 		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		fsys.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		fsys.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		fsys.Remove(tmp)
-		return err
-	}
-	if err := fsys.Rename(tmp, filepath.Join(dir, manifestName)); err != nil {
-		fsys.Remove(tmp)
-		return err
-	}
-	return fsys.SyncDir(dir)
+	})
 }
 
 // IsLive reports whether name has a complete (manifest-committed) live
@@ -162,13 +155,13 @@ func (s *Store) ListLive() ([]string, error) {
 	return names, nil
 }
 
-// UpgradeToLive converts a frozen snapshot corpus into a live one: the
-// existing snapshot becomes generation 0's sealed base (hardlinked when the
-// filesystem allows, copied otherwise), an empty WAL is created, and the
-// manifest commit makes the live directory authoritative; only then is the
-// frozen file removed. A crash anywhere before the manifest rename leaves
-// the frozen corpus untouched (stray half-built directories are ignored by
-// ListLive/IsLive and recycled here).
+// UpgradeToLive converts a frozen snapshot corpus into a live one: a fresh
+// live directory (its entry fsynced) gets the existing snapshot as
+// generation 0's sealed base (hardlinked when the filesystem allows, copied
+// otherwise) and an empty WAL, and the manifest commit makes it
+// authoritative; only then is the frozen file removed. A crash anywhere
+// before the manifest rename leaves the frozen corpus untouched (stray
+// half-built directories are ignored by ListLive/IsLive and recycled here).
 func (s *Store) UpgradeToLive(name string, c *Committer) (*LiveCorpus, error) {
 	if err := checkName(name); err != nil {
 		return nil, err
@@ -185,57 +178,30 @@ func (s *Store) UpgradeToLive(name string, c *Committer) (*LiveCorpus, error) {
 		return nil, fmt.Errorf("service: upgrading corpus %q: %w", name, err)
 	}
 	// Recycle any stray half-upgrade, then build gen 0.
-	if err := s.fs.RemoveAll(dir); err != nil {
-		return nil, fmt.Errorf("service: upgrading corpus %q: %w", name, err)
-	}
-	if err := s.fs.MkdirAll(dir, 0o755); err != nil {
+	if err := s.freshLiveDir(dir); err != nil {
 		return nil, fmt.Errorf("service: upgrading corpus %q: %w", name, err)
 	}
 	basePath := filepath.Join(dir, baseName(0))
 	if err := s.fs.Link(snapPath, basePath); err != nil {
-		if err := copyFileSync(s.fs, snapPath, basePath); err != nil {
+		// No hardlinks on this filesystem: copy the snapshot instead.
+		snap, err := vfs.Open(s.fs, snapPath)
+		if err == nil {
+			err = vfs.WriteSynced(s.fs, basePath, snap)
+			snap.Close()
+		}
+		if err != nil {
 			return nil, fmt.Errorf("service: upgrading corpus %q: %w", name, err)
 		}
 	}
-	wal, err := s.fs.OpenFile(filepath.Join(dir, walName(0)), os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
+	if err := vfs.WriteSynced(s.fs, filepath.Join(dir, walName(0)), nil); err != nil {
 		return nil, fmt.Errorf("service: upgrading corpus %q: %w", name, err)
 	}
-	if err := wal.Sync(); err != nil {
-		wal.Close()
-		return nil, fmt.Errorf("service: upgrading corpus %q: %w", name, err)
-	}
-	wal.Close()
 	if err := writeManifest(s.fs, dir, manifest{Version: 1, Gen: 0}); err != nil {
 		return nil, fmt.Errorf("service: upgrading corpus %q: %w", name, err)
 	}
 	// The live directory is authoritative; the frozen file is now garbage.
 	s.fs.Remove(snapPath)
 	return s.OpenLive(name, c)
-}
-
-// copyFileSync copies src to dst and fsyncs dst — the hardlink fallback.
-func copyFileSync(fsys vfs.FS, src, dst string) error {
-	in, err := vfs.Open(fsys, src)
-	if err != nil {
-		return err
-	}
-	defer in.Close()
-	out, err := fsys.OpenFile(dst, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := io.Copy(out, in); err != nil {
-		out.Close()
-		fsys.Remove(dst)
-		return err
-	}
-	if err := out.Sync(); err != nil {
-		out.Close()
-		fsys.Remove(dst)
-		return err
-	}
-	return out.Close()
 }
 
 // OpenLive opens a live corpus: mmap the sealed base, replay the WAL
@@ -345,15 +311,7 @@ func (s *Store) hasReplicaMarker(name string) bool {
 // writeReplicaMarker durably marks name's live directory as a replica.
 func (s *Store) writeReplicaMarker(name string) error {
 	dir := s.liveDir(name)
-	f, err := s.fs.OpenFile(filepath.Join(dir, replicaMarkerName), os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err := vfs.WriteSynced(s.fs, filepath.Join(dir, replicaMarkerName), nil); err != nil {
 		return err
 	}
 	return s.fs.SyncDir(dir)
@@ -624,22 +582,11 @@ func (lc *LiveCorpus) AppendMode(text string, mode Durability) (int, error) {
 	// behind this one wait on I/O. The in-memory corpus advances only after
 	// the covering fsync (in flushCommit, in WAL order), so memory never
 	// runs ahead of stable storage.
-	buf, err := snapshot.AppendWALRecordBuf(lc.walBuf, symbols)
+	t, err := lc.enqueueLocked(symbols, mode == DurabilityRelaxed)
 	if err != nil {
 		lc.mu.Unlock()
 		return 0, fmt.Errorf("service: appending to corpus %q: %w", lc.name, err)
 	}
-	lc.walBuf = buf
-	t := &commitTicket{
-		syms:     symbols,
-		size:     snapshot.WALRecordSize(len(symbols)),
-		relaxed:  mode == DurabilityRelaxed,
-		enqueued: time.Now(),
-		done:     make(chan struct{}),
-	}
-	lc.queue = append(lc.queue, t)
-	lc.queuedSyms += int64(len(symbols))
-	lc.commitStats.pending.Add(1)
 	c := lc.committer
 	// A live flush loop collects this ticket itself on its next cycle; only
 	// an idle pipeline needs the committer woken.
@@ -658,6 +605,29 @@ func (lc *LiveCorpus) AppendMode(text string, mode Durability) (int, error) {
 		return 0, t.err
 	}
 	return len(symbols), nil
+}
+
+// enqueueLocked frames one record into the group buffer and queues its
+// ticket — the only way a record enters the WAL, for a local append and a
+// replicated frame alike. A flush (flushCommit or drainLocked) lands the
+// buffer and applies the ticket after its covering fsync. Callers hold mu.
+func (lc *LiveCorpus) enqueueLocked(symbols []byte, relaxed bool) (*commitTicket, error) {
+	buf, err := snapshot.AppendWALRecordBuf(lc.walBuf, symbols)
+	if err != nil {
+		return nil, err
+	}
+	lc.walBuf = buf
+	t := &commitTicket{
+		syms:     symbols,
+		size:     snapshot.WALRecordSize(len(symbols)),
+		relaxed:  relaxed,
+		enqueued: time.Now(),
+		done:     make(chan struct{}),
+	}
+	lc.queue = append(lc.queue, t)
+	lc.queuedSyms += int64(len(symbols))
+	lc.commitStats.pending.Add(1)
+	return t, nil
 }
 
 // flushCommit lands every queued record with one group write + one covering
@@ -864,8 +834,8 @@ func (lc *LiveCorpus) failQueueLocked(cause error) {
 // drainLocked completes the commit pipeline for this corpus: waits out an
 // in-flight flush, then writes, syncs, and applies (or fails) whatever is
 // still queued, synchronously. Compact and Close call it so no ticket is
-// left riding a pipeline that is about to lose the log handle. Callers hold
-// mu.
+// left riding a pipeline that is about to lose the log handle;
+// ApplyReplicated calls it to land a shipped frame. Callers hold mu.
 func (lc *LiveCorpus) drainLocked() {
 	for lc.flushing {
 		lc.flushCond.Wait()
@@ -892,10 +862,10 @@ func (lc *LiveCorpus) drainLocked() {
 }
 
 // rollbackWAL restores the log to the acknowledged prefix after a failed
-// group write, replicated-frame write, or sync: everything past walSize is
-// a record that was never acknowledged at its promised durability (queued
-// records that WERE acked — relaxed mode — are counted as lost by the
-// caller), so replay must never see it ahead of a later successful append.
+// group write, sync or apply: everything past walSize is a record that was
+// never acknowledged at its promised durability (queued records that WERE
+// acked — relaxed mode — are counted as lost by the caller), so replay must
+// never see it ahead of a later successful append.
 // If the rollback itself fails, the corpus degrades: appends refuse (reads
 // keep serving) until in-process recovery — attempted automatically by
 // later appends, or on demand via Recover — re-verifies the acknowledged
@@ -1059,28 +1029,10 @@ func (lc *LiveCorpus) Compact() error {
 	view := lc.corpus.View()
 	next := lc.gen + 1
 
-	tmp, err := lc.fs.CreateTemp(lc.dir, ".tmp-base-*")
+	err := vfs.WriteAtomic(lc.fs, filepath.Join(lc.dir, baseName(next)), ".tmp-base-*", func(w io.Writer) error {
+		return sigsub.WriteSnapshot(w, view, lc.codec)
+	})
 	if err != nil {
-		return fmt.Errorf("service: compacting corpus %q: %w", lc.name, err)
-	}
-	tmpName := tmp.Name()
-	fail := func(err error) error {
-		tmp.Close()
-		lc.fs.Remove(tmpName)
-		return fmt.Errorf("service: compacting corpus %q: %w", lc.name, err)
-	}
-	if err := sigsub.WriteSnapshot(tmp, view, lc.codec); err != nil {
-		return fail(err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := tmp.Close(); err != nil {
-		lc.fs.Remove(tmpName)
-		return fmt.Errorf("service: compacting corpus %q: %w", lc.name, err)
-	}
-	if err := lc.fs.Rename(tmpName, filepath.Join(lc.dir, baseName(next))); err != nil {
-		lc.fs.Remove(tmpName)
 		return fmt.Errorf("service: compacting corpus %q: %w", lc.name, err)
 	}
 	newWal, err := lc.fs.OpenFile(filepath.Join(lc.dir, walName(next)), os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)

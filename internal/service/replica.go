@@ -9,8 +9,9 @@ package service
 import (
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
+
+	"repro/internal/vfs"
 )
 
 // Live returns the pinned live corpus under name, nil when there is none —
@@ -105,36 +106,13 @@ func (s *Store) seedReplica(name string, gen int, snap io.Reader) error {
 		return badRequest("negative replica generation %d", gen)
 	}
 	dir := s.liveDir(name)
-	if err := s.fs.RemoveAll(dir); err != nil {
+	if err := s.freshLiveDir(dir); err != nil {
 		return fmt.Errorf("service: seeding replica %q: %w", name, err)
 	}
-	if err := s.fs.MkdirAll(dir, 0o755); err != nil {
+	if err := vfs.WriteSynced(s.fs, filepath.Join(dir, baseName(gen)), snap); err != nil {
 		return fmt.Errorf("service: seeding replica %q: %w", name, err)
 	}
-	base, err := s.fs.OpenFile(filepath.Join(dir, baseName(gen)), os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("service: seeding replica %q: %w", name, err)
-	}
-	if _, err := io.Copy(base, snap); err != nil {
-		base.Close()
-		return fmt.Errorf("service: seeding replica %q: %w", name, err)
-	}
-	if err := base.Sync(); err != nil {
-		base.Close()
-		return fmt.Errorf("service: seeding replica %q: %w", name, err)
-	}
-	if err := base.Close(); err != nil {
-		return fmt.Errorf("service: seeding replica %q: %w", name, err)
-	}
-	wal, err := s.fs.OpenFile(filepath.Join(dir, walName(gen)), os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("service: seeding replica %q: %w", name, err)
-	}
-	if err := wal.Sync(); err != nil {
-		wal.Close()
-		return fmt.Errorf("service: seeding replica %q: %w", name, err)
-	}
-	if err := wal.Close(); err != nil {
+	if err := vfs.WriteSynced(s.fs, filepath.Join(dir, walName(gen)), nil); err != nil {
 		return fmt.Errorf("service: seeding replica %q: %w", name, err)
 	}
 	if err := s.writeReplicaMarker(name); err != nil {

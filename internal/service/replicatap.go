@@ -269,10 +269,11 @@ func (lc *LiveCorpus) ReplicaSnapshot() (vfs.File, int, int64, error) {
 }
 
 // ApplyReplicated lands one shipped byte range of the primary's log:
-// raw record bytes [off, off+len(frame)) of generation gen. The follower's
-// log stays a bit-identical prefix of the primary's, and the primary's
-// ordering invariant holds — bytes are written and fsynced before any
-// record is applied to the in-memory corpus.
+// raw record bytes [off, off+len(frame)) of generation gen. Its records
+// take the local append path — queued, then landed by one group write and
+// fsync before any is applied — so the follower's log stays a bit-identical
+// prefix of the primary's (the record framing is deterministic) and its
+// commit counters count what it fsyncs.
 //
 // Out-of-order delivery is absorbed, not trusted: a frame wholly at or
 // before the committed position is a duplicate and is skipped; a frame
@@ -318,46 +319,34 @@ func (lc *LiveCorpus) ApplyReplicated(gen int, off int64, frame []byte) (WALProg
 	}
 	skip := lc.walSize - off // bytes of the frame already committed (overlap)
 
-	// Validate the whole frame before any disk mutation: every record
-	// decodes, the skip point is a boundary, and no torn tail rides along.
-	valid, err := snapshot.ReplayWALFrom(bytes.NewReader(frame), skip, nil)
-	if err != nil {
-		return cur, fmt.Errorf("%w: corpus %q: %v", ErrReplicaDiverged, lc.name, err)
-	}
-	if valid != int64(len(frame)) {
-		return cur, fmt.Errorf("%w: corpus %q: frame carries a torn record (%d of %d bytes valid)",
-			ErrReplicaDiverged, lc.name, valid, len(frame))
-	}
-
-	// Durable first: land the unseen suffix with one write + one fsync —
-	// the follower-side mirror of the primary's group commit (one shipped
-	// frame = one fsynced batch).
-	data := frame[skip:]
-	if _, err := lc.wal.Write(data); err != nil {
-		return cur, lc.rollbackWAL(err)
-	}
-	if err := lc.wal.Sync(); err != nil {
-		return cur, lc.rollbackWAL(err)
-	}
-
-	// Apply in WAL order, advancing the committed position per record so a
-	// mid-batch failure leaves walSize exactly at the applied prefix.
-	_, err = snapshot.ReplayWALFrom(bytes.NewReader(frame), skip, func(rel int64, payload []byte) error {
-		if aerr := lc.corpus.Append(payload); aerr != nil {
-			return aerr
+	// Queue each unseen record while validating the whole frame: every
+	// record decodes, the skip point is a boundary, and no torn tail rides
+	// along. A bad frame fails its queued records before anything touches
+	// the disk.
+	var tickets []*commitTicket
+	valid, err := snapshot.ReplayWALFrom(bytes.NewReader(frame), skip, func(_ int64, payload []byte) error {
+		t, err := lc.enqueueLocked(bytes.Clone(payload), false)
+		if err == nil {
+			tickets = append(tickets, t)
 		}
-		lc.walSize = off + rel + snapshot.WALRecordSize(len(payload))
-		return nil
+		return err
 	})
-	if err != nil {
-		// The log holds records memory never applied; same invariant breach
-		// as a failed local append — roll back to the applied prefix (and
-		// degrade if that fails).
-		rerr := lc.rollbackWAL(err)
-		lc.publishProgressLocked()
-		return lc.WALProgress(), rerr
+	if err == nil && valid != int64(len(frame)) {
+		err = fmt.Errorf("frame carries a torn record (%d of %d bytes valid)", valid, len(frame))
 	}
-	lc.publishProgressLocked()
+	if err != nil {
+		err = fmt.Errorf("%w: corpus %q: %v", ErrReplicaDiverged, lc.name, err)
+		lc.failQueueLocked(err)
+		return cur, err
+	}
+	// Land the frame exactly as a local group commit: one write, one fsync,
+	// then the records applied in WAL order and the progress published once.
+	lc.drainLocked()
+	for _, t := range tickets {
+		if t.err != nil {
+			return lc.WALProgress(), t.err
+		}
+	}
 	return lc.WALProgress(), nil
 }
 

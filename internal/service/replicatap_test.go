@@ -73,6 +73,12 @@ func TestReplicaShipAndServe(t *testing.T) {
 	if got != want {
 		t.Fatalf("follower cursor %+v, want primary position %+v", got, want)
 	}
+	// The frame landed through the append path, so the follower counts what
+	// it committed.
+	stats := follower.Live("c").CommitStats()
+	if stats.Records != uint64(len(appends)) || stats.Fsyncs < 1 {
+		t.Fatalf("follower commit stats %+v, want %d records over at least one fsync", stats, len(appends))
+	}
 
 	wantRes := libraryMSS(t, full)
 	res, info := execMSS(t, follower, "c")
@@ -84,6 +90,9 @@ func TestReplicaShipAndServe(t *testing.T) {
 	}
 	if info.Generation != want.Gen {
 		t.Fatalf("follower generation %d, want %d", info.Generation, want.Gen)
+	}
+	if info.Commit == nil || *info.Commit != stats || follower.Commit.Stats() != stats {
+		t.Fatalf("follower info commit %+v and node commit %+v, want %+v", info.Commit, follower.Commit.Stats(), stats)
 	}
 }
 

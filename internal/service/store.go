@@ -10,6 +10,7 @@ import (
 	"encoding/base64"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -112,38 +113,25 @@ func checkName(name string) error {
 }
 
 // Save persists the corpus durably: snapshot to a temp file in the same
-// directory, fsync, then atomic rename over the final name.
+// directory, fsync, atomic rename over the final name, then a directory
+// fsync, so an acknowledged upload survives a crash.
 func (s *Store) Save(c *Corpus) error {
 	if err := checkName(c.Name); err != nil {
 		return err
 	}
-	f, err := s.fs.CreateTemp(s.dir, ".tmp-*")
+	path := s.path(c.Name)
+	err := vfs.WriteAtomic(s.fs, path, ".tmp-*", func(w io.Writer) error {
+		return sigsub.WriteSnapshot(w, c.Scanner, c.Codec)
+	})
+	if err == nil && s.fs.Remove(snapshot.SegmentSidecarPath(path)) == nil {
+		// An upload replaces whatever was under the name; a stale segment
+		// sidecar describing the old snapshot must not outlive it, nor come
+		// back after a crash.
+		err = s.fs.SyncDir(s.dir)
+	}
 	if err != nil {
 		return fmt.Errorf("service: persisting corpus %q: %w", c.Name, err)
 	}
-	tmp := f.Name()
-	fail := func(err error) error {
-		f.Close()
-		s.fs.Remove(tmp)
-		return fmt.Errorf("service: persisting corpus %q: %w", c.Name, err)
-	}
-	if err := sigsub.WriteSnapshot(f, c.Scanner, c.Codec); err != nil {
-		return fail(err)
-	}
-	if err := f.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		s.fs.Remove(tmp)
-		return fmt.Errorf("service: persisting corpus %q: %w", c.Name, err)
-	}
-	if err := s.fs.Rename(tmp, s.path(c.Name)); err != nil {
-		s.fs.Remove(tmp)
-		return fmt.Errorf("service: persisting corpus %q: %w", c.Name, err)
-	}
-	// An upload replaces whatever was under the name; a stale segment
-	// sidecar describing the old snapshot must not outlive it.
-	s.fs.Remove(snapshot.SegmentSidecarPath(s.path(c.Name)))
 	return nil
 }
 
@@ -220,13 +208,15 @@ func (s *Store) Delete(name string) (bool, error) {
 	// is a valid full corpus, a sidecar without its snapshot is a stray.
 	s.fs.Remove(snapshot.SegmentSidecarPath(s.path(name)))
 	rmErr := s.fs.Remove(s.path(name))
-	if errors.Is(rmErr, os.ErrNotExist) {
-		return lived, nil
-	}
-	if rmErr != nil {
+	if rmErr != nil && !errors.Is(rmErr, os.ErrNotExist) {
 		return lived, fmt.Errorf("service: deleting corpus %q: %w", name, rmErr)
 	}
-	return true, nil
+	// The removals are acknowledged only once durable: a restart must not
+	// resurrect the corpus.
+	if err := s.fs.SyncDir(s.dir); err != nil {
+		return lived, fmt.Errorf("service: deleting corpus %q: %w", name, err)
+	}
+	return lived || rmErr == nil, nil
 }
 
 // List returns the names of every persisted corpus, in directory order.

@@ -5,13 +5,15 @@
 // Faulty wrapper injects EIO/ENOSPC errors, short writes, failed fsyncs, and
 // crash-at-step failures at any chosen operation, which is how the
 // crash-consistency harness walks every injection point of the append and
-// compaction paths.
+// compaction paths. WriteAtomic and WriteSynced are the one protocol the
+// layers use to write a whole file durably.
 package vfs
 
 import (
 	"io"
 	"io/fs"
 	"os"
+	"path/filepath"
 )
 
 // File is the subset of *os.File the persistence layers use. WAL appends
@@ -56,6 +58,57 @@ type FS interface {
 // Open opens name read-only on fsys.
 func Open(fsys FS, name string) (File, error) {
 	return fsys.OpenFile(name, os.O_RDONLY, 0)
+}
+
+// WriteAtomic replaces path with the bytes write produces: a temp file
+// (CreateTemp with pattern, in path's directory) is written, fsynced,
+// closed and renamed over path, then the directory is fsynced. A crash or
+// fault leaves either the old file or the new one, never a torn one, and
+// any error before the rename removes the temp file. A nil return means
+// the new bytes and their directory entry are durable.
+func WriteAtomic(fsys FS, path, pattern string, write func(io.Writer) error) error {
+	dir := filepath.Dir(path)
+	f, err := fsys.CreateTemp(dir, pattern)
+	if err != nil {
+		return err
+	}
+	tmp := f.Name()
+	if err = write(f); err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = fsys.Rename(tmp, path)
+	}
+	if err != nil {
+		fsys.Remove(tmp)
+		return err
+	}
+	return fsys.SyncDir(dir)
+}
+
+// WriteSynced creates (or truncates) path, copies r into it (nothing when r
+// is nil), and fsyncs and closes it. It is not atomic — a fault can leave a
+// partial file — so callers use it inside a directory that is not yet
+// committed (a live directory before its manifest lands), where a partial
+// file is never read.
+func WriteSynced(fsys FS, path string, r io.Reader) error {
+	f, err := fsys.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	if r != nil {
+		_, err = io.Copy(f, r)
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // OS is the production filesystem: every call delegates to package os.
