@@ -85,7 +85,9 @@ func BenchmarkMaxSkipKernel(b *testing.B) {
 // to the string's end, at a threshold-style budget (b = skipAt = 20 + 2k),
 // re-syncing with Exact at every stop as the engine's passes do. The text
 // is drawn from the model itself, so the rows take null-model skips. One op
-// is the 8 rows; its bytes are the symbols they span.
+// is the 8 rows; its bytes are the symbols they span. The /pair rows scan
+// the same 8 rows two at a time through ScanPair (scanTwoRows), which runs
+// a skewed model's rows one lane at a time.
 func BenchmarkRowScan(b *testing.B) {
 	const n = 100_000
 	const rows = 8
@@ -135,6 +137,40 @@ func BenchmarkRowScan(b *testing.B) {
 					}
 				}
 			})
+			b.Run(fmt.Sprintf("%s/k=%d/pair", model, k), func(b *testing.B) {
+				x, y := NewRoll(kern, cp, s), NewRoll(kern, cp, s)
+				b.ReportAllocs()
+				b.SetBytes(int64(span))
+				for b.Loop() {
+					for r := 0; r < rows; r += 2 {
+						scanTwoRows(x, y, r*n/rows, (r+1)*n/rows, budget, n)
+					}
+				}
+			})
 		}
+	}
+}
+
+// scanTwoRows runs the rows starting at i and i2 from their one-symbol
+// windows to hi at budget b through ScanPair, re-syncing with Exact at
+// every stop, and finishes the row that outlasts the other with Scan.
+func scanTwoRows(x, y *Roll, i, i2 int, b float64, hi int) {
+	x.Begin(i, i+1)
+	y.Begin(i2, i2+1)
+	for {
+		_, _, _, _, lane, found := ScanPair(x, y, b, b, b, b, hi)
+		if lane == 1 {
+			x, y = y, x // the stopped lane goes first: ScanPair's y holds no window
+		}
+		if !found {
+			break
+		}
+		x.Exact()
+	}
+	for {
+		if _, _, found := y.Scan(b, b, hi); !found {
+			return
+		}
+		y.Exact()
 	}
 }

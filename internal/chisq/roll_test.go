@@ -390,3 +390,159 @@ func FuzzRollVsDirect(f *testing.F) {
 		}
 	})
 }
+
+// FuzzScanPair steps two cursors with ScanPair and a twin of each with
+// Scan at the same budgets, and requires every stop to agree: the lane's
+// evaluated and skipped windows since its last stop, found, Start, End,
+// and at a window its Counts and the bits of Exact. Each lane scans a few
+// random rows in turn, a lane that stops at a window goes first in the
+// next call (ScanPair's y holds none), and a lane left alone finishes with
+// Scan. It draws k ∈ {2, 3, 4, 8, 16}, uniform and skewed models (which
+// ScanPair runs one lane at a time), budgets among ±Inf, 0, 1e300 and
+// values near a window's X², and contiguous indexes or appender epochs
+// whose final block is a relocated tail.
+func FuzzScanPair(f *testing.F) {
+	f.Add(int64(1), uint8(2), uint16(300), uint16(0x1234), uint8(3), false, false)
+	f.Add(int64(2), uint8(1), uint16(257), uint16(0x0f0f), uint8(4), false, true)
+	f.Add(int64(3), uint8(4), uint16(90), uint16(0x3300), uint8(2), true, false)
+	f.Add(int64(4), uint8(0), uint16(600), uint16(0x0505), uint8(6), false, true)
+	f.Add(int64(5), uint8(3), uint16(33), uint16(0x7171), uint8(5), true, true)
+	f.Fuzz(func(t *testing.T, seed int64, kRaw uint8, nRaw, budgetRaw uint16, rowsRaw uint8, skewed, epoch bool) {
+		k := []int{2, 3, 4, 8, 16}[kRaw%5]
+		n := 2 + int(nRaw)%600
+		rng := rand.New(rand.NewSource(seed))
+		s := make([]byte, n)
+		for i := range s {
+			s[i] = byte(rng.Intn(k))
+			if i > n/3 && i < n/2 && rng.Intn(2) == 0 {
+				s[i] = 0 // a planted stretch: shorter skips, more stops
+			}
+		}
+		probs := make([]float64, k)
+		tot := 0.0
+		for c := range probs {
+			probs[c] = 1
+			if skewed {
+				probs[c] = 0.05 + rng.Float64()
+			}
+			tot += probs[c]
+		}
+		for c := range probs {
+			probs[c] /= tot
+		}
+		kern := NewKernel(probs)
+		var idx *counts.Checkpointed
+		if epoch {
+			ap, err := counts.NewAppender(k, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cut := 1 + rng.Intn(n)
+			if err := ap.Append(s[:cut]); err != nil {
+				t.Fatal(err)
+			}
+			idx = ap.Snapshot()
+			if err := ap.Append(s[cut:]); err != nil { // the appender moves on
+				t.Fatal(err)
+			}
+			s, n = s[:cut], cut
+		} else {
+			var err error
+			if idx, err = counts.NewCheckpointed(s, k, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		budget := func(sel uint16) (b, skipAt float64) {
+			switch sel % 8 {
+			case 0:
+				return math.Inf(-1), math.Inf(-1)
+			case 1:
+				return math.Inf(1), math.Inf(1)
+			case 2:
+				return 0, 0
+			case 3:
+				return 1e300, 1e300
+			case 4:
+				return math.Inf(-1), float64(5 + rng.Intn(4*k))
+			}
+			b = float64(2*k) + 20*rng.Float64()
+			if sel%8 == 5 {
+				return b, b - 1e-12*b // an MSS member's softened skip budget
+			}
+			return b, b
+		}
+		type lane struct {
+			cur, twin *Roll
+			b, skipAt float64
+			rows      int // rows left to begin
+			ev, sk    int // windows since the last stop
+			done      bool
+		}
+		begin := func(l *lane) {
+			if l.rows == 0 {
+				l.done = true
+				return
+			}
+			l.rows--
+			i := rng.Intn(n)
+			j := i + 1 + rng.Intn(min(n-i, 3*k+12))
+			l.cur.Begin(i, j)
+			l.twin.Begin(i, j)
+		}
+		rows := 1 + int(rowsRaw)%4
+		x := &lane{cur: NewRoll(kern, idx, s), twin: NewRoll(kern, idx, s), rows: rows}
+		y := &lane{cur: NewRoll(kern, idx, s), twin: NewRoll(kern, idx, s), rows: rows}
+		x.b, x.skipAt = budget(budgetRaw)
+		y.b, y.skipAt = budget(budgetRaw >> 8)
+		begin(x)
+		begin(y)
+		for steps := 0; !x.done || !y.done; steps++ {
+			if steps > 4*rows*(n+1) {
+				t.Fatal("the lanes never finish their rows")
+			}
+			if x.done {
+				x, y = y, x
+			}
+			stopped := x
+			var found bool
+			if y.done {
+				var ev, sk int
+				ev, sk, found = x.cur.Scan(x.b, x.skipAt, n)
+				x.ev += ev
+				x.sk += sk
+			} else {
+				evX, skX, evY, skY, which, ok := ScanPair(x.cur, y.cur, x.b, x.skipAt, y.b, y.skipAt, n)
+				x.ev += evX
+				x.sk += skX
+				y.ev += evY
+				y.sk += skY
+				found = ok
+				if which == 1 {
+					stopped = y
+				}
+			}
+			l := stopped
+			ev, sk, twinFound := l.twin.Scan(l.b, l.skipAt, n)
+			label := fmt.Sprintf("k=%d skewed=%v epoch=%v n=%d b=%v skipAt=%v row %d", k, skewed, epoch, n, l.b, l.skipAt, l.twin.Start())
+			if l.ev != ev || l.sk != sk || found != twinFound || l.cur.Start() != l.twin.Start() || l.cur.End() != l.twin.End() {
+				t.Fatalf("%s: pair stopped at [%d,%d) after %d evaluated %d skipped (found %v), Scan at [%d,%d) after %d %d (%v)",
+					label, l.cur.Start(), l.cur.End(), l.ev, l.sk, found, l.twin.Start(), l.twin.End(), ev, sk, twinFound)
+			}
+			l.ev, l.sk = 0, 0
+			if !found {
+				begin(l)
+				continue
+			}
+			if !slices.Equal(l.cur.Counts(), l.twin.Counts()) {
+				t.Fatalf("%s: counts at [%d,%d) = %v, Scan's %v", label, l.cur.Start(), l.cur.End(), l.cur.Counts(), l.twin.Counts())
+			}
+			if a, b := l.cur.Exact(), l.twin.Exact(); math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("%s: Exact at [%d,%d) = %v, Scan's %v", label, l.cur.Start(), l.cur.End(), a, b)
+			}
+			if l == y {
+				x, y = y, x // the lane holding a window goes first
+			}
+		}
+	})
+}

@@ -76,6 +76,9 @@ func (sc *Scanner) RunBatch(e Engine, qs []Query) []QueryResult {
 // after the groups. Coordinates are scanner-local; LocalExec translates
 // absolute plans through its segment offset.
 func (sc *Scanner) execShard(e Engine, sqs []ShardQuery) []Partial {
+	if len(sqs) == 1 && !sqs[0].Composite {
+		return sc.runGroup(e, sqs) // a solo query is its own group
+	}
 	var groups [][]ShardQuery
 	index := make(map[groupKey]int)
 	var composite []ShardQuery
@@ -110,7 +113,7 @@ func (sc *Scanner) execShard(e Engine, sqs []ShardQuery) []Partial {
 // candidate, the heap's leading t entries, or the member's hits in scan
 // order.
 func (sc *Scanner) runGroup(e Engine, members []ShardQuery) []Partial {
-	mss, t := false, 0
+	mss, t, tops := false, 0, 0
 	var sinks []sink
 	for _, m := range members {
 		switch m.Q.Kind {
@@ -118,6 +121,7 @@ func (sc *Scanner) runGroup(e Engine, members []ShardQuery) []Partial {
 			mss = true
 		case KindTopT:
 			t = max(t, m.Q.T)
+			tops++
 		case KindThreshold:
 			sinks = append(sinks, sink{alpha: m.Q.Alpha, limit: m.Q.Limit})
 		}
@@ -139,8 +143,12 @@ func (sc *Scanner) runGroup(e Engine, members []ShardQuery) []Partial {
 				parts[i].Cands = []Scored{p.best}
 			}
 		case KindTopT:
-			// A copy per member: executors translate candidates in place.
-			parts[i].Cands = slices.Clone(items[:min(m.Q.T, len(items))])
+			// Executors translate candidates in place, so every top-t member
+			// but the last takes a copy.
+			parts[i].Cands = items[:min(m.Q.T, len(items))]
+			if tops--; tops > 0 {
+				parts[i].Cands = slices.Clone(parts[i].Cands)
+			}
 		case KindThreshold:
 			parts[i].Cands = p.found[si]
 			si++

@@ -194,6 +194,10 @@ type pass struct {
 	alpha float64
 	found [][]Scored
 	visit func(Scored)
+	// restarted counts the windows passSeq's followers evaluated and then
+	// discarded because the budget moved under them: the speculation's
+	// waste, outside Stats.
+	restarted int64
 }
 
 // newPass builds a pass with an MSS tracker if mss, a top-t heap of

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/topheap"
 )
@@ -173,8 +173,8 @@ func (p *Plan) mergeSlot(slot int, frags []*Partial) QueryResult {
 // order: score descending, then start ascending, then end ascending — the
 // order topheap.Items returns, so a single-shard merge is the identity.
 func sortCanonical(rs []Scored) {
-	sort.Slice(rs, func(a, b int) bool {
-		return topheap.Item{Start: rs[a].Start, End: rs[a].End, Score: rs[a].X2}.
-			LessDesc(topheap.Item{Start: rs[b].Start, End: rs[b].End, Score: rs[b].X2})
+	slices.SortFunc(rs, func(a, b Scored) int {
+		return topheap.Item{Start: a.Start, End: a.End, Score: a.X2}.
+			CompareDesc(topheap.Item{Start: b.Start, End: b.End, Score: b.X2})
 	})
 }

@@ -183,3 +183,34 @@ func TestRunQueryValidation(t *testing.T) {
 		t.Errorf("streaming threshold: err=%v results=%d visits=%d", r.Err, len(r.Results), seen)
 	}
 }
+
+// TestSoloQueryAllocs pins the allocations of a one-worker solo RunQuery
+// on a 500-symbol range: its batch of one plans, runs one pass and merges
+// with no group map, and its top-t member takes the heap's items without a
+// copy.
+func TestSoloQueryAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not pinned under the race detector")
+	}
+	rng := rand.New(rand.NewSource(1))
+	sc, err := NewScanner(randomString(rng, 2000, 4), alphabet.MustUniform(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := Engine{Workers: 1}
+	for _, tc := range []struct {
+		q      Query
+		allocs float64
+	}{
+		{Query{Kind: KindMSS, Lo: 700, Hi: 1200}, 13},
+		{Query{Kind: KindTopT, T: 10, Lo: 700, Hi: 1200}, 16},
+		{Query{Kind: KindThreshold, Alpha: 200, Lo: 700, Hi: 1200}, 13}, // no hit
+	} {
+		if r := sc.RunQuery(e, tc.q); r.Err != nil {
+			t.Fatal(r.Err)
+		}
+		if got := testing.AllocsPerRun(50, func() { sc.RunQuery(e, tc.q) }); got > tc.allocs {
+			t.Errorf("%v: %v allocations per query, want at most %v", tc.q.Kind, got, tc.allocs)
+		}
+	}
+}

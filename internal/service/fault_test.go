@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"errors"
 	"io/fs"
+	"os"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -268,6 +269,110 @@ func TestStoreSaveFaults(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestCatalogSweepsCrashedTemps: a crash before an atomic write's rename
+// leaves its temp file behind — for an upload, a full-size snapshot. The
+// next catalog load removes each such file (an upload's in the store
+// directory, a compaction base's and a manifest's in a live directory)
+// before any corpus opens, touches no other name, and still serves every
+// corpus.
+func TestCatalogSweepsCrashedTemps(t *testing.T) {
+	e, dir := liveFixture(t, "01011010")
+	if _, err := e.Append("c", "11"); err != nil { // c becomes live
+		t.Fatal(err)
+	}
+	if _, _, err := e.AddCorpus("f", "0110", ModelSpec{}); err != nil {
+		t.Fatal(err)
+	}
+	e.Close()
+	store, err := NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	liveDir := store.liveDir("c")
+
+	// Crash at the first fsync matching path: the temp file's own.
+	crash := func(path string, run func(*Store)) {
+		t.Helper()
+		fsys := vfs.NewFaulty(vfs.OS, vfs.FaultPlan{Nth: 1, Kinds: vfs.OpSync, Path: path, Crash: true})
+		store, err := NewStoreFS(dir, fsys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run(store)
+		if !fsys.Fired() {
+			t.Fatalf("no fsync under %q", path)
+		}
+	}
+	crash(dir, func(s *Store) {
+		ex := &Executor{Cache: NewCache(0), Store: s}
+		if _, _, err := ex.AddCorpus("u", strings.Repeat("0110", 5000), ModelSpec{}); err == nil {
+			t.Fatal("upload survived a crash at its first fsync")
+		}
+	})
+	for _, path := range []string{".tmp-base-", ".manifest-"} {
+		crash(path, func(s *Store) {
+			lc, err := openLive(t, s, "c")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := lc.Compact(); err == nil {
+				t.Fatalf("compaction survived a crash at the %s fsync", path)
+			}
+			lc.Close()
+		})
+	}
+	// Names the sweep must leave alone: the other directory's pattern, and
+	// near misses.
+	keep := []string{
+		filepath.Join(dir, ".manifest-1.tmp"), filepath.Join(dir, ".tmp"), filepath.Join(dir, "x.tmp-1"),
+		filepath.Join(liveDir, ".tmp-1"), filepath.Join(liveDir, ".manifest-1"), filepath.Join(liveDir, "notes.tmp"),
+	}
+	for _, path := range keep {
+		if err := os.WriteFile(path, []byte("keep"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	temps := func() (left []string) {
+		for d, patterns := range map[string][]string{dir: {".tmp-*"}, liveDir: {".tmp-base-*", ".manifest-*.tmp"}} {
+			entries, err := os.ReadDir(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, de := range entries {
+				for _, pat := range patterns {
+					if ok, _ := filepath.Match(pat, de.Name()); ok {
+						left = append(left, filepath.Join(d, de.Name()))
+					}
+				}
+			}
+		}
+		return left
+	}
+	if left := temps(); len(left) != 3 {
+		t.Fatalf("the crashes left temp files %q, want one per crashed write", left)
+	}
+
+	store, err = NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e2 := &Executor{Cache: NewCache(0), Store: store}
+	t.Cleanup(func() { e2.Close() })
+	if n := e2.LoadCatalog(t.Logf); n != 2 {
+		t.Fatalf("catalog loaded %d corpora, want c and f", n)
+	}
+	if left := temps(); len(left) != 0 {
+		t.Fatalf("temp files survived the catalog load: %q", left)
+	}
+	for _, path := range keep {
+		if _, err := os.Stat(path); err != nil {
+			t.Errorf("the sweep touched %s: %v", path, err)
+		}
+	}
+	wantSymbols(t, dir, "c", "01011010"+"11")
 }
 
 // opLog is a filesystem that logs each directory-entry operation (Rename,

@@ -112,7 +112,7 @@ func writeManifest(fsys vfs.FS, dir string, m manifest) error {
 	if err != nil {
 		return err
 	}
-	return vfs.WriteAtomic(fsys, filepath.Join(dir, manifestName), ".manifest-*.tmp", func(w io.Writer) error {
+	return vfs.WriteAtomic(fsys, filepath.Join(dir, manifestName), manifestTempPattern, func(w io.Writer) error {
 		_, err := w.Write(data)
 		return err
 	})
@@ -1029,7 +1029,7 @@ func (lc *LiveCorpus) Compact() error {
 	view := lc.corpus.View()
 	next := lc.gen + 1
 
-	err := vfs.WriteAtomic(lc.fs, filepath.Join(lc.dir, baseName(next)), ".tmp-base-*", func(w io.Writer) error {
+	err := vfs.WriteAtomic(lc.fs, filepath.Join(lc.dir, baseName(next)), baseTempPattern, func(w io.Writer) error {
 		return sigsub.WriteSnapshot(w, view, lc.codec)
 	})
 	if err != nil {

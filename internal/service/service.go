@@ -971,13 +971,18 @@ func (e *Executor) DeleteCorpus(name string) (bool, error) {
 // the startup path that makes a daemon restart transparent to clients.
 // Corpora are mmap-served, so the catalog's resident cost is per-corpus
 // overhead, not corpus bytes. Unloadable files are reported through logf
-// and skipped; the daemon still serves everything else.
+// and skipped; the daemon still serves everything else. It first removes
+// the temp files of writes a crash cut short, so it runs before the
+// executor takes any write.
 func (e *Executor) LoadCatalog(logf func(format string, args ...any)) int {
 	if e.Store == nil {
 		return 0
 	}
 	if logf == nil {
 		logf = func(string, ...any) {}
+	}
+	if err := e.Store.sweepTemps(); err != nil {
+		logf("corpus catalog: %v", err)
 	}
 	// Live corpora first: their directory outranks any stale snapshot file
 	// a crash mid-upgrade may have left under the same name.

@@ -7,12 +7,15 @@ package service
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/base64"
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	sigsub "repro"
@@ -27,6 +30,15 @@ const MaxStoredNameBytes = 180
 
 // snapExt is the snapshot file extension.
 const snapExt = ".snap"
+
+// The temp-file patterns of the store's atomic writes (vfs.WriteAtomic). A
+// crash before a write's rename leaves its temp file behind, which List and
+// ListLive skip; sweepTemps removes them.
+const (
+	snapTempPattern     = ".tmp-*"          // snapshots, in the store directory
+	baseTempPattern     = ".tmp-base-*"     // compaction bases, in a live directory
+	manifestTempPattern = ".manifest-*.tmp" // manifests, in a live directory
+)
 
 // Store persists corpora as snapshot files in a single directory. Writes
 // go through a temp file plus rename, so a crash mid-upload leaves either
@@ -120,7 +132,7 @@ func (s *Store) Save(c *Corpus) error {
 		return err
 	}
 	path := s.path(c.Name)
-	err := vfs.WriteAtomic(s.fs, path, ".tmp-*", func(w io.Writer) error {
+	err := vfs.WriteAtomic(s.fs, path, snapTempPattern, func(w io.Writer) error {
 		return sigsub.WriteSnapshot(w, c.Scanner, c.Codec)
 	})
 	if err == nil && s.fs.Remove(snapshot.SegmentSidecarPath(path)) == nil {
@@ -217,6 +229,51 @@ func (s *Store) Delete(name string) (bool, error) {
 		return lived, fmt.Errorf("service: deleting corpus %q: %w", name, err)
 	}
 	return lived || rmErr == nil, nil
+}
+
+// sweepTemps removes the temp files that crashed atomic writes left behind:
+// the store directory's snapTempPattern files and each live directory's
+// baseTempPattern and manifestTempPattern files. It touches no other name.
+// A temp file is only ever live while its write runs, so sweepTemps must
+// not run beside a write; the catalog load at startup calls it before any
+// corpus opens. It returns the first error and sweeps on past it.
+func (s *Store) sweepTemps() error {
+	entries, err := s.fs.ReadDir(s.dir)
+	if err != nil {
+		return fmt.Errorf("service: sweeping temp files: %w", err)
+	}
+	first := s.removeMatching(s.dir, entries, snapTempPattern)
+	for _, e := range entries {
+		if !e.IsDir() || !strings.HasSuffix(e.Name(), liveExt) {
+			continue
+		}
+		dir := filepath.Join(s.dir, e.Name())
+		live, err := s.fs.ReadDir(dir)
+		if err == nil {
+			err = s.removeMatching(dir, live, baseTempPattern, manifestTempPattern)
+		}
+		first = cmp.Or(first, err)
+	}
+	if first != nil {
+		return fmt.Errorf("service: sweeping temp files: %w", first)
+	}
+	return nil
+}
+
+// removeMatching removes the files among dir's entries whose names match
+// one of patterns, returning the first failure.
+func (s *Store) removeMatching(dir string, entries []fs.DirEntry, patterns ...string) error {
+	var first error
+	for _, e := range entries {
+		matches := func(pat string) bool { ok, _ := filepath.Match(pat, e.Name()); return ok }
+		if e.IsDir() || !slices.ContainsFunc(patterns, matches) {
+			continue
+		}
+		if err := s.fs.Remove(filepath.Join(dir, e.Name())); err != nil && !errors.Is(err, os.ErrNotExist) {
+			first = cmp.Or(first, err)
+		}
+	}
+	return first
 }
 
 // List returns the names of every persisted corpus, in directory order.

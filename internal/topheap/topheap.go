@@ -6,7 +6,7 @@ package topheap
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Item is a scored half-open interval [Start, End).
@@ -88,14 +88,22 @@ func (h *Heap) Offer(it Item) bool {
 func (h *Heap) Items() []Item {
 	out := make([]Item, len(h.items))
 	copy(out, h.items)
-	sort.Slice(out, func(a, b int) bool { return lessDesc(out[a], out[b]) })
+	slices.SortFunc(out, Item.CompareDesc)
 	return out
 }
 
-// LessDesc reports whether x precedes y in the canonical descending output
+// CompareDesc returns −1 if x precedes y in the canonical descending output
 // order — the order Items returns and the sharded merge layer sorts pooled
-// candidates in.
-func (x Item) LessDesc(y Item) bool { return lessDesc(x, y) }
+// candidates in — +1 if it follows, and 0 if neither does.
+func (x Item) CompareDesc(y Item) int {
+	switch {
+	case lessDesc(x, y):
+		return -1
+	case lessDesc(y, x):
+		return 1
+	}
+	return 0
+}
 
 // lessDesc orders by higher score first, then by earlier start, then earlier
 // end.
