@@ -13,7 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 	"unicode/utf8"
 )
@@ -238,8 +238,12 @@ func Validate(s []byte, k int) error {
 // Encoder maps text characters to symbol indices. It is used by the CLI
 // tools and examples to turn human-readable strings (e.g. "WLWWL" or
 // "0110100") into symbol strings.
+//
+// ASCII characters translate through a 128-entry table; only characters of
+// U+0080 and above go through the rune map.
 type Encoder struct {
-	toSymbol map[rune]byte
+	ascii    [utf8.RuneSelf]uint16 // symbol+1 of each ASCII character of the alphabet, 0 for the rest
+	toSymbol map[rune]byte         // characters of U+0080 and above
 	toRune   []rune
 }
 
@@ -256,59 +260,87 @@ func invalidUTF8(kind, s string) error {
 	return fmt.Errorf("alphabet: %s is not valid UTF-8", kind)
 }
 
+// distinctRunes returns the distinct runes of sample in first-appearance
+// order. The sample must be valid UTF-8 and hold 2 to MaxK distinct runes;
+// the scan stops at the (MaxK+1)th, so rejecting an oversized sample costs
+// at most MaxK+1 map entries.
+func distinctRunes(sample string) ([]rune, error) {
+	if !utf8.ValidString(sample) {
+		return nil, invalidUTF8("alphabet sample", sample)
+	}
+	var ascii [utf8.RuneSelf]bool
+	var other map[rune]bool
+	var runes []rune
+	for i := 0; i < len(sample); {
+		r := rune(sample[i])
+		if r < utf8.RuneSelf {
+			i++
+			if ascii[r] {
+				continue
+			}
+			ascii[r] = true
+		} else {
+			var size int
+			r, size = utf8.DecodeRuneInString(sample[i:])
+			i += size
+			if other[r] {
+				continue
+			}
+			if other == nil {
+				other = make(map[rune]bool)
+			}
+			other[r] = true
+		}
+		if len(runes) == MaxK {
+			return nil, fmt.Errorf("alphabet: more than %d distinct characters in sample", MaxK)
+		}
+		runes = append(runes, r)
+	}
+	if len(runes) < 2 {
+		return nil, fmt.Errorf("alphabet: sample has %d distinct characters, need at least 2", len(runes))
+	}
+	return runes, nil
+}
+
+// newEncoder numbers runes in the given order.
+func newEncoder(runes []rune) *Encoder {
+	e := &Encoder{toRune: runes}
+	for i, r := range runes {
+		if r < utf8.RuneSelf {
+			e.ascii[r] = uint16(i) + 1
+			continue
+		}
+		if e.toSymbol == nil {
+			e.toSymbol = make(map[rune]byte)
+		}
+		e.toSymbol[r] = byte(i)
+	}
+	return e
+}
+
 // NewEncoder builds an encoder whose alphabet is the set of distinct runes
 // of sample in first-appearance order. At least two distinct runes are
 // required, and the sample must be valid UTF-8: silently folding invalid
 // bytes to U+FFFD (what Go string iteration does) would make Decode∘Encode
 // canonicalize instead of round-trip, so invalid input is an error.
 func NewEncoder(sample string) (*Encoder, error) {
-	if !utf8.ValidString(sample) {
-		return nil, invalidUTF8("alphabet sample", sample)
+	runes, err := distinctRunes(sample)
+	if err != nil {
+		return nil, err
 	}
-	e := &Encoder{toSymbol: make(map[rune]byte)}
-	for _, r := range sample {
-		if _, ok := e.toSymbol[r]; ok {
-			continue
-		}
-		if len(e.toRune) >= MaxK {
-			return nil, fmt.Errorf("alphabet: more than %d distinct characters in sample", MaxK)
-		}
-		e.toSymbol[r] = byte(len(e.toRune))
-		e.toRune = append(e.toRune, r)
-	}
-	if len(e.toRune) < 2 {
-		return nil, fmt.Errorf("alphabet: sample has %d distinct characters, need at least 2", len(e.toRune))
-	}
-	return e, nil
+	return newEncoder(runes), nil
 }
 
 // NewEncoderSorted is NewEncoder but with the alphabet in sorted rune order,
 // so that the symbol numbering does not depend on first appearance. Like
 // NewEncoder it rejects samples that are not valid UTF-8.
 func NewEncoderSorted(sample string) (*Encoder, error) {
-	if !utf8.ValidString(sample) {
-		return nil, invalidUTF8("alphabet sample", sample)
+	runes, err := distinctRunes(sample)
+	if err != nil {
+		return nil, err
 	}
-	seen := make(map[rune]bool)
-	var runes []rune
-	for _, r := range sample {
-		if !seen[r] {
-			seen[r] = true
-			runes = append(runes, r)
-		}
-	}
-	if len(runes) < 2 {
-		return nil, fmt.Errorf("alphabet: sample has %d distinct characters, need at least 2", len(runes))
-	}
-	if len(runes) > MaxK {
-		return nil, fmt.Errorf("alphabet: more than %d distinct characters in sample", MaxK)
-	}
-	sort.Slice(runes, func(i, j int) bool { return runes[i] < runes[j] })
-	e := &Encoder{toSymbol: make(map[rune]byte, len(runes)), toRune: runes}
-	for i, r := range runes {
-		e.toSymbol[r] = byte(i)
-	}
-	return e, nil
+	slices.Sort(runes)
+	return newEncoder(runes), nil
 }
 
 // K returns the encoder's alphabet size.
@@ -321,6 +353,15 @@ func (e *Encoder) K() int { return len(e.toRune) }
 func (e *Encoder) Encode(text string) ([]byte, error) {
 	out := make([]byte, 0, len(text))
 	for i := 0; i < len(text); {
+		if c := text[i]; c < utf8.RuneSelf {
+			sym := e.ascii[c]
+			if sym == 0 {
+				return nil, fmt.Errorf("alphabet: character %q at byte %d not in alphabet", rune(c), i)
+			}
+			out = append(out, byte(sym-1))
+			i++
+			continue
+		}
 		r, size := utf8.DecodeRuneInString(text[i:])
 		if r == utf8.RuneError && size <= 1 {
 			return nil, fmt.Errorf("alphabet: text is not valid UTF-8 at byte %d (0x%02x)", i, text[i])
@@ -335,9 +376,11 @@ func (e *Encoder) Encode(text string) ([]byte, error) {
 	return out, nil
 }
 
-// Decode converts symbol indices back to text.
+// Decode converts symbol indices back to text. The builder is sized for
+// one byte per symbol, what an ASCII alphabet takes.
 func (e *Encoder) Decode(s []byte) (string, error) {
 	var b strings.Builder
+	b.Grow(len(s))
 	for i, c := range s {
 		if int(c) >= len(e.toRune) {
 			return "", fmt.Errorf("alphabet: symbol %d at position %d out of range", c, i)

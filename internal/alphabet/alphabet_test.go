@@ -1,7 +1,9 @@
 package alphabet
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -307,6 +309,43 @@ func TestEncoderInvalidUTF8(t *testing.T) {
 	back, err := e2.Decode(syms)
 	if err != nil || back != "x��x" {
 		t.Errorf("round trip = %q, err %v", back, err)
+	}
+}
+
+// TestEncoderRejectsOversizedSampleEarly: both constructors stop at the
+// (MaxK+1)th distinct character instead of collecting every distinct rune
+// first. On 1 MiB of distinct 4-byte runes, collecting them all allocated
+// 15 MB before the sample was rejected. An invalid byte anywhere in the
+// sample still takes precedence.
+func TestEncoderRejectsOversizedSampleEarly(t *testing.T) {
+	var b strings.Builder
+	for r := rune(0x10000); b.Len() < 1<<20; r++ {
+		b.WriteRune(r)
+	}
+	sample := b.String()
+	for _, c := range []struct {
+		name  string
+		build func(string) (*Encoder, error)
+	}{{"NewEncoder", NewEncoder}, {"NewEncoderSorted", NewEncoderSorted}} {
+		var err error
+		allocated := uint64(math.MaxUint64)
+		for range 3 {
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			_, err = c.build(sample)
+			runtime.ReadMemStats(&m1)
+			allocated = min(allocated, m1.TotalAlloc-m0.TotalAlloc)
+		}
+		if want := "alphabet: more than 256 distinct characters in sample"; errText(err) != want {
+			t.Errorf("%s: error %q, want %q", c.name, errText(err), want)
+		}
+		if allocated > 64<<10 {
+			t.Errorf("%s: allocated %d bytes rejecting the sample, want at most %d", c.name, allocated, 64<<10)
+		}
+		_, err = c.build(sample + "\xff")
+		if want := fmt.Sprintf("alphabet: alphabet sample is not valid UTF-8 at byte %d (0xff)", len(sample)); errText(err) != want {
+			t.Errorf("%s with a trailing invalid byte: error %q, want %q", c.name, errText(err), want)
+		}
 	}
 }
 

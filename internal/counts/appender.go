@@ -154,7 +154,7 @@ func AppendableFrom(cp *Checkpointed, s []byte) (*Appender, error) {
 	for off, sym := range s[a.lo:] {
 		a.delta[sym]++
 		if off+1 < a.b {
-			a.writeGroup(a.scratch, off+1)
+			orNibbles(a.scratch, a.k, off+1, a.delta)
 		}
 	}
 	if a.lanes {
@@ -185,17 +185,6 @@ func (a *Appender) CopiedBytes() int64 { return a.copied }
 // valid and constant while appending continues.
 func (a *Appender) Symbols() []byte { return a.syms[:a.n:a.n] }
 
-// writeGroup ORs the current deltas into the nibble group of block offset
-// off (the group encoding s[lo:lo+off)). Destination words must be zero at
-// the group's bits — groups are written exactly once per block lifetime.
-func (a *Appender) writeGroup(dst []uint32, off int) {
-	bit := off * a.k * 4
-	for _, d := range a.delta {
-		dst[a.k+bit>>5] |= d << (bit & 31)
-		bit += 4
-	}
-}
-
 // Append extends the corpus with batch. Symbols are validated against the
 // alphabet first, so a rejected batch leaves the index untouched (no
 // partial application). Amortized cost is O(k) per symbol: one nibble-group
@@ -218,17 +207,11 @@ func (a *Appender) Append(batch []byte) error {
 			if a.lanes {
 				// Whole-group write: the packed mirror gains this symbol's
 				// increment (no lane carry — at most b−1 increments have
-				// happened) and lands with one OR, spilling the straddle
-				// bits into the next word; group eligibility guarantees the
-				// shifted group never outgrows the two words.
+				// happened) and lands with one OR per word it touches.
 				a.packed += 1 << (4 * uint(sym))
-				bit := off * a.k * 4
-				di := a.k + bit>>5
-				g := a.packed << (bit & 31)
-				a.scratch[di] |= uint32(g)
-				a.scratch[di+1] |= uint32(g >> 32)
+				orGroup(a.scratch, a.k, off, a.packed)
 			} else {
-				a.writeGroup(a.scratch, off)
+				orNibbles(a.scratch, a.k, off, a.delta)
 			}
 		} else {
 			a.seal()
@@ -269,7 +252,7 @@ func (a *Appender) Snapshot() *Checkpointed {
 	// stop at pos = n); bit-identity is what makes epochs and from-scratch
 	// indexes interchangeable on disk.
 	for off := a.n - a.lo + 1; off < a.b; off++ {
-		a.writeGroup(tail, off)
+		orNibbles(tail, a.k, off, a.delta)
 	}
 	p := &Checkpointed{
 		k: a.k, n: a.n, b: a.b, shift: a.shift, stride: a.stride,

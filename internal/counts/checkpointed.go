@@ -124,36 +124,48 @@ func NewCheckpointed(s []byte, k, interval int) (*Checkpointed, error) {
 	stride := k + deltaWords
 	nb := n/interval + 1
 	blocks := make([]uint32, nb*stride+1)
+	lanes := GroupFits(k)
 	cum := make([]uint32, k)
 	delta := make([]uint32, k)
 	for bi := 0; bi < nb; bi++ {
-		base := bi * stride
-		copy(blocks[base:base+k], cum)
+		blk := blocks[bi*stride:]
+		copy(blk, cum)
 		lo := bi * interval
-		hi := lo + interval
-		if hi > n {
-			hi = n
-		}
-		// delta[c] tracks the in-block increments; position off's group is
-		// written before consuming symbol off, so it encodes s[lo:lo+off).
-		// Nibbles are 4-bit aligned, so none ever straddles a word. The
-		// final partial block keeps writing groups past the text end: the
-		// probe at pos = n lands there.
+		hi := min(lo+interval, n)
+		// Position off's group encodes s[lo:lo+off), so it is written once
+		// symbol off−1 is counted. The final partial block keeps writing
+		// groups past the text end: the probe at pos = n lands there.
+		// GroupFits alphabets count in the packed group g and land it whole
+		// (orGroup); the rest count in delta and write it nibble by nibble.
+		var g uint64
 		clear(delta)
-		for off := 0; off < interval; off++ {
-			if off > 0 {
-				bit := off * k * 4
-				for c := 0; c < k; c++ {
-					blocks[base+k+bit>>5] |= delta[c] << (bit & 31)
-					bit += 4
+		for off := 1; off < interval; off++ {
+			if p := lo + off - 1; p < hi {
+				if lanes {
+					g += 1 << (4 * s[p])
+				} else {
+					delta[s[p]]++
 				}
 			}
-			if lo+off < hi {
-				delta[s[lo+off]]++
+			if lanes {
+				orGroup(blk, k, off, g)
+			} else {
+				orNibbles(blk, k, off, delta)
 			}
 		}
-		for c := 0; c < k; c++ {
-			cum[c] += delta[c]
+		// The block's last symbol is in no group of its own block: it stays
+		// out of g, where in a block of 16 equal symbols it would carry into
+		// the next nibble, and goes straight into the next block's row.
+		if lanes {
+			for c := range delta {
+				delta[c] = uint32(g>>(4*c)) & 15
+			}
+		}
+		if hi-lo == interval {
+			delta[s[hi-1]]++
+		}
+		for c, d := range delta {
+			cum[c] += d
 		}
 	}
 	return newContiguous(k, n, interval, shift, stride, blocks), nil
@@ -172,6 +184,32 @@ func newContiguous(k, n, interval int, shift uint, stride int, blocks []uint32) 
 	}
 	p.resolveKernel(Active())
 	return p
+}
+
+// orGroup ORs the packed nibble group g (nibble c holds symbol c's
+// in-block count) into the group of block offset off of the block image blk,
+// whose delta words start at word k: one OR into each of the two words the
+// group can span, the second zero unless it straddles. GroupFits alphabets
+// only, whose groups never outgrow two words; blk must reach one word past
+// the group (every image carries a padding word), and the group's bits must
+// still be zero.
+func orGroup(blk []uint32, k, off int, g uint64) {
+	bit := off * k * 4
+	di := k + bit>>5
+	g <<= bit & 31
+	blk[di] |= uint32(g)
+	blk[di+1] |= uint32(g >> 32)
+}
+
+// orNibbles is orGroup for any alphabet: it writes the unpacked in-block
+// counts delta one nibble at a time. Nibbles are 4-bit aligned, so none
+// straddles a word.
+func orNibbles(blk []uint32, k, off int, delta []uint32) {
+	bit := off * k * 4
+	for _, d := range delta {
+		blk[k+bit>>5] |= d << (bit & 31)
+		bit += 4
+	}
 }
 
 // CheckpointedWords returns the exact length of the packed block array of a
