@@ -78,6 +78,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -92,6 +93,7 @@ import (
 	"strings"
 	"syscall"
 	"time"
+	"unicode/utf8"
 
 	"repro"
 	"repro/internal/replica"
@@ -509,17 +511,24 @@ func (s *server) writeError(w http.ResponseWriter, err error) {
 	}
 }
 
-// decodeBody strictly decodes a JSON request body into v. The body budget
-// accounts for JSON escaping of a maximum-size corpus text (up to 6 wire
-// bytes per text byte), so every upload the text limit permits decodes.
+// decodeBody strictly decodes a JSON request body into v, a pointer to a
+// request struct whose "text" member is *text. The body budget accounts
+// for JSON escaping of a maximum-size corpus text (up to 6 wire bytes per
+// text byte), so every upload the text limit permits decodes.
 // MaxBytesReader (unlike a plain LimitReader) also closes the connection on
 // overrun, so an oversized upload cannot keep streaming into a dead request.
-func (s *server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+// The body is read in full before it is decoded: a body over the budget is
+// a 413 even when its first JSON value ends early, and the read buffer
+// grows with the bytes received, never with a declared Content-Length.
+func (s *server) decodeBody(w http.ResponseWriter, r *http.Request, v any, text *string) bool {
 	body := http.MaxBytesReader(w, r.Body, s.exec.BodyLimit())
 	defer body.Close()
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	var buf bytes.Buffer
+	_, err := buf.ReadFrom(body)
+	if err == nil {
+		err = decodeJSON(buf.Bytes(), v, text)
+	}
+	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{
@@ -530,6 +539,76 @@ func (s *server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool 
 		return false
 	}
 	return true
+}
+
+// decodeJSON decodes data into v exactly as a json.Decoder with
+// DisallowUnknownFields does — first JSON value only, later members
+// overriding earlier ones, trailing bytes ignored — with one shortcut: a
+// body that opens with a text member whose literal needs no unescaping
+// (leadingText) has the literal's bytes stored to *text directly, and the
+// decoder sees only the rest of the object, reopened with "{". Bulk
+// uploads and appends are exactly {"text":"…"}, so the decoder never walks
+// their text byte by byte.
+func decodeJSON(data []byte, v any, text *string) error {
+	if lit, rest, ok := leadingText(data); ok {
+		*text = string(lit)
+		data = append([]byte{'{'}, rest...)
+	}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
+}
+
+// leadingText splits a body that opens with {"text":" into the string
+// literal's contents and the object's remaining members. ok is false — the
+// body needs the full decoder — unless the literal decodes to its own
+// bytes (no backslash, no byte below 0x20, valid UTF-8: the cases
+// encoding/json unquotes, rejects or replaces with U+FFFD) and is followed
+// by "}" or by "," and a member name's opening quote. rest begins at that
+// "}" or just after that ",", so "{" + rest is the object minus its text
+// member, followed by the body's trailing bytes.
+func leadingText(data []byte) (lit, rest []byte, ok bool) {
+	const open = `{"text":"`
+	if !bytes.HasPrefix(data, []byte(open)) {
+		return nil, nil, false
+	}
+	lit = data[len(open):]
+	q := bytes.IndexByte(lit, '"')
+	if q < 0 || q+1 == len(lit) {
+		return nil, nil, false
+	}
+	lit, rest = lit[:q], lit[q+1:]
+	if bytes.IndexByte(lit, '\\') >= 0 || hasControl(lit) || !utf8.Valid(lit) {
+		return nil, nil, false
+	}
+	switch {
+	case rest[0] == '}':
+	case rest[0] == ',' && len(rest) > 1 && rest[1] == '"':
+		rest = rest[1:]
+	default:
+		return nil, nil, false
+	}
+	return lit, rest, true
+}
+
+// hasControl reports whether b holds a byte below 0x20, eight bytes at a
+// time: subtracting 0x20 from each byte of a word borrows into the top bit
+// of some byte that was below 0x20 (and had that bit clear) exactly when
+// the word holds one.
+func hasControl(b []byte) bool {
+	const ones, tops = 0x0101010101010101, 0x8080808080808080
+	for ; len(b) >= 8; b = b[8:] {
+		x := binary.LittleEndian.Uint64(b)
+		if (x-0x20*ones)&^x&tops != 0 {
+			return true
+		}
+	}
+	for _, c := range b {
+		if c < 0x20 {
+			return true
+		}
+	}
+	return false
 }
 
 // acquireScan claims a slot in the scan semaphore, waiting up to queueWait.
@@ -717,7 +796,7 @@ func (s *server) handlePutCorpus(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req putCorpusRequest
-	if !s.decodeBody(w, r, &req) {
+	if !s.decodeBody(w, r, &req, &req.Text) {
 		return
 	}
 	if len(req.Text) > s.exec.TextLimit() {
@@ -750,7 +829,7 @@ type appendCorpusRequest struct {
 func (s *server) handleAppendCorpus(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	var req appendCorpusRequest
-	if !s.decodeBody(w, r, &req) {
+	if !s.decodeBody(w, r, &req, &req.Text) {
 		return
 	}
 	if len(req.Text) > s.exec.TextLimit() {
@@ -820,7 +899,7 @@ func (s *server) handleDeleteCorpus(w http.ResponseWriter, r *http.Request) {
 
 func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req service.SingleRequest
-	if !s.decodeBody(w, r, &req) {
+	if !s.decodeBody(w, r, &req, &req.Text) {
 		return
 	}
 	resp, ok := s.runScan(w, r, req.Batch())
@@ -832,7 +911,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req service.BatchRequest
-	if !s.decodeBody(w, r, &req) {
+	if !s.decodeBody(w, r, &req, &req.Text) {
 		return
 	}
 	resp, ok := s.runScan(w, r, req)

@@ -135,37 +135,31 @@ func NewCheckpointed(s []byte, k, interval int) (*Checkpointed, error) {
 		// Position off's group encodes s[lo:lo+off), so it is written once
 		// symbol off−1 is counted. The final partial block keeps writing
 		// groups past the text end: the probe at pos = n lands there.
-		// GroupFits alphabets count in the packed group g and land it whole
-		// (orGroup); the rest count in delta and write it nibble by nibble.
-		var g uint64
-		clear(delta)
-		for off := 1; off < interval; off++ {
-			if p := lo + off - 1; p < hi {
-				if lanes {
-					g += 1 << (4 * s[p])
-				} else {
+		// GroupFits alphabets count in the packed group g and tile the
+		// block's delta words from it (packGroups); the rest count in delta
+		// and write it nibble by nibble.
+		if lanes {
+			g := packGroups(blk[k:k+deltaWords], s[lo:hi], k, interval)
+			for c := range cum {
+				cum[c] += uint32(g>>(4*c)) & 15
+			}
+		} else {
+			clear(delta)
+			for off := 1; off < interval; off++ {
+				if p := lo + off - 1; p < hi {
 					delta[s[p]]++
 				}
-			}
-			if lanes {
-				orGroup(blk, k, off, g)
-			} else {
 				orNibbles(blk, k, off, delta)
 			}
-		}
-		// The block's last symbol is in no group of its own block: it stays
-		// out of g, where in a block of 16 equal symbols it would carry into
-		// the next nibble, and goes straight into the next block's row.
-		if lanes {
-			for c := range delta {
-				delta[c] = uint32(g>>(4*c)) & 15
+			for c, d := range delta {
+				cum[c] += d
 			}
 		}
+		// The block's last symbol is in no group of its own block, so it
+		// goes straight into the next block's row; in a packed g, a block
+		// of 16 equal symbols would carry it into the next nibble.
 		if hi-lo == interval {
-			delta[s[hi-1]]++
-		}
-		for c, d := range delta {
-			cum[c] += d
+			cum[s[hi-1]]++
 		}
 	}
 	return newContiguous(k, n, interval, shift, stride, blocks), nil
@@ -184,6 +178,40 @@ func newContiguous(k, n, interval int, shift uint, stride int, blocks []uint32) 
 	}
 	p.resolveKernel(Active())
 	return p
+}
+
+// packGroups writes the delta words dw of one block of a GroupFits
+// alphabet whose symbols are blk (at most interval of them; a final partial
+// block repeats its last group to the block end). Group off is the packed
+// count of blk[:off]; the groups are laid end to end into a 64-bit register
+// and each word is stored once, when full — no read-modify-write of the
+// image. It returns the last group, the count of blk's first interval−1
+// symbols. pending is each group's bit offset in its first word, and a
+// GroupFits group spans at most two words from there (as orGroup relies
+// on), so no group runs past the register.
+func packGroups(dw []uint32, blk []byte, k, interval int) (g uint64) {
+	width := uint(4 * k)
+	counted := min(len(blk), interval-1)
+	var acc uint64 // pending bits, lowest first
+	var pending uint
+	w := 0
+	for off := range interval {
+		acc |= g << pending
+		pending += width
+		for pending >= 32 {
+			dw[w] = uint32(acc)
+			w++
+			acc >>= 32
+			pending -= 32
+		}
+		if off < counted {
+			g += 1 << (4 * blk[off])
+		}
+	}
+	if pending > 0 {
+		dw[w] = uint32(acc)
+	}
+	return g
 }
 
 // orGroup ORs the packed nibble group g (nibble c holds symbol c's

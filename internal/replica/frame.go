@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"hash/crc64"
 	"io"
+	"slices"
 
 	"repro/internal/snapshot"
 )
@@ -100,6 +101,34 @@ func WriteFrame(w io.Writer, f Frame) error {
 	return err
 }
 
+// payloadChunk is the most readPayload allocates before any payload byte
+// has arrived.
+const payloadChunk = 64 << 10
+
+// readPayload reads an l-byte payload from r. The length comes off the
+// wire unauthenticated (the checksum trails the payload), so the buffer
+// starts at payloadChunk and at most doubles each time it fills: it never
+// holds more than one chunk or twice the bytes that have arrived, whatever
+// length the header claims. A stream that ends early is
+// io.ErrUnexpectedEOF.
+func readPayload(r io.Reader, l int) ([]byte, error) {
+	payload := make([]byte, 0, min(l, payloadChunk))
+	for len(payload) < l {
+		if len(payload) == cap(payload) {
+			payload = slices.Grow(payload, min(len(payload), l-len(payload)))
+		}
+		n, err := io.ReadFull(r, payload[len(payload):min(cap(payload), l)])
+		payload = payload[:len(payload)+n]
+		if err != nil {
+			if errors.Is(err, io.EOF) {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+	}
+	return payload, nil
+}
+
 // ReadFrame decodes the next frame from r. io.EOF at a frame boundary is
 // returned verbatim (clean end of a catch-up stream); a stream dying
 // mid-frame surfaces as io.ErrUnexpectedEOF, and a checksum or header
@@ -120,15 +149,16 @@ func ReadFrame(r io.Reader) (Frame, error) {
 	default:
 		return Frame{}, fmt.Errorf("%w: unknown type %q", ErrFrameCorrupt, hdr[0])
 	}
+	gen, off := int(binary.LittleEndian.Uint64(hdr[1:])), int64(binary.LittleEndian.Uint64(hdr[9:]))
+	if gen < 0 || off < 0 {
+		return Frame{}, fmt.Errorf("%w: negative position gen=%d offset=%d", ErrFrameCorrupt, gen, off)
+	}
 	l := binary.LittleEndian.Uint32(hdr[17:])
 	if l > MaxFramePayload {
 		return Frame{}, fmt.Errorf("%w: payload length %d exceeds the %d cap", ErrFrameCorrupt, l, MaxFramePayload)
 	}
-	payload := make([]byte, l)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		if errors.Is(err, io.EOF) {
-			err = io.ErrUnexpectedEOF
-		}
+	payload, err := readPayload(r, int(l))
+	if err != nil {
 		return Frame{}, err
 	}
 	var trailer [frameTrailerSize]byte
@@ -142,10 +172,5 @@ func ReadFrame(r io.Reader) (Frame, error) {
 	if crc != binary.LittleEndian.Uint64(trailer[:]) {
 		return Frame{}, fmt.Errorf("%w: checksum mismatch", ErrFrameCorrupt)
 	}
-	return Frame{
-		Type:    hdr[0],
-		Gen:     int(binary.LittleEndian.Uint64(hdr[1:])),
-		Offset:  int64(binary.LittleEndian.Uint64(hdr[9:])),
-		Payload: payload,
-	}, nil
+	return Frame{Type: hdr[0], Gen: gen, Offset: off, Payload: payload}, nil
 }

@@ -284,8 +284,8 @@ type Info struct {
 	// Segment, when present, marks the corpus as one suffix segment of a
 	// sharded parent corpus (see the shard catalog endpoints).
 	Segment *SegmentInfo `json:"segment,omitempty"`
-	// Kernel is the reconstruct-kernel tier this corpus's scans run on
-	// (scalar, swar, or avx2 — bit-identical results, different speed).
+	// Kernel is the reconstruct-kernel tier of this corpus's count-index
+	// probes, "scalar" or "avx2" (bit-identical results, different speed).
 	Kernel string `json:"kernel,omitempty"`
 }
 
