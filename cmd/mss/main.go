@@ -85,15 +85,13 @@ func run(args []string, out io.Writer) error {
 		snapOut  = fs.String("snapshot-out", "", "write the built corpus (codec, model, symbols, count index) to this snapshot file — the offline index build mssd -data-dir serves directly")
 		snapIn   = fs.String("snapshot-in", "", "scan a corpus from a snapshot file (mmap-served) instead of -text/-file; the model and codec come from the snapshot")
 		segments = fs.Int("segments", 0, "with -snapshot-out: cut the corpus into this many suffix segments and write one snapshot plus .segment.json sidecar per shard (for mssd -shard-of serving) instead of a single file")
-		version  = fs.Bool("version", false, "print the version, active scan kernel, and detected CPU features")
+		version  = fs.Bool("version", false, "print the version")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *version {
 		fmt.Fprintf(out, "mss %s\n", buildVersion())
-		fmt.Fprintf(out, "kernel: %s\n", sigsub.ActiveKernel())
-		fmt.Fprintf(out, "cpu: %s\n", sigsub.CPUFeatures())
 		return nil
 	}
 

@@ -95,7 +95,6 @@ import (
 	"time"
 	"unicode/utf8"
 
-	"repro"
 	"repro/internal/replica"
 	"repro/internal/service"
 )
@@ -727,11 +726,6 @@ func (s *server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		"live_corpora": len(live),
 		"live_bytes":   liveBytes,
 		"epochs":       epochs,
-		// The reconstruct-kernel tier scans run on and the CPU features the
-		// dispatcher saw — what an operator checks when comparing node
-		// throughput across a heterogeneous fleet.
-		"kernel": sigsub.ActiveKernel().String(),
-		"cpu":    sigsub.CPUFeatures(),
 	}
 	if len(degraded) > 0 {
 		body["degraded"] = degraded

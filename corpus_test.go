@@ -26,10 +26,11 @@ func corpusRandString(rng *rand.Rand, n, k int) []byte {
 	return s
 }
 
-func corpusBatches(rng *rand.Rand, s []byte) [][]byte {
+// corpusBatches cuts s into random batches of 1 to maxBatch symbols.
+func corpusBatches(rng *rand.Rand, s []byte, maxBatch int) [][]byte {
 	var batches [][]byte
 	for i := 0; i < len(s); {
-		n := 1 + rng.Intn(97)
+		n := 1 + rng.Intn(maxBatch)
 		if i+n > len(s) {
 			n = len(s) - i
 		}
@@ -78,7 +79,7 @@ func TestCorpusGoldenEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, b := range corpusBatches(rng, s) {
+		for _, b := range corpusBatches(rng, s, 97) {
 			if err := corpus.Append(b); err != nil {
 				t.Fatal(err)
 			}
@@ -187,58 +188,98 @@ func TestCorpusGoldenEquivalence(t *testing.T) {
 }
 
 // TestCorpusEpochPinning: Views taken mid-append answer for exactly their
-// epoch's prefix, long after the corpus has grown past them.
+// epoch's prefix, long after the corpus has grown past them — MSS, top-5
+// and MSS at 8 workers equal a fresh scanner's over the prefix. The inputs
+// are a uniform k=3 corpus and a skewed k=8 one whose short batches end
+// most epochs mid-block, so its views probe relocated tail blocks.
 func TestCorpusEpochPinning(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	model, err := UniformModel(3)
+	uni3, err := UniformModel(3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := corpusRandString(rng, 800, 3)
-	corpus, err := NewCorpus(model)
+	probs := make([]float64, 8)
+	rest := 1.0
+	for c := range 7 {
+		probs[c] = rest / 3
+		rest -= probs[c]
+	}
+	probs[7] = rest
+	skew8, err := NewModel(probs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	type pinned struct {
-		n     int
-		epoch uint64
-		view  *Scanner
-	}
-	var pins []pinned
-	n := 0
-	for _, b := range corpusBatches(rng, s) {
-		if err := corpus.Append(b); err != nil {
-			t.Fatal(err)
-		}
-		n += len(b)
-		pins = append(pins, pinned{n: n, epoch: corpus.Epoch(), view: corpus.View()})
-	}
-	for i, p := range pins {
-		if p.epoch != uint64(i+1) {
-			t.Fatalf("pin %d: epoch %d, want %d", i, p.epoch, i+1)
-		}
-		if p.view.Len() != p.n {
-			t.Fatalf("pin %d: view length %d, want %d", i, p.view.Len(), p.n)
-		}
-		ref, err := NewScanner(s[:p.n], model)
+	for _, in := range []struct {
+		name     string
+		model    *Model
+		seed     int64
+		n        int
+		maxBatch int
+	}{{"uniform3", uni3, 9, 800, 97}, {"skew8", skew8, 99, 600, 37}} {
+		rng := rand.New(rand.NewSource(in.seed))
+		s := corpusRandString(rng, in.n, in.model.K())
+		corpus, err := NewCorpus(in.model)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := ref.MSS()
-		if err != nil {
-			t.Fatal(err)
+		type pinned struct {
+			n     int
+			epoch uint64
+			view  *Scanner
 		}
-		got, err := p.view.MSS()
-		if err != nil {
-			t.Fatal(err)
+		var pins []pinned
+		n := 0
+		for _, b := range corpusBatches(rng, s, in.maxBatch) {
+			if err := corpus.Append(b); err != nil {
+				t.Fatal(err)
+			}
+			n += len(b)
+			pins = append(pins, pinned{n: n, epoch: corpus.Epoch(), view: corpus.View()})
 		}
-		if got != want {
-			t.Fatalf("pin %d (n=%d): MSS %+v, want %+v", i, p.n, got, want)
+		for i, p := range pins {
+			if p.epoch != uint64(i+1) {
+				t.Fatalf("%s pin %d: epoch %d, want %d", in.name, i, p.epoch, i+1)
+			}
+			if p.view.Len() != p.n {
+				t.Fatalf("%s pin %d: view length %d, want %d", in.name, i, p.view.Len(), p.n)
+			}
+			ref, err := NewScanner(s[:p.n], in.model)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := ref.MSS()
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantTop, err := runResults(ref, TopTQuery(5))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := p.view.MSS()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Fatalf("%s pin %d (n=%d): MSS %+v, want %+v", in.name, i, p.n, got, want)
+			}
+			gotTop, err := runResults(p.view, TopTQuery(5))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(gotTop, wantTop) {
+				t.Fatalf("%s pin %d (n=%d): top-5 %+v, want %+v", in.name, i, p.n, gotTop, wantTop)
+			}
+			gotPar, err := p.view.MSS(WithWorkers(8))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotPar != want {
+				t.Fatalf("%s pin %d (n=%d) w=8: MSS %+v, want %+v", in.name, i, p.n, gotPar, want)
+			}
 		}
-	}
-	// Same-epoch Views are the same scanner (cached publish).
-	if corpus.View() != corpus.View() {
-		t.Fatal("same-epoch Views differ")
+		// Same-epoch Views are the same scanner (cached publish).
+		if corpus.View() != corpus.View() {
+			t.Fatalf("%s: same-epoch Views differ", in.name)
+		}
 	}
 }
 

@@ -99,9 +99,7 @@ func NewScanner(s []byte, m *alphabet.Model) (*Scanner, error) {
 // zero-copy path snapshots use: s and pre may alias an mmap'd file, and no
 // index is rebuilt. The symbols are validated against the model (the index
 // geometry was validated by whoever built pre), and the index must describe
-// exactly this string: same length, same alphabet size. Scans run on the
-// kernel tier pre resolved, so pre must not be rebound (SetKernel) once the
-// scanner exists.
+// exactly this string: same length, same alphabet size.
 func NewScannerFromIndex(s []byte, m *alphabet.Model, pre *counts.Checkpointed) (*Scanner, error) {
 	if m != nil {
 		if err := alphabet.Validate(s, m.K()); err != nil {
@@ -150,13 +148,6 @@ func (sc *Scanner) newRoll() *chisq.Roll {
 }
 
 func (sc *Scanner) putRoll(r *chisq.Roll) { sc.rollPool.Put(r) }
-
-// Kernel reports the reconstruct-kernel tier this scanner's index probes
-// (row starts, Vector) run on: the tier its index resolved when it was
-// built — scalar for alphabets
-// outside the group-fetch eligibility (counts.GroupFits), which always
-// probe on the scalar path.
-func (sc *Scanner) Kernel() counts.Tier { return sc.pre.Kernel() }
 
 // IndexBytes returns the resident size of the count index in bytes.
 func (sc *Scanner) IndexBytes() int { return sc.pre.Bytes() }

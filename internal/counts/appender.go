@@ -261,7 +261,7 @@ func (a *Appender) Snapshot() *Checkpointed {
 		tailBase: fb * a.stride,
 		contig:   false,
 	}
-	p.resolveKernel(Active())
+	p.setProbeShape()
 	return p
 }
 

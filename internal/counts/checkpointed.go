@@ -60,47 +60,29 @@ type Checkpointed struct {
 	// serve with no copying.
 	contig bool
 
-	// Probe kernel state, resolved once at construction (from the
-	// process-wide active kernel) or by SetKernel. lanes marks alphabets
-	// whose whole nibble group fits one uint64 fetch (GroupFits): their
-	// probes run through the resolved kernel entry points instead of a
-	// per-symbol nibble walk.
+	// The probe shape, set at construction by setProbeShape. lanes marks
+	// alphabets whose whole nibble group fits one uint64 fetch (GroupFits):
+	// their probes fetch the group once instead of walking nibbles.
 	// oneWord additionally marks geometries whose groups never straddle a
 	// word boundary, saving the second word read.
 	lanes   bool
 	oneWord bool
-	kt      Tier
-	kf      KernelFuncs
 }
 
-// resolveKernel binds the index's probe entry points to a kernel table.
-func (p *Checkpointed) resolveKernel(kr *Kernel) {
-	p.kt = kr.Tier()
-	p.kf, p.lanes = kr.Funcs(p.k)
+// setProbeShape derives the probe shape from the alphabet size.
+func (p *Checkpointed) setProbeShape() {
+	p.lanes = GroupFits(p.k)
 	p.oneWord = 4*p.k <= 32 && 32%(4*p.k) == 0
 }
 
-// Kernel reports which kernel tier this index's probes resolve to. Alphabets
-// outside GroupFits always probe on the scalar path regardless of tier.
-func (p *Checkpointed) Kernel() Tier {
-	if !p.lanes {
-		return TierScalar
-	}
-	return p.kt
-}
-
-// SetKernel rebinds the index's probe kernels to an explicit tier, failing
-// if the tier cannot execute on this CPU/build. It mutates probe dispatch
-// state and must not race in-flight probes: call it before the index is
-// shared, i.e. before a scanner is built over it. Tests and the paired
-// harness use it to pin a tier.
-func (p *Checkpointed) SetKernel(t Tier) error {
-	kr, err := KernelFor(t)
-	if err != nil {
-		return err
-	}
-	p.resolveKernel(kr)
-	return nil
+// GroupFits reports whether a whole nibble group of alphabet size k can be
+// fetched as one uint64 from the packed block words at every in-block
+// offset: the group's word offset is a multiple of gcd(4k, 32) bits, so the
+// two-word read covers it iff 32 − gcd(4k, 32) + 4k ≤ 64 — true for k ≤ 10,
+// k = 12, and k = 16. Other alphabets (11, 13, 14, 15, and k > 16) extract
+// nibble by nibble.
+func GroupFits(k int) bool {
+	return k >= 2 && (k <= 10 || k == 12 || k == 16)
 }
 
 // NewCheckpointed builds the block index for s over an alphabet of size k
@@ -176,7 +158,7 @@ func newContiguous(k, n, interval int, shift uint, stride int, blocks []uint32) 
 		tailBase: tailBase,
 		contig:   true,
 	}
-	p.resolveKernel(Active())
+	p.setProbeShape()
 	return p
 }
 
@@ -420,16 +402,20 @@ func (p *Checkpointed) groupAt(words []uint32, base, off int) uint64 {
 }
 
 // CumAt fills dst (which must have length k) with the cumulative counts of
-// s[0:pos]: one block probe, no walk. Group-eligible alphabets run the
-// resolved reconstruct kernel over the whole group; the rest walk nibbles.
+// s[0:pos]: one block probe, no walk. Group-eligible alphabets fetch the
+// whole nibble group in one read; the rest walk nibbles.
 func (p *Checkpointed) CumAt(pos int, dst []int) {
 	words, base, off := p.probe(pos)
-	if p.lanes {
-		p.kf.Reconstruct(words[base:base+p.k], p.groupAt(words, base, off), zeroBase[:p.k], dst[:p.k])
-		return
-	}
 	row := words[base : base+p.k]
 	dst = dst[:len(row)]
+	if p.lanes {
+		g := p.groupAt(words, base, off)
+		for c, v := range row {
+			dst[c] = int(int32(v)) + int(g&15)
+			g >>= 4
+		}
+		return
+	}
 	deltas := words[base+p.k:]
 	bit := off * p.k * 4
 	for c, v := range row {
@@ -439,8 +425,8 @@ func (p *Checkpointed) CumAt(pos int, dst []int) {
 }
 
 // Vector fills dst (which must have length k) with the count vector of the
-// window s[i:j): two block probes. On group-eligible alphabets the j probe
-// runs the reconstruct kernel and the i probe is folded in as its base.
+// window s[i:j): two block probes, each a group fetch on group-eligible
+// alphabets, folded into one loop over the lanes.
 func (p *Checkpointed) Vector(i, j int, dst []int) []int {
 	if len(dst) != p.k {
 		panic(fmt.Sprintf("counts: Vector dst has length %d, want %d", len(dst), p.k))
@@ -448,12 +434,13 @@ func (p *Checkpointed) Vector(i, j int, dst []int) []int {
 	wj, bj, oj := p.probe(j)
 	wi, bi, oi := p.probe(i)
 	if p.lanes {
-		p.kf.Reconstruct(wj[bj:bj+p.k], p.groupAt(wj, bj, oj), zeroBase[:p.k], dst)
-		gi := p.groupAt(wi, bi, oi)
-		row := wi[bi : bi+p.k]
-		dst = dst[:len(row)]
-		for c, v := range row {
-			dst[c] -= int(int32(v)) + int(gi&15)
+		gj, gi := p.groupAt(wj, bj, oj), p.groupAt(wi, bi, oi)
+		rj := wj[bj : bj+p.k]
+		ri := wi[bi : bi+len(rj)]
+		dst = dst[:len(rj)]
+		for c, v := range rj {
+			dst[c] = int(int32(v)) + int(gj&15) - int(int32(ri[c])) - int(gi&15)
+			gj >>= 4
 			gi >>= 4
 		}
 		return dst

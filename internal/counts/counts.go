@@ -9,9 +9,11 @@
 // Scans run on Checkpointed, which keeps a full cumulative k-vector every B
 // positions plus per-position nibble deltas: about 5× smaller than Prefix,
 // and read only at the chain-cover scan's row starts and skip landings.
-// Appender grows a Checkpointed index in place for live corpora, and the
-// reconstruct kernels (kernel.go) rebuild a probe's count vector on the
-// scalar or AVX2 tier chosen by build tag and CPUID.
+// Appender grows a Checkpointed index in place for live corpora. A probe
+// (CumAt, Vector) reads its block's row and, on alphabets whose nibble group
+// fits one 64-bit read (GroupFits), fetches the whole group at once, then
+// rebuilds the counts in one loop over the k lanes; there is one probe path
+// on every build and CPU.
 package counts
 
 import (

@@ -2,6 +2,7 @@ package counts
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -74,30 +75,34 @@ func runString(rng *rand.Rand, k int) []byte {
 
 // TestBlockImageOracle checks the checkpointed index without an index: on
 // every prefix of a string with long runs, for k = 2..16, 17 and 64 at
-// intervals 4, 8 and 16, CumAt at every position (on every supported
-// kernel tier) equals a direct count, and the block image of both the batch
-// build and an appender fed one symbol at a time equals refBlockImage word
-// for word.
+// intervals 4, 8 and 16, the block image of both the batch build and an
+// appender fed one symbol at a time equals refBlockImage word for word, and
+// both indexes — the contiguous build and the appender's snapshot, whose
+// tail block is a private copy whenever the prefix ends mid-block — answer
+// CumAt at every position, and Vector(i, j) for every j and a seeded sample
+// of i ≤ j, equal to a direct count.
 func TestBlockImageOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
+	pick := rand.New(rand.NewSource(26))
 	ks := []int{17, 64}
 	for k := 2; k <= 16; k++ {
 		ks = append(ks, k)
 	}
-	var tiers []Tier
-	for _, tier := range []Tier{TierScalar, TierAVX2} {
-		if TierSupported(tier) {
-			tiers = append(tiers, tier)
-		}
-	}
 	for _, k := range ks {
 		s := runString(rng, k)
+		// direct[pos] is the count vector of s[:pos], one symbol at a time.
+		direct := make([][]int, len(s)+1)
+		direct[0] = make([]int, k)
+		for pos, sym := range s {
+			direct[pos+1] = slices.Clone(direct[pos])
+			direct[pos+1][sym]++
+		}
 		for _, interval := range []int{4, 8, 16} {
 			a, err := NewAppender(k, interval)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, direct := make([]int, k), make([]int, k)
+			got := make([]int, k)
 			for n := 0; n <= len(s); n++ {
 				if n > 0 {
 					if err := a.Append(s[n-1 : n]); err != nil {
@@ -108,8 +113,9 @@ func TestBlockImageOracle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				snap := a.Snapshot()
 				want := refBlockImage(s[:n], k, interval)
-				for name, words := range map[string][]uint32{"Words": cp.Words(), "appender image": a.Snapshot().ContiguousWords()} {
+				for name, words := range map[string][]uint32{"Words": cp.Words(), "appender image": snap.ContiguousWords()} {
 					if len(words) != len(want) {
 						t.Fatalf("k=%d B=%d n=%d: %s has %d words, want %d", k, interval, n, name, len(words), len(want))
 					}
@@ -119,19 +125,22 @@ func TestBlockImageOracle(t *testing.T) {
 						}
 					}
 				}
-				for _, tier := range tiers {
-					if err := cp.SetKernel(tier); err != nil {
-						t.Fatal(err)
-					}
-					clear(direct)
-					for pos := 0; pos <= n; pos++ {
-						if pos > 0 {
-							direct[s[pos-1]]++
+				for _, idx := range []struct {
+					name string
+					cp   *Checkpointed
+				}{{"contiguous", cp}, {"appender snapshot", snap}} {
+					for j := 0; j <= n; j++ {
+						idx.cp.CumAt(j, got)
+						if !slices.Equal(got, direct[j]) {
+							t.Fatalf("k=%d B=%d n=%d %s: CumAt(%d) = %v, want %v", k, interval, n, idx.name, j, got, direct[j])
 						}
-						cp.CumAt(pos, got)
-						for c := range got {
-							if got[c] != direct[c] {
-								t.Fatalf("k=%d B=%d n=%d tier=%v: CumAt(%d)[%d] = %d, want %d", k, interval, n, tier, pos, c, got[c], direct[c])
+						for range 4 {
+							i := pick.Intn(j + 1)
+							idx.cp.Vector(i, j, got)
+							for c := range got {
+								if w := direct[j][c] - direct[i][c]; got[c] != w {
+									t.Fatalf("k=%d B=%d n=%d %s: Vector(%d, %d)[%d] = %d, want %d", k, interval, n, idx.name, i, j, c, got[c], w)
+								}
 							}
 						}
 					}

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"hash/crc64"
 	"io"
-	"slices"
 
 	"repro/internal/snapshot"
 )
@@ -101,34 +100,6 @@ func WriteFrame(w io.Writer, f Frame) error {
 	return err
 }
 
-// payloadChunk is the most readPayload allocates before any payload byte
-// has arrived.
-const payloadChunk = 64 << 10
-
-// readPayload reads an l-byte payload from r. The length comes off the
-// wire unauthenticated (the checksum trails the payload), so the buffer
-// starts at payloadChunk and at most doubles each time it fills: it never
-// holds more than one chunk or twice the bytes that have arrived, whatever
-// length the header claims. A stream that ends early is
-// io.ErrUnexpectedEOF.
-func readPayload(r io.Reader, l int) ([]byte, error) {
-	payload := make([]byte, 0, min(l, payloadChunk))
-	for len(payload) < l {
-		if len(payload) == cap(payload) {
-			payload = slices.Grow(payload, min(len(payload), l-len(payload)))
-		}
-		n, err := io.ReadFull(r, payload[len(payload):min(cap(payload), l)])
-		payload = payload[:len(payload)+n]
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				err = io.ErrUnexpectedEOF
-			}
-			return nil, err
-		}
-	}
-	return payload, nil
-}
-
 // ReadFrame decodes the next frame from r. io.EOF at a frame boundary is
 // returned verbatim (clean end of a catch-up stream); a stream dying
 // mid-frame surfaces as io.ErrUnexpectedEOF, and a checksum or header
@@ -157,7 +128,7 @@ func ReadFrame(r io.Reader) (Frame, error) {
 	if l > MaxFramePayload {
 		return Frame{}, fmt.Errorf("%w: payload length %d exceeds the %d cap", ErrFrameCorrupt, l, MaxFramePayload)
 	}
-	payload, err := readPayload(r, int(l))
+	payload, err := snapshot.ReadPayload(r, nil, int(l))
 	if err != nil {
 		return Frame{}, err
 	}

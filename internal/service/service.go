@@ -284,9 +284,6 @@ type Info struct {
 	// Segment, when present, marks the corpus as one suffix segment of a
 	// sharded parent corpus (see the shard catalog endpoints).
 	Segment *SegmentInfo `json:"segment,omitempty"`
-	// Kernel is the reconstruct-kernel tier of this corpus's count-index
-	// probes, "scalar" or "avx2" (bit-identical results, different speed).
-	Kernel string `json:"kernel,omitempty"`
 }
 
 // Info returns the corpus summary.
@@ -308,7 +305,6 @@ func (c *Corpus) Info() Info {
 		Replica:     c.replica,
 		Degraded:    c.degraded,
 		Commit:      c.commit,
-		Kernel:      c.Scanner.Kernel().String(),
 	}
 	if c.Segment != nil {
 		info.Segment = &SegmentInfo{

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc64"
 	"io"
+	"slices"
 )
 
 // The write-ahead log of a live corpus: the append-only companion of a
@@ -100,27 +101,22 @@ func ReplayWAL(r io.Reader, visit func(payload []byte) error) (valid int64, err 
 // (and a replication server does) treat as a divergent cursor. A nil visit
 // replays for validation only.
 func ReplayWALFrom(r io.Reader, from int64, visit func(off int64, payload []byte) error) (valid int64, err error) {
-	br := newWALReader(r)
 	var hdr [walHeaderSize]byte
 	var trailer [walTrailerSize]byte
 	var payload []byte
 	for {
-		if !br.full(hdr[:]) {
-			return valid, br.err()
+		if _, err := io.ReadFull(r, hdr[:]); err != nil {
+			return valid, ioError(err)
 		}
 		l := binary.LittleEndian.Uint32(hdr[:])
 		if l > MaxWALRecord {
 			return valid, nil // corrupt length: treat as torn tail
 		}
-		if int(l) > cap(payload) {
-			payload = make([]byte, l)
+		if payload, err = ReadPayload(r, payload, int(l)); err != nil {
+			return valid, ioError(err)
 		}
-		payload = payload[:l]
-		if !br.full(payload) {
-			return valid, br.err()
-		}
-		if !br.full(trailer[:]) {
-			return valid, br.err()
+		if _, err := io.ReadFull(r, trailer[:]); err != nil {
+			return valid, ioError(err)
 		}
 		crc := crc64.Update(crc64.Checksum(hdr[:], crcTable), crcTable, payload)
 		if crc != binary.LittleEndian.Uint64(trailer[:]) {
@@ -139,6 +135,48 @@ func ReplayWALFrom(r io.Reader, from int64, visit func(off int64, payload []byte
 		}
 		valid = end
 	}
+}
+
+// ioError is err unless err only says the bytes ran out — a torn tail,
+// which ends the valid prefix without being an error.
+func ioError(err error) error {
+	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+		return nil
+	}
+	return err
+}
+
+// payloadChunk is the most ReadPayload allocates before any payload byte
+// has arrived.
+const payloadChunk = 64 << 10
+
+// ReadPayload reads an l-byte payload from r into buf's storage, growing it
+// only as bytes arrive, and returns it. The length comes off a header that
+// its checksum, which trails the payload, cannot vouch for yet, so a buffer
+// too small for l starts at payloadChunk and at most doubles each time it
+// fills: it never holds more than one chunk or twice the bytes that have
+// arrived, whatever length the header claims. A stream that ends early is
+// io.ErrUnexpectedEOF. WAL replay passes the previous record's buffer back
+// in; the replication frame reader passes nil.
+func ReadPayload(r io.Reader, buf []byte, l int) ([]byte, error) {
+	payload := buf[:0]
+	if first := min(l, payloadChunk); cap(payload) < first {
+		payload = make([]byte, 0, first)
+	}
+	for len(payload) < l {
+		if len(payload) == cap(payload) {
+			payload = slices.Grow(payload, min(len(payload), l-len(payload)))
+		}
+		n, err := io.ReadFull(r, payload[len(payload):min(cap(payload), l)])
+		payload = payload[:len(payload)+n]
+		if err != nil {
+			if errors.Is(err, io.EOF) {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+	}
+	return payload, nil
 }
 
 // WALAlign returns the length of the longest prefix of data made of whole
@@ -164,27 +202,3 @@ func WALAlign(data []byte) int64 {
 		n += size
 	}
 }
-
-// walReader distinguishes "ran out of bytes" (torn tail — fine) from real
-// read errors.
-type walReader struct {
-	r    io.Reader
-	ioer error
-}
-
-func newWALReader(r io.Reader) *walReader { return &walReader{r: r} }
-
-// full reads exactly len(p) bytes, reporting false at EOF / short read /
-// error; err() then says whether it was an I/O failure.
-func (br *walReader) full(p []byte) bool {
-	_, err := io.ReadFull(br.r, p)
-	if err == nil {
-		return true
-	}
-	if !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
-		br.ioer = err
-	}
-	return false
-}
-
-func (br *walReader) err() error { return br.ioer }

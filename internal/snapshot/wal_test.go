@@ -2,7 +2,9 @@ package snapshot
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"runtime"
 	"testing"
 )
 
@@ -272,4 +274,91 @@ func TestReplayWALFromTornTail(t *testing.T) {
 	if valid != second || count != 1 {
 		t.Fatalf("valid=%d records=%d, want valid=%d records=1", valid, count, second)
 	}
+}
+
+// TestReplayWALFromAllocatesAsBytesArrive: a record's length field is read
+// before its checksum can vouch for it, so a forged header must not make
+// replay allocate the length it claims. A header claiming MaxWALRecord,
+// alone or followed by 200 kB, must cost under 1 MiB and end the replay as
+// a torn tail: (0, nil).
+func TestReplayWALFromAllocatesAsBytesArrive(t *testing.T) {
+	hdr := binary.LittleEndian.AppendUint32(nil, MaxWALRecord)
+	for _, received := range []int{0, 200_000} {
+		log := append(bytes.Clone(hdr), make([]byte, received)...)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		valid, err := ReplayWALFrom(bytes.NewReader(log), 0, nil)
+		runtime.ReadMemStats(&after)
+		if valid != 0 || err != nil {
+			t.Fatalf("%d payload bytes of %d: (%d, %v), want (0, nil)", received, MaxWALRecord, valid, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+			t.Fatalf("%d payload bytes of %d: allocated %d bytes, want under 1 MiB", received, MaxWALRecord, got)
+		}
+	}
+}
+
+// FuzzReplayWALFrom replays arbitrary bytes from an arbitrary cursor.
+// Nothing may panic; the valid prefix is whole record frames of the input;
+// the only error is ErrWALOffsetMidRecord; visited offsets strictly
+// increase from the cursor on, and each visited payload re-frames to
+// exactly the bytes at its offset; and ReplayWAL agrees on the valid
+// prefix.
+func FuzzReplayWALFrom(f *testing.F) {
+	var log []byte
+	var offs []int64
+	for _, p := range [][]byte{{0}, {1, 1}, {}, bytes.Repeat([]byte{3}, 40)} {
+		offs = append(offs, int64(len(log)))
+		var err error
+		if log, err = AppendWALRecordBuf(log, p); err != nil {
+			f.Fatal(err)
+		}
+	}
+	for _, from := range append(offs, 0, 3, int64(len(log)), int64(len(log))+12, -1) {
+		f.Add(log, from)
+	}
+	f.Add(log[:len(log)-3], offs[1])
+	flipped := bytes.Clone(log)
+	flipped[offs[1]+5] ^= 1
+	f.Add(flipped, int64(0))
+	f.Add(binary.LittleEndian.AppendUint32(nil, MaxWALRecord), int64(0))
+	f.Add([]byte{}, int64(0))
+
+	f.Fuzz(func(t *testing.T, data []byte, from int64) {
+		var visited []int64
+		valid, err := ReplayWALFrom(bytes.NewReader(data), from, func(off int64, payload []byte) error {
+			if n := len(visited); off < from || n > 0 && off <= visited[n-1] {
+				t.Fatalf("visited offset %d after %v from %d", off, visited, from)
+			}
+			visited = append(visited, off)
+			rec, err := AppendWALRecordBuf(nil, payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if end := off + WALRecordSize(len(payload)); end > int64(len(data)) || !bytes.Equal(rec, data[off:end]) {
+				t.Fatalf("record at %d does not re-frame to its bytes", off)
+			}
+			return nil
+		})
+		if valid < 0 || valid > int64(len(data)) || WALAlign(data[:valid]) != valid {
+			t.Fatalf("valid prefix %d of %d bytes is not whole frames", valid, len(data))
+		}
+		whole, werr := ReplayWAL(bytes.NewReader(data), nil)
+		if werr != nil {
+			t.Fatalf("ReplayWAL: %v", werr)
+		}
+		switch {
+		case err == nil:
+			if whole != valid {
+				t.Fatalf("ReplayWALFrom(%d) valid %d, ReplayWAL valid %d", from, valid, whole)
+			}
+		case errors.Is(err, ErrWALOffsetMidRecord):
+			// The cursor lands inside the whole record that starts at valid.
+			if len(visited) > 0 || from <= valid || from >= whole {
+				t.Fatalf("mid-record %v: valid %d, whole %d, visited %v", err, valid, whole, visited)
+			}
+		default:
+			t.Fatalf("untyped error %v", err)
+		}
+	})
 }

@@ -38,8 +38,6 @@ import (
 
 	"repro/internal/alphabet"
 	"repro/internal/core"
-	"repro/internal/counts"
-	"repro/internal/cpufeat"
 	"repro/internal/dist"
 )
 
@@ -229,36 +227,30 @@ func buildOptions(opts []Option) options {
 	return o
 }
 
-// KernelTier names a reconstruct-kernel implementation of the scan hot
-// path: the data-parallel rebuild of a window's count vector from the
-// checkpointed index's nibble groups. The tier is chosen by build tag and
-// CPUID alone; every tier computes exact integer arithmetic, so results are
-// bit-identical — tiers differ only in speed.
+// KernelTier names how the count index rebuilds a window's count vector.
+// KernelScalar is its only value, on every build and CPU; the type,
+// ActiveKernel and CPUFeatures stay for callers that report them, such as
+// the perfbench harness.
 type KernelTier int
 
-const (
-	// KernelScalar is the unrolled scalar reference implementation —
-	// available everywhere (and the only tier of -tags noasm builds), and
-	// the automatic fallback for alphabets whose nibble group cannot be
-	// fetched as a single machine word.
-	KernelScalar KernelTier = KernelTier(counts.TierScalar)
-	// KernelAVX2 is the assembly tier for amd64 CPUs with AVX2 (and binaries
-	// built without the noasm tag): whole-group nibble unpacking and fused
-	// statistics in a handful of vector instructions.
-	KernelAVX2 KernelTier = KernelTier(counts.TierAVX2)
-)
+// KernelScalar is the one probe path: a group fetch plus one loop over the
+// k lanes, or a nibble walk where a group does not fit one read.
+const KernelScalar KernelTier = 0
 
 // String names the tier.
-func (t KernelTier) String() string { return counts.Tier(t).String() }
+func (t KernelTier) String() string {
+	if t != KernelScalar {
+		return fmt.Sprintf("KernelTier(%d)", int(t))
+	}
+	return "scalar"
+}
 
-// ActiveKernel reports the kernel tier scans run on: the fastest tier this
-// build and CPU support.
-func ActiveKernel() KernelTier { return KernelTier(counts.ActiveTier()) }
+// ActiveKernel reports the kernel tier scans run on: always KernelScalar.
+func ActiveKernel() KernelTier { return KernelScalar }
 
-// CPUFeatures renders the detected CPU features the kernel dispatcher
-// considered, e.g. "sse4.2,avx,avx2" — surfaced by mss -version and the
-// daemon's healthz endpoint.
-func CPUFeatures() string { return cpufeat.Summary() }
+// CPUFeatures reports the CPU features scans depend on: "none", since no
+// code path is chosen by CPU.
+func CPUFeatures() string { return "none" }
 
 // Scanner binds a symbol string to a model for repeated queries. Building a
 // Scanner costs O(n·k) time to build the checkpointed count index; every
@@ -287,11 +279,6 @@ func NewScanner(s []byte, m *Model) (*Scanner, error) {
 	}
 	return &Scanner{sc: sc, k: m.K()}, nil
 }
-
-// Kernel reports the reconstruct-kernel tier this scanner's scans run on:
-// the tier its count index resolved when it was built (scalar for alphabets
-// the group-fetch kernels cannot serve).
-func (s *Scanner) Kernel() KernelTier { return KernelTier(s.sc.Kernel()) }
 
 // IndexBytes returns the resident size of the scanner's count index in
 // bytes — what the daemon's byte-budgeted corpus cache charges a corpus
