@@ -130,8 +130,8 @@ func (sc *Scanner) runGroup(e Engine, members []ShardQuery) []Partial {
 	first := members[0]
 	st := sc.runPass(e, p, first.Q.Hi, first.Q.MinLen, first.RowLo, first.RowHi)
 	var items []Scored
-	if p.heap != nil {
-		items = itemsToScored(p.heap.Items())
+	if p.heap.h != nil {
+		items = itemsToScored(p.heap.h.Items())
 	}
 	parts := make([]Partial, len(members))
 	si := 0

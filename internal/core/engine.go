@@ -12,9 +12,10 @@ import (
 // This file is the scan engine: Engine, the configuration of a scan, and
 // the pass — one chain-cover traversal of a (range, floor) that answers
 // every MSS, top-t and threshold query riding it, pruned at the lowest of
-// their budgets. A pass runs as one sequential loop (passSeq, mss.go) or
-// its parallel form (passParallel); nothing else in the package scans with
-// the chain cover.
+// their budgets. Every pass runs one row loop (passSeq, mss.go): on one
+// worker over all its rows, or on each chunk of rows a parallel worker
+// claims (passParallel); nothing else in the package scans with the chain
+// cover.
 
 // Engine configures how a scan executes. Engine{Workers: 1} reproduces the
 // paper-faithful sequential scan exactly; the zero value resolves Workers to
@@ -24,10 +25,11 @@ import (
 // Start positions are independent given a skip budget, so the chain-cover
 // scan parallelizes by partitioning starts into contiguous chunks that
 // workers claim dynamically (starts near the end of the string have shorter
-// rows, so static partitioning would be badly imbalanced). Each worker owns
-// private scratch, and all workers share the budgets: a tight bound found
-// by any worker immediately enlarges every other worker's chain-cover
-// skips.
+// rows, so static partitioning would be badly imbalanced). Each worker runs
+// the one row loop, two rows in flight where the cursors pair, on its own
+// clone of the pass — its MSS best and hit lists — and all workers share
+// the pass's budget cells: a tight bound found by any worker enlarges every
+// other worker's chain-cover skips from its next row or offer.
 //
 // Determinism: a pass with an MSS member skips against its budget through
 // a tiny softening margin (soften), so a substring whose X² exactly equals
@@ -177,14 +179,20 @@ type sink struct {
 // the windows the paper's scan of that kind does; with an MSS member it
 // also evaluates the exact ties softening keeps.
 type pass struct {
+	// top and heap are the budget cells: the MSS tracker's running best X²
+	// (−1: none yet) and the top-t heap. Every worker reads them at each
+	// row start and after each window it offers, so each starts a cache
+	// line of its own; the pass is allocated on a line boundary.
+	top  atomicBudget
+	heap sharedHeap
+	// root is the pass whose cells budget() reads and offer() feeds: p
+	// itself, or for a parallel worker's clone, the pass it was cut from.
+	root *pass
 	// mss marks an MSS tracker riding the pass; best is its better()-max so
-	// far (X2 −1: none yet) and its budget. A pass prunes only against
-	// windows it evaluated itself, so a shard's fragment stays exact.
+	// far (X2 −1: none yet). A pass prunes only against windows it
+	// evaluated itself, so a shard's fragment stays exact.
 	mss  bool
 	best Scored
-	// heap holds the top-t candidates at the members' largest t (nil
-	// without top-t members); each member takes its leading t.
-	heap *topheap.Heap
 	// sinks are the threshold members and alpha the lowest of their
 	// cutoffs (+Inf without sinks). found[si] collects sink si's hits in
 	// scan order, at most limit+1 of them — enough for the merge layer,
@@ -204,8 +212,10 @@ type pass struct {
 // capacity t if t > 0, and the given threshold sinks.
 func newPass(mss bool, t int, sinks []sink) *pass {
 	p := &pass{mss: mss, best: Scored{X2: -1}, sinks: sinks, alpha: math.Inf(1), found: make([][]Scored, len(sinks))}
+	p.root = p
+	p.top.store(-1) // below every X², so inert until the first window
 	if t > 0 {
-		p.heap, _ = topheap.New(t) // fails only for t < 1
+		p.heap.h, _ = topheap.New(t) // fails only for t < 1
 	}
 	for _, sk := range sinks {
 		// A NaN cutoff qualifies no window, so it never lowers the budget.
@@ -220,12 +230,13 @@ func newPass(mss bool, t int, sinks []sink) *pass {
 // heap's minimum (0 until full), the MSS best (−1 until the first window) —
 // and the budget skips are solved at, softened when an MSS member rides.
 func (p *pass) budget() (b, skipAt float64) {
+	r := p.root
 	b = p.alpha
-	if p.heap != nil {
-		b = min(b, p.heap.Budget())
+	if r.heap.h != nil {
+		b = min(b, r.heap.budget.load())
 	}
 	if p.mss {
-		b = min(b, p.best.X2)
+		b = min(b, r.top.load())
 		return b, soften(b)
 	}
 	return b, b
@@ -233,11 +244,13 @@ func (p *pass) budget() (b, skipAt float64) {
 
 // offer feeds the exactly evaluated window [i, j) to every member.
 func (p *pass) offer(i, j int, x2 float64) {
+	r := p.root
 	if p.mss && better(x2, i, j, p.best) {
 		p.best = Scored{Interval{i, j}, x2}
+		r.top.raise(x2)
 	}
-	if p.heap != nil {
-		p.heap.Offer(topheap.Item{Start: i, End: j, Score: x2})
+	if r.heap.h != nil {
+		r.heap.offer(topheap.Item{Start: i, End: j, Score: x2})
 	}
 	if x2 > p.alpha {
 		for si, sk := range p.sinks {
@@ -272,17 +285,20 @@ func (sc *Scanner) runPass(e Engine, p *pass, hi, minLen, rowLo, rowHi int) Stat
 	return sc.passSeq(e, p, hi, minLen, rowLo, rowHi)
 }
 
-// sharedHeap wraps the top-t min-heap for concurrent offers. The heap's
+// sharedHeap is a pass's top-t min-heap (h nil without top-t members)
+// behind a mutex, so parallel workers offer to it concurrently. The heap's
 // minimum (the running t-th best) is mirrored into an atomic so workers
 // read their skip budget without taking the lock; it only grows, so a stale
-// read under-prunes but never over-prunes.
+// read under-prunes but never over-prunes. At one worker the mirror is
+// always Heap.Budget(), and the offers it turns away Heap.Offer refuses.
 type sharedHeap struct {
 	mu   sync.Mutex
 	h    *topheap.Heap
 	full atomic.Bool
 	_    [cacheLine - 24]byte
-	// budget mirrors the heap's own minimum when full. Workers read it on
-	// every scan call, and offers write mu and h, so it sits on its own line.
+	// budget mirrors the heap's own minimum when full. Workers read it at
+	// every row start and offer, and offers write mu and h, so it sits on
+	// its own line.
 	budget atomicBudget
 }
 
@@ -302,114 +318,58 @@ func (s *sharedHeap) offer(it topheap.Item) {
 	s.mu.Unlock()
 }
 
-// passParallel is runPass on w workers claiming chunks of start rows. The
-// workers share what the members' budgets need, each read without a lock:
-//
-//   - MSS: every worker keeps its own better()-max and raises one shared
-//     atomic best (−1 until the first window) that all of them prune
-//     against; the merge folds the workers' maxima through better().
-//   - Top-t: one heap behind a mutex, its minimum mirrored in an atomic.
-//   - Threshold: α is constant, so nothing. Each worker buffers at most
-//     limit+1 of each sink's hits — a worker claims chunks in increasing
-//     replay order, so a hit it drops could only be replayed after limit+1
-//     of the sink's hits, past the merge's overflow decision — and the
-//     chunks replay in order, reproducing the sequential visit order.
-//
-// A budget read between scan calls may be stale, which only ever
-// under-prunes.
+// passParallel is runPass on w workers claiming chunks of start rows. Each
+// worker runs passSeq on every chunk it claims, on its own clone of p: the
+// clone keeps the worker's MSS best, threshold hits and follower waste, and
+// reads and raises p's budget cells, so a bound any worker finds prunes
+// every other worker's next row. The merge folds the clones' bests through
+// better() and replays each chunk's hits, cut from its clone's found lists
+// by the chunk's lowest row, in chunk order — the sequential visit order. A
+// clone keeps at most limit+1 of a sink's hits: it claims chunks in replay
+// order, so a hit it drops could only be replayed after limit+1 of the
+// sink's hits, past the merge's overflow decision.
 func (sc *Scanner) passParallel(e Engine, p *pass, w, hi, minLen, rowLo, rowHi int) Stats {
 	chunks := splitStarts(rowLo, rowHi, w*chunksPerWorker)
-	var top atomicBudget
-	top.store(-1) // below every X², so inert until the first window
-	var heap *sharedHeap
-	if p.heap != nil {
-		heap = &sharedHeap{h: p.heap}
-	}
-	bests := make([]Scored, w)
-	found := make([][][]Scored, len(chunks)) // [chunk][sink]; nil for hitless chunks
+	clones := make([]pass, w)
 	stats := make([]Stats, w)
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for wid := 0; wid < w; wid++ {
+	for wid := range clones {
+		c := &clones[wid]
+		*c = pass{root: p, mss: p.mss, best: Scored{X2: -1}, sinks: p.sinks, alpha: p.alpha, found: make([][]Scored, len(p.sinks))}
 		wg.Add(1)
-		go func(wid int) {
+		go func() {
 			defer wg.Done()
-			cur := sc.newRoll()
-			defer sc.putRoll(cur)
-			best := Scored{X2: -1}
-			stored := make([]int, len(p.sinks))
-			var st Stats
-		claim:
-			for {
-				c := int(next.Add(1)) - 1
-				if c >= len(chunks) {
-					break
-				}
-				var hits [][]Scored
-				for i := chunks[c][0]; i >= chunks[c][1]; i-- {
-					if e.stopped() {
-						break claim
-					}
-					st.Starts++
-					cur.Begin(i, i+minLen)
-					for {
-						// The shared budgets are read once per call: at the
-						// row start and after each offered window.
-						b := p.alpha
-						if heap != nil {
-							b = min(b, heap.budget.load())
-						}
-						skipAt := b
-						if p.mss {
-							b = min(b, top.load())
-							skipAt = soften(b)
-						}
-						evaluated, skipped, ok := cur.Scan(b, skipAt, hi)
-						st.Evaluated += int64(evaluated)
-						st.Skipped += int64(skipped)
-						if !ok {
-							break
-						}
-						j, x2 := cur.End(), cur.Exact()
-						if p.mss && better(x2, i, j, best) {
-							best = Scored{Interval{i, j}, x2}
-							top.raise(x2)
-						}
-						if heap != nil {
-							heap.offer(topheap.Item{Start: i, End: j, Score: x2})
-						}
-						for si, sk := range p.sinks {
-							if x2 > sk.alpha && (sk.limit <= 0 || stored[si] <= sk.limit) {
-								if hits == nil {
-									hits = make([][]Scored, len(p.sinks))
-								}
-								hits[si] = append(hits[si], Scored{Interval{i, j}, x2})
-								stored[si]++
-							}
-						}
-					}
-				}
-				found[c] = hits
+			for ch := int(next.Add(1)) - 1; ch < len(chunks); ch = int(next.Add(1)) - 1 {
+				st := sc.passSeq(e, c, hi, minLen, chunks[ch][1], chunks[ch][0])
+				stats[wid].Evaluated += st.Evaluated
+				stats[wid].Skipped += st.Skipped
+				stats[wid].Starts += st.Starts
 			}
-			bests[wid] = best
-			stats[wid] = st
-		}(wid)
+		}()
 	}
 	wg.Wait()
 
 	var st Stats
-	for wid := 0; wid < w; wid++ {
+	for wid := range clones {
+		c := &clones[wid]
 		st.Evaluated += stats[wid].Evaluated
 		st.Skipped += stats[wid].Skipped
 		st.Starts += stats[wid].Starts
-		if b := bests[wid]; b.X2 >= 0 && better(b.X2, b.Start, b.End, p.best) {
-			p.best = b
+		if better(c.best.X2, c.best.Start, c.best.End, p.best) {
+			p.best = c.best
 		}
+		p.restarted += c.restarted
 	}
-	for _, hits := range found {
-		for si, hs := range hits {
-			for _, s := range hs {
-				p.hit(si, s)
+	for si := range p.sinks {
+		for _, ch := range chunks {
+			for wid := range clones {
+				f := clones[wid].found[si]
+				n := 0
+				for ; n < len(f) && f[n].Start >= ch[1]; n++ {
+					p.hit(si, f[n])
+				}
+				clones[wid].found[si] = f[n:]
 			}
 		}
 	}

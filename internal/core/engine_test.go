@@ -265,8 +265,10 @@ func TestAtomicBudgetRaise(t *testing.T) {
 	}
 }
 
-// TestSharedBudgetsOwnCacheLines: the budgets every parallel worker reads
-// on each scan call sit on cache lines no write of another field touches.
+// TestSharedBudgetsOwnCacheLines: the budget cells every parallel worker
+// reads at each row start and offer sit on cache lines no write of another
+// field touches — each starts a line of the pass, and passes are
+// allocated on line boundaries.
 func TestSharedBudgetsOwnCacheLines(t *testing.T) {
 	if got := unsafe.Sizeof(atomicBudget{}); got != cacheLine {
 		t.Errorf("atomicBudget is %d bytes, want one %d-byte line", got, cacheLine)
@@ -278,17 +280,19 @@ func TestSharedBudgetsOwnCacheLines(t *testing.T) {
 	if size := unsafe.Sizeof(h); size%cacheLine != 0 {
 		t.Errorf("sharedHeap is %d bytes, want whole lines", size)
 	}
+	var p pass
+	if off := unsafe.Offsetof(p.top); off%cacheLine != 0 {
+		t.Errorf("pass.top at offset %d, want a line boundary", off)
+	}
+	if off := unsafe.Offsetof(p.heap); off%cacheLine != 0 {
+		t.Errorf("pass.heap at offset %d, want a line boundary", off)
+	}
 	for range 4 {
-		var top atomicBudget
-		hp := &sharedHeap{}
-		// Both escape to the heap as they do in passParallel.
-		if a := uintptr(unsafe.Pointer(&top)) % cacheLine; a != 0 {
-			t.Errorf("atomicBudget at line offset %d", a)
+		p := newPass(true, 5, nil)
+		if a := uintptr(unsafe.Pointer(p)) % cacheLine; a != 0 {
+			t.Errorf("pass at line offset %d", a)
 		}
-		if a := uintptr(unsafe.Pointer(&hp.budget)) % cacheLine; a != 0 {
-			t.Errorf("sharedHeap.budget at line offset %d", a)
-		}
-		escapeSink = append(escapeSink, &top, hp)
+		escapeSink = append(escapeSink, p)
 	}
 	escapeSink = nil
 }

@@ -6,8 +6,9 @@ import (
 	"repro/internal/chisq"
 )
 
-// This file holds the sequential chain-cover pass: the one loop behind
-// every MSS, top-t and threshold query at one worker, solo or batched. It is
+// This file holds the chain-cover row loop: the one loop behind every MSS,
+// top-t and threshold query, solo or batched, on one worker or on each
+// chunk of rows a parallel worker claims (passParallel, engine.go). It is
 // the paper's Algorithm 1: start positions are visited right-to-left; for
 // each start, ending positions are scanned left-to-right, and after each
 // evaluated substring the chain-cover bound (Theorem 1, quadratic Eq. 21)
@@ -24,11 +25,13 @@ import (
 // scan before its next row — within one preemption quantum (a chain-cover
 // row) and without any per-position check.
 
-// passSeq is runPass on one worker. The budget changes only when an
-// exactly evaluated window reaches a member, so it is recomputed there and
-// nowhere else: the cursor's Scan runs the chain-cover step until a window
-// passes the prefilter, the pass offers that window's exact X², and Scan
-// resumes at its skip under the refreshed budget.
+// passSeq is runPass on one worker, and a parallel worker's run over each
+// chunk it claims, on its clone of the pass. The budget changes only when
+// an exactly evaluated window reaches a member — on several workers, any
+// worker's — so it is read at each row start and after each offer: the
+// cursor's Scan runs the chain-cover step until a window passes the
+// prefilter, the pass offers that window's exact X², and Scan resumes at
+// its skip under the refreshed budget.
 //
 // Each row is one serial chain of probe → sum → root, so on cursors that
 // chisq.ScanPair can interleave, two rows are in flight. Row i, the
@@ -41,10 +44,12 @@ import (
 // above the follower is final, and the follower is adopted only if the
 // budget is still bit-equal to its own — it then took exactly the steps a
 // one-row scan would take from its row start, so it becomes the leader,
-// its counters committed and its held window offered. Committed rows are
-// the one-row scan's, so answers, Stats, top-t order and threshold hit
-// order are bit-identical to it; a restart costs only the follower's
-// discarded windows (pass.restarted).
+// its counters committed and its held window offered. On one worker,
+// committed rows are the one-row scan's, so answers, Stats, top-t order
+// and threshold hit order are bit-identical to it. On several, another
+// worker can move the budget at any time, and the same rule restarts a
+// follower that began under an older one. A restart costs only the
+// follower's discarded windows (pass.restarted).
 func (sc *Scanner) passSeq(e Engine, p *pass, hi, minLen, rowLo, rowHi int) Stats {
 	var st Stats
 	lead := sc.newRoll()
@@ -54,8 +59,8 @@ func (sc *Scanner) passSeq(e Engine, p *pass, hi, minLen, rowLo, rowHi int) Stat
 		next = sc.newRoll()
 		defer sc.putRoll(next)
 	}
-	b, skipAt := p.budget()
 	var (
+		b, skipAt        float64     // the budget, read at each row start and offer
 		fRow             = rowLo - 1 // the follower's row; below rowLo: none
 		fb, fSkipAt      float64     // the budget the follower began under
 		fEval, fSkip     int64       // its evaluated and skipped windows
@@ -66,6 +71,7 @@ func (sc *Scanner) passSeq(e Engine, p *pass, hi, minLen, rowLo, rowHi int) Stat
 			break
 		}
 		st.Starts++
+		b, skipAt = p.budget()
 		found := false
 		if fRow == i && math.Float64bits(fb) == math.Float64bits(b) {
 			lead, next = next, lead

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/alphabet"
 	"repro/internal/chisq"
 )
 
@@ -39,11 +40,16 @@ func oneRowPass(sc *Scanner, p *pass, hi, minLen, rowLo, rowHi int) Stats {
 // must commit exactly the one-row scan's work: the same Stats, MSS best,
 // top-t items in order and threshold hits in order. Each query of the
 // batch must get the index-free oracle's answer (reference_test.go), with
-// Evaluated + Skipped equal to its candidate count.
+// Evaluated + Skipped equal to its candidate count. The same passes run
+// again on 2, 3 and 8 workers, whose followers restart when any worker
+// moves the budget: the MSS best and threshold hits are still the one-row
+// scan's, every row is started once, and every batch slot still gets the
+// oracle's answer.
 func TestPassFollowersRestart(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	e := Engine{Workers: 1}
 	var restarted int64
+	parRestarted := make(map[int]int64) // by worker count
 	for trial := 0; trial < 6; trial++ {
 		k := []int{2, 3, 4, 8, 16, 4}[trial]
 		n := 300 + rng.Intn(200)
@@ -69,7 +75,7 @@ func TestPassFollowersRestart(t *testing.T) {
 				if got != want {
 					t.Fatalf("%s: Stats %+v, one row at a time %+v", label, got, want)
 				}
-				if p.best != q.best || !slices.Equal(p.heap.Items(), q.heap.Items()) {
+				if p.best != q.best || !slices.Equal(p.heap.h.Items(), q.heap.h.Items()) {
 					t.Fatalf("%s: MSS %v or top-50 differs from one row at a time (%v)", label, p.best, q.best)
 				}
 				for si := range sinks {
@@ -93,13 +99,45 @@ func TestPassFollowersRestart(t *testing.T) {
 						t.Fatalf("%s/q%d: batch Stats %+v, its pass %+v", label, qi, res.Stats, got)
 					}
 				}
+
+				answers := make([]referenceAnswer, len(qs))
+				for qi, q := range qs {
+					answers[qi] = answerReference(ref, q)
+				}
+				for _, w := range []int{2, 3, 8} {
+					we := Engine{Workers: w}
+					pw := newPass(mss, 50, sinks)
+					st := sc.runPass(we, pw, n, 1, 0, n-1)
+					if st.Total() != want.Total() || st.Starts != int64(n) {
+						t.Fatalf("%s/w=%d: Stats %+v, want %d windows over %d rows", label, w, st, want.Total(), n)
+					}
+					if pw.best != q.best {
+						t.Fatalf("%s/w=%d: MSS %v, one row at a time %v", label, w, pw.best, q.best)
+					}
+					for si := range sinks {
+						if !slices.Equal(pw.found[si], q.found[si]) {
+							t.Fatalf("%s/w=%d: sink %d hits differ from one row at a time", label, w, si)
+						}
+					}
+					parRestarted[w] += pw.restarted
+					for qi, res := range sc.RunBatch(we, qs) {
+						wl := fmt.Sprintf("%s/w=%d/q%d", label, w, qi)
+						checkAgainstReference(t, wl, ref, answers[qi], res)
+						if res.Stats.Starts != int64(n) {
+							t.Fatalf("%s: started %d rows, want %d", wl, res.Stats.Starts, n)
+						}
+					}
+				}
 			}
 		}
 	}
 	if restarted == 0 {
 		t.Fatal("no follower row discarded an evaluated window: the budget never moved under one")
 	}
-	t.Logf("followers discarded %d evaluated windows", restarted)
+	if parRestarted[2]+parRestarted[3]+parRestarted[8] == 0 {
+		t.Fatal("no follower row on 2 or more workers discarded an evaluated window")
+	}
+	t.Logf("followers discarded %d evaluated windows on one worker, %v on more", restarted, parRestarted)
 }
 
 // TestPassStopEndsWithinTwoRows fires the cancellation flag at a streamed
@@ -177,4 +215,51 @@ func TestPassOneLaneModels(t *testing.T) {
 			t.Fatalf("%+v: MSS %v, one row at a time %v", tc, p.best, q.best)
 		}
 	}
+}
+
+// FuzzParallelPass runs the golden queries (goldenQueries) on 2–8 workers
+// over strings long enough that a chunk holds several rows, so parallel
+// followers run and restart, and checks every slot against the index-free
+// oracle — batched (RunBatch), alone (RunQuery), and for each threshold
+// also streamed (Visit), which must deliver the collected hits in order.
+func FuzzParallelPass(f *testing.F) {
+	f.Add(int64(1), uint8(0), uint8(2), false, uint16(1400))
+	f.Add(int64(2), uint8(1), uint8(0), false, uint16(900))
+	f.Add(int64(3), uint8(6), uint8(9), true, uint16(1200))
+	f.Add(int64(4), uint8(4), uint8(14), false, uint16(300))
+	f.Add(int64(3), uint8(6), uint8(9), false, uint16(1200)) // an MSS tie workers may split
+	f.Fuzz(func(t *testing.T, seed int64, wRaw, kRaw uint8, skewed bool, nRaw uint16) {
+		w := 2 + int(wRaw)%7
+		k := 2 + int(kRaw)%15
+		n := 60 + int(nRaw)%1441
+		rng := rand.New(rand.NewSource(seed))
+		m := alphabet.MustUniform(k)
+		if skewed {
+			m = skewedModel(t, rng, k)
+		}
+		s := randomString(rng, n, k)
+		ref, qs, answers := goldenQueries(t, s, m)
+		sc, err := NewScanner(s, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := Engine{Workers: w}
+		label := fmt.Sprintf("w=%d/k=%d/n=%d/skewed=%v", w, k, n, skewed)
+		for qi, res := range sc.RunBatch(e, qs) {
+			checkAgainstReference(t, fmt.Sprintf("%s/batch/q%d", label, qi), ref, answers[qi], res)
+		}
+		for qi, q := range qs {
+			res := sc.RunQuery(e, q)
+			checkAgainstReference(t, fmt.Sprintf("%s/solo/q%d", label, qi), ref, answers[qi], res)
+			if q.Kind != KindThreshold {
+				continue
+			}
+			var streamed []Scored
+			q.Visit = func(s Scored) { streamed = append(streamed, s) }
+			sc.RunQuery(e, q)
+			if !slices.Equal(streamed, res.Results) {
+				t.Fatalf("%s/solo/q%d: streamed %d hits, not the %d collected in order", label, qi, len(streamed), len(res.Results))
+			}
+		}
+	})
 }

@@ -97,24 +97,11 @@ func skewedModel(t *testing.T, rng *rand.Rand, k int) *alphabet.Model {
 	return m
 }
 
-// candidateX2 lists the reference X² of every candidate window of q — the
-// windows inside [q.Lo, q.Hi) of length at least q.MinLen — as intervals.
-func candidateX2(ref [][]float64, q Query) []Scored {
-	var out []Scored
-	minLen := max(q.MinLen, 1)
-	for i := q.Lo; i < q.Hi; i++ {
-		for j := i + minLen; j <= q.Hi; j++ {
-			out = append(out, Scored{Interval{i, j}, ref[i][j-i-1]})
-		}
-	}
-	return out
-}
-
 // referenceAnswer is the oracle's answer to one query: the number of
-// candidate windows, their X² in descending order, the interval the paper's
-// right-to-left MSS scan reports (highest X², then highest start, then
-// lowest end), and — for a threshold query — the qualifying windows in
-// (start, end) order.
+// candidate windows, their X² in descending order (top-t queries only), the
+// interval the paper's right-to-left MSS scan reports (highest X², then
+// highest start, then lowest end), and — for a threshold query — the
+// qualifying windows in (start, end) order.
 type referenceAnswer struct {
 	q          Query
 	candidates int64
@@ -123,33 +110,37 @@ type referenceAnswer struct {
 	above      []Scored
 }
 
+// answerReference walks every candidate window of q — the windows inside
+// [q.Lo, q.Hi) of length at least q.MinLen — in (start, end) order.
 func answerReference(ref [][]float64, q Query) referenceAnswer {
-	cands := candidateX2(ref, q)
-	desc := scoresOf(cands)
-	slices.Sort(desc)
-	slices.Reverse(desc)
-	a := referenceAnswer{q: q, candidates: int64(len(cands)), desc: desc}
-	for _, c := range cands {
-		if a.mss.Len() == 0 || cmp.Or(cmp.Compare(c.X2, a.mss.X2), cmp.Compare(c.Start, a.mss.Start), cmp.Compare(a.mss.End, c.End)) > 0 {
-			a.mss = c
-		}
-	}
-	if q.Kind == KindThreshold {
-		for _, c := range cands {
-			if c.X2 > q.Alpha {
+	a := referenceAnswer{q: q}
+	for i := q.Lo; i < q.Hi; i++ {
+		for j := i + max(q.MinLen, 1); j <= q.Hi; j++ {
+			c := Scored{Interval{i, j}, ref[i][j-i-1]}
+			a.candidates++
+			if a.mss.Len() == 0 || cmp.Or(cmp.Compare(c.X2, a.mss.X2), cmp.Compare(c.Start, a.mss.Start), cmp.Compare(a.mss.End, c.End)) > 0 {
+				a.mss = c
+			}
+			switch {
+			case q.Kind == KindThreshold && c.X2 > q.Alpha:
 				a.above = append(a.above, c)
+			case q.Kind == KindTopT: // the kind checked against desc
+				a.desc = append(a.desc, c.X2)
 			}
 		}
 	}
+	slices.Sort(a.desc)
+	slices.Reverse(a.desc)
 	return a
 }
 
 // checkAgainstReference asserts one query result against the oracle:
 // every reported X² is bit-identical to the reference X² of its interval,
 // MSS and top-t report the reference maximum and top-t X² multiset,
-// threshold reports exactly the reference set, the disjoint peel is a
-// descending non-overlapping chain headed by the maximum, and the work
-// counters account for every candidate window.
+// threshold reports exactly the reference set in the scan's (start desc,
+// end asc) order, the disjoint peel is a descending non-overlapping chain
+// headed by the maximum, and the work counters account for every
+// candidate window.
 func checkAgainstReference(t *testing.T, name string, ref [][]float64, want referenceAnswer, got QueryResult) {
 	t.Helper()
 	q := want.q
@@ -187,6 +178,11 @@ func checkAgainstReference(t *testing.T, name string, ref [][]float64, want refe
 			seen[r.Interval] = true
 		}
 	case KindThreshold:
+		if !slices.IsSortedFunc(got.Results, func(a, b Scored) int {
+			return cmp.Or(cmp.Compare(b.Start, a.Start), cmp.Compare(a.End, b.End))
+		}) {
+			t.Fatalf("%s: threshold α=%v hits not in scan order (start desc, end asc)", name, q.Alpha)
+		}
 		gotSet := slices.Clone(got.Results)
 		slices.SortFunc(gotSet, func(a, b Scored) int {
 			return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.End, b.End))
@@ -195,8 +191,8 @@ func checkAgainstReference(t *testing.T, name string, ref [][]float64, want refe
 			t.Fatalf("%s: threshold α=%v reports %d windows, reference %d", name, q.Alpha, len(gotSet), len(want.above))
 		}
 	case KindDisjoint:
-		if len(got.Results) == 0 || math.Float64bits(got.Results[0].X2) != math.Float64bits(want.desc[0]) {
-			t.Fatalf("%s: disjoint peel %+v does not start at the reference maximum %v", name, got.Results, want.desc[0])
+		if len(got.Results) == 0 || math.Float64bits(got.Results[0].X2) != math.Float64bits(want.mss.X2) {
+			t.Fatalf("%s: disjoint peel %+v does not start at the reference maximum %v", name, got.Results, want.mss.X2)
 		}
 		for i := 1; i < len(got.Results); i++ {
 			if got.Results[i].X2 > got.Results[i-1].X2 {
@@ -223,20 +219,29 @@ func sameBits(a, b []float64) bool {
 	return true
 }
 
-// goldenCase draws one golden-table case: a random string and model, the
-// reference X² of every window, and the queries — Problems 1–4 (MSS, top-t,
-// threshold, and the min-length MSS) plus a range scan and the disjoint
-// peel — with the oracle's answer to each. The full range at floor 1 holds
-// two MSS, a top-7 and two thresholds of different α, which a batch answers
-// in one pass at the lowest of their budgets.
+// goldenCase draws one golden-table case: a random string and model and
+// the golden queries over it (goldenQueries).
 func goldenCase(t *testing.T, rng *rand.Rand) (s []byte, m *alphabet.Model, ref [][]float64, qs []Query, answers []referenceAnswer) {
 	t.Helper()
 	k := 2 + rng.Intn(15)
 	n := 60 + rng.Intn(300)
 	m = referenceModel(t, rng, k)
 	s = randomString(rng, n, k)
+	ref, qs, answers = goldenQueries(t, s, m)
+	return s, m, ref, qs, answers
+}
+
+// goldenQueries returns the reference X² of every window of s and the
+// golden queries — Problems 1–4 (MSS, top-t, threshold, and the min-length
+// MSS) plus a range scan and the disjoint peel — with the oracle's answer
+// to each. The full range at floor 1 holds two MSS, a top-7 and two
+// thresholds of different α, which a batch answers in one pass at the
+// lowest of their budgets.
+func goldenQueries(t *testing.T, s []byte, m *alphabet.Model) (ref [][]float64, qs []Query, answers []referenceAnswer) {
+	t.Helper()
+	n := len(s)
 	ref = referenceX2(t, s, m)
-	mss := slices.Max(scoresOf(candidateX2(ref, Query{Hi: n})))
+	mss := answerReference(ref, Query{Hi: n}).mss.X2
 	qs = []Query{
 		{Kind: KindMSS, Hi: n},
 		{Kind: KindMSS, MinLen: 6, Hi: n},
@@ -253,7 +258,7 @@ func goldenCase(t *testing.T, rng *rand.Rand) (s []byte, m *alphabet.Model, ref 
 	for qi, q := range qs {
 		answers[qi] = answerReference(ref, q)
 	}
-	return s, m, ref, qs, answers
+	return ref, qs, answers
 }
 
 // TestLayoutsGoldenProblems is the index-free golden table run solo

@@ -201,9 +201,11 @@ func WithStats(st *Stats) Option {
 
 // WithWorkers shards the exact scans across n parallel workers (default 1:
 // sequential; 0 or negative: one per available CPU). Start positions are
-// partitioned into chunks claimed dynamically; workers share one atomic
-// best-X² skip budget, so a tight bound found by any worker enlarges every
-// other worker's chain-cover skips. MSS-style scans return the identical
+// partitioned into chunks claimed dynamically, and each worker runs the
+// sequential scan's row loop (two rows in flight on uniform models) over
+// the chunks it claims. Workers share the skip budgets — the best X², the
+// t-th best, α — so a tight bound found by any worker enlarges every other
+// worker's chain-cover skips. MSS-style scans return the identical
 // interval and X² as the sequential scan; top-t scans return the identical
 // X² value multiset, though intervals exactly tied at the t-th-best value
 // may resolve differently (as the problem statement permits); threshold
